@@ -4,8 +4,8 @@ anisotropic quasi-geostrophic equation on the periodic square."""
 from .grid import GridSpec, SpectralField, field_from_modes, field_from_values, sine_field, zero_field
 from .operators import (DissipParams, RegimeWarning, apply_semigroup, dissipation_symbol,
                         gevrey_symbol, nonlinear_term, riesz_velocity)
-from .norms import (GevreyNorm, NormRequest, directional_seminorm, evaluate_norm,
-                    gevrey_weighted_norm, lp_norm, sobolev_norm)
+from .norms import (GevreyNorm, directional_seminorm, gevrey_weighted_norm, lp_norm,
+                    sobolev_norm)
 from .solver import (ConstantsTable, DiagnosticsTrace, EvolveResult, PicardConfig,
                      PicardReport, Trajectory, calibrate_constants, constant_trajectory,
                      duhamel_bilinear, evolve, existence_time, glue_continue,
@@ -18,6 +18,7 @@ from .diagnostics import (GevreyReport, RateFit, Region, RemarkChainReport,
 from .lemmas import (FieldEnsembleSpec, InequalityReport, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite)
 from .checkpoint import (Checkpoint, CheckpointError, CheckpointFormatError,
-                         CheckpointMismatchError, read_checkpoint, write_checkpoint)
+                         CheckpointMismatchError, CheckpointReadError, read_checkpoint,
+                         write_checkpoint)
 
 __version__ = "0.1.0"

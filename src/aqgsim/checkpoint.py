@@ -7,6 +7,7 @@ alpha, beta, mu, nu, s, t (f64), then n1*n2 complex coefficients as
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,10 @@ class CheckpointError(Exception):
 
 class CheckpointFormatError(CheckpointError):
     """Corrupt file or unsupported format version."""
+
+
+class CheckpointReadError(CheckpointFormatError, OSError):
+    """The checkpoint file could not be read; an I/O failure, not a format one."""
 
 
 class CheckpointMismatchError(CheckpointError):
@@ -53,14 +58,22 @@ def write_checkpoint(path, field: SpectralField, p: DissipParams, t: float) -> N
     header = _HEADER.pack(MAGIC, VERSION, grid.n1, grid.n2,
                           p.alpha, p.beta, p.mu, p.nu, p.s, t)
     body = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + body)
+    # write a sibling that never matches state_*.aqgs, then swap it in, so the
+    # path holds either the old file or the complete new one
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(header + body)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint(path) -> Checkpoint:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
+        raise CheckpointReadError(f"cannot read checkpoint: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise CheckpointFormatError("corrupt checkpoint: truncated header")
     magic, version, n1, n2, alpha, beta, mu, nu, s, t = _HEADER.unpack_from(raw)

@@ -19,7 +19,7 @@ from .grid import GridSpec, SpectralField, zero_field, sine_field
 from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite,
                      total_violations)
-from .norms import sobolev_norm
+from .norms import gevrey_weighted_norm, sobolev_norm
 from .operators import DissipParams
 from .solver import (ConstantsTable, PicardConfig, calibrate_constants, evolve,
                      existence_time, picard_solve, weighted_picard_solve)
@@ -124,26 +124,18 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         return 1.0 if math.isinf(T) else T  # zero data: any horizon works
 
     T_plain = pick_T(T0)
+    lines = [f"regime = {p.regime}", f"theta0_hs = {_fmt(norm0)}", f"T0 = {_fmt(T0)}",
+             f"T1 = {_fmt(T1)}"]
     if T_plain <= 0.0:
         # empty smallness-condition set (possible off the symmetric axis when
         # s >= 1); a finding, not a crash
-        (out_dir / "picard_report.txt").write_text("\n".join([
-            f"regime = {p.regime}",
-            f"theta0_hs = {_fmt(norm0)}",
-            f"T0 = {_fmt(T0)}",
-            f"T1 = {_fmt(T1)}",
-            "converged = false",
-            "note = existence conditions admit no positive horizon",
-        ]) + "\n")
+        lines += ["converged = false", "note = existence conditions admit no positive horizon"]
+        (out_dir / "picard_report.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
     rep = picard_solve(theta0, PicardConfig(T=T_plain, n_nodes=pc["n_nodes"],
                                             max_iter=pc["max_iter"], tol=pc["tol"]),
                        p, table)
-    lines = [
-        f"regime = {p.regime}",
-        f"theta0_hs = {_fmt(norm0)}",
-        f"T0 = {_fmt(T0)}",
-        f"T1 = {_fmt(T1)}",
+    lines += [
         f"T = {_fmt(T_plain)}",
         f"weighted = {_fmt(weighted)}",
         f"converged = {_fmt(rep.converged)}",
@@ -261,7 +253,6 @@ def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
     states = [ckpt.read_checkpoint(path) for path in paths]
     states.sort(key=lambda cp: cp.t)
     base = states[0]
-    from .norms import gevrey_weighted_norm
     lines = ["t,gevrey_hs,saturated,h2,rate1,rate2,fit_residual1,fit_residual2"]
     for cp in states:
         g = gevrey_weighted_norm(cp.field, cp.t, s, p)
@@ -331,12 +322,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, threads=args.threads)
         return cmd_gevrey(cfg, out_dir, args.traj)
+    except OSError as exc:  # before CheckpointError: an unreadable checkpoint is both
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ConfigError, ckpt.CheckpointError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

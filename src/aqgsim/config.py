@@ -4,6 +4,7 @@ precondition before any computation, echoed back into each output directory."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,11 +31,11 @@ DEFAULTS = {
     "picard": {"n_nodes": 32, "max_iter": 40, "tol": 1e-10, "weighted": False, "T": None},
     "constants": {"mode": "calibrate", "samples": 8, "seed": 0,
                   "C1": None, "C2": None, "C3": None, "C4": None},
-    "output": {"directory": "out", "formats": ["csv"]},
+    "output": {"directory": "out"},
     "lemmas": {"seed": 0, "count": 100, "kmax": 10, "spectrum_slope": 2.0,
                "grid_density": 1000},
     "sweep": {"alphas": [0.6, 0.75, 0.9], "betas": [0.6, 0.75, 0.9],
-              "T_short": 0.05, "n_nodes": 9},
+              "T_short": 0.05},
 }
 
 
@@ -68,6 +69,18 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _require_finite(value, path: str) -> None:
+    """Reject the NaN and Infinity that Python's json accepts, at any depth."""
+    if isinstance(value, float):
+        _require(math.isfinite(value), path, "must be a finite number")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+
+
 def validate_config(data: dict) -> RunConfig:
     """Merge with defaults and check every field; unknown keys are rejected."""
     _require(isinstance(data, dict), "<root>", "top level must be an object")
@@ -80,6 +93,7 @@ def validate_config(data: dict) -> RunConfig:
         merged[section] = {**defaults, **given}
     for section in data:
         _require(section in DEFAULTS, section, "unknown section")
+        _require_finite(data[section], section)
 
     g = merged["grid"]
     for key in ("n1", "n2"):
@@ -162,9 +176,6 @@ def validate_config(data: dict) -> RunConfig:
     out = merged["output"]
     _require(isinstance(out["directory"], str) and out["directory"], "output.directory",
              "must be a nonempty string")
-    _require(isinstance(out["formats"], list) and out["formats"]
-             and all(f in ("csv", "txt") for f in out["formats"]), "output.formats",
-             "must be a nonempty list drawn from csv|txt")
 
     lm = merged["lemmas"]
     _require(isinstance(lm["seed"], int), "lemmas.seed", "must be an integer")
@@ -183,8 +194,6 @@ def validate_config(data: dict) -> RunConfig:
                  f"sweep.{key}", "must be a nonempty list of values in (0, 1)")
     _require(_is_num(sw["T_short"]) and sw["T_short"] > 0.0, "sweep.T_short",
              "must be positive")
-    _require(isinstance(sw["n_nodes"], int) and sw["n_nodes"] >= 2, "sweep.n_nodes",
-             "must be an integer >= 2")
 
     return RunConfig(**merged, raw=data)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralField
+from .grid import SpectralField, sobolev_weight
 from .norms import GevreyNorm, gevrey_weighted_norm, sobolev_norm
 from .operators import DissipParams, gevrey_symbol
 from .solver import Trajectory
@@ -126,7 +126,7 @@ def h2_smoothing_check(traj: Trajectory, t0: float, p: DissipParams, s: float) -
     eps = 0.5 * t_node
     grid = traj.grid
     B = gevrey_symbol((grid.k1, grid.k2), p)
-    weight = (1.0 + grid.k_sq) ** (4.0 - 2.0 * s) * np.exp(-(t_node - eps) * B)
+    weight = sobolev_weight(grid, 4.0 - 2.0 * s) * np.exp(-(t_node - eps) * B)
     weight_sup = float(np.max(weight))
     margin = t_node - eps
     comparison = 1.0 + margin ** (-(8.0 - 4.0 * s) / p.alpha) \

@@ -4,12 +4,20 @@ Convention: f(x) = sum_k c_k exp(i k.x) with c_{-k} = conj(c_k), and Parseval in
 the normalized measure dx/(4 pi^2), so every norm is a plain coefficient sum.
 Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 along
 axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
+
+This module is the package's only spectral workspace: `from_physical` and
+`to_physical` are the sole transforms, and `sobolev_weight` the sole builder of
+the (1+|k|^2)^s weight. `from_physical` returns exactly Hermitian coefficients:
+the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0 and
+k2 = -n2/2) is an exact conjugate copy of the other half, and the four
+self-conjugate modes are real. Multipliers even in k keep that symmetry exact,
+so no caller repairs it after an operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,6 +75,46 @@ class GridSpec:
         return np.meshgrid(x1, x2, indexing="ij")
 
 
+def from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of real grid samples, Hermitian by construction."""
+    n1, n2 = grid.shape
+    h1, h2 = n1 // 2, n2 // 2
+    half = np.fft.rfft2(values) / (n1 * n2)  # columns k2 = 0 .. n2/2
+    c = np.empty(grid.shape, dtype=np.complex128)
+    c[:, :h2 + 1] = half
+    # c(k1, k2) = conj(c(-k1, -k2)) for k2 < 0
+    c[0, h2 + 1:] = np.conj(half[0, h2 - 1:0:-1])
+    c[1:, h2 + 1:] = np.conj(half[:0:-1, h2 - 1:0:-1])
+    # the columns k2 = 0 and k2 = -n2/2 are their own reflection
+    cols = [0, h2]
+    c[h1 + 1:, cols] = np.conj(c[h1 - 1:0:-1, cols])
+    c[np.ix_([0, h1], cols)] = c[np.ix_([0, h1], cols)].real
+    return c
+
+
+def to_physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real grid samples of the field with these coefficients."""
+    return np.real(np.fft.ifft2(coeffs * (grid.n1 * grid.n2)))
+
+
+def sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Read-only (1+|k|^2)^s, or |k|^{2s} with the k=0 entry zero when homogeneous."""
+    return _sobolev_weight(grid, float(s), bool(homogeneous))
+
+
+@lru_cache(maxsize=64)
+def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
+    if homogeneous:
+        ksq = grid.k_sq.copy()
+        ksq[0, 0] = 1.0  # dummy; the k=0 term is excluded below
+        w = ksq**s
+        w[0, 0] = 0.0
+    else:
+        w = (1.0 + grid.k_sq) ** s
+    w.flags.writeable = False
+    return w
+
+
 def reflected_conj(coeffs: np.ndarray) -> np.ndarray:
     """Return the array c'(k) = conj(c(-k)) in the same FFT ordering."""
     return np.conj(np.roll(np.flip(coeffs, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
@@ -116,11 +164,7 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Physical-space samples on the (n1, n2) grid."""
-        n = self.grid.n1 * self.grid.n2
-        return np.real(np.fft.ifft2(self.coeffs * n))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values())))
+        return to_physical(self.coeffs, self.grid)
 
     # -- arithmetic (grids must be equal) ------------------------------------
 
@@ -160,10 +204,7 @@ def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.fft2(values) / (grid.n1 * grid.n2)
-    # exact symmetrization kills FFT rounding asymmetry
-    coeffs = 0.5 * (coeffs + reflected_conj(coeffs))
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, from_physical(values, grid))
 
 
 def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> SpectralField:

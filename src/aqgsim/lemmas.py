@@ -9,10 +9,11 @@ with zero violations; constant-bearing ones only need bounded, stable ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField
+from .grid import GridSpec, SpectralField, from_physical, to_physical
 from .norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
 from .operators import DissipParams, riesz_velocity
 
@@ -37,16 +38,11 @@ class FieldEnsembleSpec:
             raise ValueError(f"kmax must lie in [1, {band}] for grid {self.grid}")
 
 
-def _shell_representatives(m: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _shell_representatives(m: int) -> tuple[tuple[int, int], ...]:
     """Canonical half of the sup-norm shell max(|k1|,|k2|) = m, in a fixed order."""
-    reps = set()
-    for k1 in range(-m, m + 1):
-        for k2 in range(-m, m + 1):
-            if max(abs(k1), abs(k2)) != m:
-                continue
-            if k1 > 0 or (k1 == 0 and k2 > 0):
-                reps.add((k1, k2))
-    return sorted(reps)
+    return tuple(sorted((k1, k2) for k1 in range(m + 1) for k2 in range(-m, m + 1)
+                        if max(abs(k1), abs(k2)) == m and (k1 > 0 or k2 > 0)))
 
 
 def random_band_limited_field(spec: FieldEnsembleSpec, index: int) -> SpectralField:
@@ -79,18 +75,13 @@ def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
 
     def pad(c: np.ndarray) -> np.ndarray:
         out = np.zeros(fine.shape, dtype=np.complex128)
-        i1 = ((np.fft.fftfreq(coarse.n1) * coarse.n1).astype(int)) % fine.n1
-        i2 = ((np.fft.fftfreq(coarse.n2) * coarse.n2).astype(int)) % fine.n2
+        i1 = coarse.k1[:, 0].astype(int) % fine.n1
+        i2 = coarse.k2[0].astype(int) % fine.n2
         out[np.ix_(i1, i2)] = np.where(coarse.nyquist_mask, 0.0, c)
         return out
 
-    n = fine.n1 * fine.n2
-    pf = np.real(np.fft.ifft2(pad(f.coeffs) * n))
-    pg = np.real(np.fft.ifft2(pad(g.coeffs) * n))
-    prod = np.fft.fft2(pf * pg) / n
-    from .grid import reflected_conj
-    prod = 0.5 * (prod + reflected_conj(prod))
-    return SpectralField(fine, prod)
+    prod = to_physical(pad(f.coeffs), fine) * to_physical(pad(g.coeffs), fine)
+    return SpectralField(fine, from_physical(prod, fine))
 
 
 @dataclass

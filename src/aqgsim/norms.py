@@ -4,12 +4,11 @@ grid quadratures (Lp), in the normalized measure dx/(4 pi^2)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SpectralField
+from .grid import GridSpec, SpectralField, sobolev_weight
 from .operators import DissipParams, gevrey_multiplier
 
 WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the result is flagged
@@ -17,15 +16,12 @@ WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the result is fl
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
     """H^s norm with weight (1+|k|^2)^s, or the homogeneous |k|^{2s} sum (k=0 omitted)."""
-    mod2 = np.abs(f.coeffs) ** 2
-    if homogeneous:
-        ksq = f.grid.k_sq.copy()
-        ksq[0, 0] = 1.0  # dummy; the k=0 term is excluded below
-        w = ksq**s
-        w[0, 0] = 0.0
-        return float(np.sqrt(np.sum(w * mod2)))
-    w = (1.0 + f.grid.k_sq) ** s
-    return float(np.sqrt(np.sum(w * mod2)))
+    return _hs_norm(f.coeffs, f.grid, s, homogeneous)
+
+
+def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = False) -> float:
+    mod2 = np.abs(coeffs) ** 2
+    return float(np.sqrt(np.sum(sobolev_weight(grid, s, homogeneous) * mod2)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -49,8 +45,7 @@ def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float)
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     k = f.grid.k1 if axis == 1 else f.grid.k2
-    weighted = np.abs(k) ** exponent * f.coeffs
-    return sobolev_norm(SpectralField(f.grid, weighted), s, homogeneous=True)
+    return _hs_norm(np.abs(k) ** exponent * f.coeffs, f.grid, s, homogeneous=True)
 
 
 class GevreyNorm(NamedTuple):
@@ -62,54 +57,27 @@ class GevreyNorm(NamedTuple):
 def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams,
                          cap: float = WEIGHT_CAP) -> GevreyNorm:
     """H^s norm of exp((t/2) B(D)) f, flagged (not clipped) on weight overflow."""
+    return _gevrey_norm(f.coeffs, f.grid, t, s, p, cap)
+
+
+def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float, p: DissipParams,
+                 cap: float = WEIGHT_CAP) -> GevreyNorm:
+    """gevrey_weighted_norm on bare coefficients."""
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
-    exponent = 0.5 * t * gevrey_multiplier(f.grid, p)
-    live = np.abs(f.coeffs) > 0.0
+    exponent = 0.5 * t * gevrey_multiplier(grid, p)
+    live = np.abs(coeffs) > 0.0
 
     def worst_mode(selector):
         idx = np.unravel_index(np.argmax(np.where(selector, exponent, -np.inf)),
                                exponent.shape)
-        return (int(f.grid.k1[idx[0], 0]), int(f.grid.k2[0, idx[1]]))
+        return (int(grid.k1[idx[0], 0]), int(grid.k2[0, idx[1]]))
 
     over = live & (exponent > cap)
     if np.any(over):
         return GevreyNorm(float("inf"), True, worst_mode(over))
-    weighted = np.where(live, np.exp(np.where(live, exponent, 0.0)) * f.coeffs, 0.0)
-    value = sobolev_norm(SpectralField(f.grid, weighted), s)
+    weighted = np.where(live, np.exp(np.where(live, exponent, 0.0)) * coeffs, 0.0)
+    value = _hs_norm(weighted, grid, s)
     if not math.isfinite(value):
         return GevreyNorm(float("inf"), True, worst_mode(live))
     return GevreyNorm(value, False, None)
-
-
-@dataclass(frozen=True)
-class NormRequest:
-    """Selects one norm family; only the fields relevant to `kind` are read."""
-
-    kind: str  # Hs | Hs_dot | Lp | directional | gevrey_weighted
-    s: float = 0.0
-    p: float = 2.0
-    axis: int = 1
-    exponent: float = 0.0
-    weight_time: float = 0.0
-    gevrey_params: DissipParams | None = field(default=None)
-
-    KINDS = ("Hs", "Hs_dot", "Lp", "directional", "gevrey_weighted")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}; expected one of {self.KINDS}")
-
-
-def evaluate_norm(f: SpectralField, req: NormRequest) -> float:
-    if req.kind == "Hs":
-        return sobolev_norm(f, req.s)
-    if req.kind == "Hs_dot":
-        return sobolev_norm(f, req.s, homogeneous=True)
-    if req.kind == "Lp":
-        return lp_norm(f, req.p)
-    if req.kind == "directional":
-        return directional_seminorm(f, req.axis, req.exponent, req.s)
-    if req.gevrey_params is None:
-        raise ValueError("gevrey_weighted norm needs gevrey_params")
-    return gevrey_weighted_norm(f, req.weight_time, req.s, req.gevrey_params).value

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, reflected_conj
+from .grid import GridSpec, SpectralField, from_physical, to_physical
 
 
 class RegimeWarning(UserWarning):
@@ -77,8 +78,10 @@ def gevrey_multiplier(grid: GridSpec, p: DissipParams) -> np.ndarray:
     return gevrey_symbol((grid.k1, grid.k2), p)
 
 
+@lru_cache(maxsize=8)
 def riesz_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity multipliers (-i k2/|k|, i k1/|k|); zero at k=0 and on Nyquist lines.
+    """Read-only velocity multipliers (-i k2/|k|, i k1/|k|), built once per grid;
+    zero at k=0 and on Nyquist lines.
 
     Nyquist rows/columns are self-conjugate, where an imaginary multiplier would
     break real-valuedness; dynamical fields live inside the dealiased band where
@@ -88,11 +91,10 @@ def riesz_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     kmag[0, 0] = 1.0  # avoid 0/0; the zero mode is zeroed explicitly below
     m1 = -1j * grid.k2 / kmag
     m2 = 1j * grid.k1 / kmag
-    keep = ~grid.nyquist_mask
-    m1 *= keep
-    m2 *= keep
-    m1[0, 0] = 0.0
-    m2[0, 0] = 0.0
+    for m in (m1, m2):
+        m *= ~grid.nyquist_mask
+        m[0, 0] = 0.0
+        m.flags.writeable = False
     return m1, m2
 
 
@@ -118,17 +120,14 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec, m1: np.ndarray, m2: np.nd
     else from `coeffs` itself.
     """
     cv = coeffs if velocity_coeffs is None else velocity_coeffs
-    n = grid.n1 * grid.n2
-    theta_phys = np.real(np.fft.ifft2(coeffs * n))
-    u1_phys = np.real(np.fft.ifft2(m1 * cv * n))
-    u2_phys = np.real(np.fft.ifft2(m2 * cv * n))
+    theta_phys = to_physical(coeffs, grid)
+    u1_phys = to_physical(m1 * cv, grid)
+    u2_phys = to_physical(m2 * cv, grid)
     max_u = float(np.max(np.sqrt(u1_phys**2 + u2_phys**2)))
-    flux1 = np.fft.fft2(theta_phys * u1_phys) / n
-    flux2 = np.fft.fft2(theta_phys * u2_phys) / n
+    flux1 = from_physical(theta_phys * u1_phys, grid)
+    flux2 = from_physical(theta_phys * u2_phys, grid)
     out = 1j * (grid.k1 * flux1 + grid.k2 * flux2)
-    out = np.where(mask, out, 0.0)
-    out = 0.5 * (out + reflected_conj(out))  # exact Hermitian symmetry
-    return out, max_u
+    return np.where(mask, out, 0.0), max_u
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField
-from .norms import GevreyNorm, gevrey_weighted_norm, sobolev_norm
+from .grid import GridSpec, SpectralField, sobolev_weight, to_physical
+from .norms import GevreyNorm, _gevrey_norm, gevrey_weighted_norm, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
                         riesz_multipliers, _nonlinear_raw)
 
@@ -52,12 +52,6 @@ def solve_time_condition(exponents, bound: float, with_exp_factor: bool = False)
     if min(exponents) > 0.0:
         lo = 0.0
         hi = 1.0
-        for _ in range(200):
-            if g(hi) > bound:
-                break
-            hi *= 2.0
-        else:
-            return hi
     else:
         # locate the interior minimum of g on a log grid, then walk right
         ts = np.logspace(-16, 16, 2000)
@@ -67,12 +61,12 @@ def solve_time_condition(exponents, bound: float, with_exp_factor: bool = False)
             return 0.0
         lo = float(ts[i_min])
         hi = lo * 2.0
-        for _ in range(200):
-            if g(hi) > bound:
-                break
-            hi *= 2.0
-        else:
-            return hi
+    for _ in range(200):
+        if g(hi) > bound:
+            break
+        hi *= 2.0
+    else:
+        return hi
     for _ in range(200):
         if hi - lo <= 1e-12 * max(hi, 1e-300):
             break
@@ -183,11 +177,15 @@ class Trajectory:
         return [self.field(i) for i in range(self.n_nodes)]
 
     def hs_norms(self, s: float) -> np.ndarray:
-        w = (1.0 + self.grid.k_sq) ** s
-        return np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2, axis=(1, 2)))
+        return _hs_norms(self.coeffs, self.grid, s)
 
     def sup_hs(self, s: float) -> float:
         return float(np.max(self.hs_norms(s)))
+
+
+def _hs_norms(stack: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
+    """H^s norm of every node of an (n_nodes, n1, n2) coefficient stack."""
+    return np.sqrt(np.sum(sobolev_weight(grid, s) * np.abs(stack) ** 2, axis=(1, 2)))
 
 
 def time_grid(T: float, n_nodes: int) -> np.ndarray:
@@ -211,13 +209,16 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
     return Trajectory(theta0.grid, np.asarray(times, dtype=float), stack)
 
 
-def _trajectory_nonlinear_stack(c1: np.ndarray, c2: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """div(theta1(tau) u_{theta2(tau)}) per node; theta from c1, velocity from c2."""
-    m1, m2 = riesz_multipliers(grid)
-    mask = grid.dealias_mask
-    out = np.empty_like(c1)
-    for j in range(c1.shape[0]):
-        out[j], _ = _nonlinear_raw(c1[j], grid, m1, m2, mask, velocity_coeffs=c2[j])
+def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> np.ndarray:
+    """Trapezoid Duhamel sum out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] over nodes 0..i.
+
+    Evaluated by the exact recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i])
+    with E = exp(-dt A), in time linear in the number of nodes.
+    """
+    E = np.exp(-dt * dissipation_multiplier(grid, p))
+    out = np.zeros(N.shape, dtype=np.complex128)
+    for i in range(1, N.shape[0]):
+        out[i] = E * out[i - 1] + 0.5 * dt * (E * N[i - 1] + N[i])
     return out
 
 
@@ -232,18 +233,13 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     if max(np.max(np.abs(traj1.coeffs[:, 0, 0])), np.max(np.abs(traj2.coeffs[:, 0, 0]))) \
             > 1e-12 * mean_scale:
         raise ValueError("duhamel_bilinear requires mean-zero trajectories")
-    n = traj1.n_nodes
-    dt = traj1.dt
-    N = _trajectory_nonlinear_stack(traj1.coeffs, traj2.coeffs, grid)
-    A = dissipation_multiplier(grid, p)
-    E = np.exp(-dt * np.arange(n)[:, None, None] * A)
-    out = np.zeros_like(traj1.coeffs)
-    for i in range(1, n):
-        acc = 0.5 * (E[i] * N[0] + N[i])
-        for j in range(1, i):
-            acc += E[i - j] * N[j]
-        out[i] = dt * acc
-    return Trajectory(grid, traj1.times, out)
+    # div(theta1(tau) u_{theta2(tau)}) per node
+    m1, m2 = riesz_multipliers(grid)
+    N = np.empty_like(traj1.coeffs)
+    for j in range(traj1.n_nodes):
+        N[j], _ = _nonlinear_raw(traj1.coeffs[j], grid, m1, m2, grid.dealias_mask,
+                                 velocity_coeffs=traj2.coeffs[j])
+    return Trajectory(grid, traj1.times, _duhamel_sum(N, traj1.dt, grid, p))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +290,6 @@ class PicardReport:
     weighted_trace: list[GevreyNorm] | None = None
     weight_domination_slack: float | None = None
     note: str = ""
-
-
-def _sup_distance(c_new: np.ndarray, c_old: np.ndarray, grid: GridSpec, s: float) -> float:
-    w = (1.0 + grid.k_sq) ** s
-    d = np.sqrt(np.sum(w * np.abs(c_new - c_old) ** 2, axis=(1, 2)))
-    return float(np.max(d))
 
 
 def weight_domination_slack(p: DissipParams, T: float, grid: GridSpec,
@@ -360,7 +350,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
 
     L0 = semigroup_trajectory(theta0, times, p)
     current = L0.coeffs.copy()
-    sup_hs_all = Trajectory(grid, times, current).sup_hs(s)
+    sup_hs_all = float(np.max(_hs_norms(current, grid, s)))
     weighted_sup_all = _weighted_sup(grid, times, current, p, s) if weighted else None
 
     distances: list[float] = []
@@ -372,10 +362,10 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                              Trajectory(grid, times, current), p)
         new = L0.coeffs - B.coeffs
         iterations += 1
-        d = _sup_distance(new, current, grid, s)
+        d = float(np.max(_hs_norms(new - current, grid, s)))
         distances.append(d)
         current = new
-        sup_hs_all = max(sup_hs_all, Trajectory(grid, times, current).sup_hs(s))
+        sup_hs_all = max(sup_hs_all, float(np.max(_hs_norms(current, grid, s))))
         if weighted:
             weighted_sup_all = max(weighted_sup_all,
                                    _weighted_sup(grid, times, current, p, s))
@@ -414,7 +404,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
                   p: DissipParams, s: float) -> float:
     B = gevrey_multiplier(grid, p)
-    w = (1.0 + grid.k_sq) ** s
+    w = sobolev_weight(grid, s)
     worst = 0.0
     for i, t in enumerate(times):
         weighted = np.exp(0.5 * float(t) * B) * coeffs[i]
@@ -447,35 +437,35 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
     spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=kmax,
                              spectrum_slope=spectrum_slope)
     s = p.s
-    Bmul = gevrey_multiplier(grid, p)
-    w_s = (1.0 + grid.k_sq) ** s
+    m1, m2 = riesz_multipliers(grid)
+    shape = (n_nodes, *grid.shape)
     ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
     cz_worst = 0.0
     for i in range(n_samples):
         f = random_band_limited_field(spec, 2 * i)
         g = random_band_limited_field(spec, 2 * i + 1)
         nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
-        u1, u2 = riesz_multipliers(grid)
         cz_worst = max(cz_worst, abs(
-            math.sqrt(float(np.sum((np.abs(u1 * f.coeffs) ** 2 + np.abs(u2 * f.coeffs) ** 2))))
+            math.sqrt(float(np.sum((np.abs(m1 * f.coeffs) ** 2 + np.abs(m2 * f.coeffs) ** 2))))
             / math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2))) - 1.0))
+        # f and g are constant in time, so one nonlinear evaluation serves every
+        # node of every horizon
+        Nfg, _ = _nonlinear_raw(f.coeffs, grid, m1, m2, grid.dealias_mask,
+                                velocity_coeffs=g.coeffs)
+        N = np.broadcast_to(Nfg, shape)
         for T in _CALIBRATION_HORIZONS:
             times = time_grid(T, n_nodes)
-            B = duhamel_bilinear(constant_trajectory(f, times),
-                                 constant_trajectory(g, times), p)
-            lhs_plain = B.sup_hs(s)
+            B = _duhamel_sum(N, float(times[1] - times[0]), grid, p)
+            lhs_plain = float(np.max(_hs_norms(B, grid, s)))
             g1 = sum(T**a for a in _step1_exponents(p))
             g2 = sum(T**a for a in _step2_exponents(p))
             ratios["C1"] = max(ratios["C1"], lhs_plain / (g1 * nf * ng))
             if g2 > 0.0:
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             # weighted form: weight both the output and the input factors
-            lhs_w = 0.0
-            for j, t in enumerate(times):
-                weighted = np.exp(0.5 * float(t) * Bmul) * B.coeffs[j]
-                lhs_w = max(lhs_w, float(np.sqrt(np.sum(w_s * np.abs(weighted) ** 2))))
-            nfw = _weighted_sup(grid, times, constant_trajectory(f, times).coeffs, p, s)
-            ngw = _weighted_sup(grid, times, constant_trajectory(g, times).coeffs, p, s)
+            lhs_w = _weighted_sup(grid, times, B, p, s)
+            nfw = _weighted_sup(grid, times, np.broadcast_to(f.coeffs, shape), p, s)
+            ngw = _weighted_sup(grid, times, np.broadcast_to(g.coeffs, shape), p, s)
             eT = math.exp(T)
             ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
@@ -507,6 +497,8 @@ class DiagnosticsTrace:
     dt: list[float] = dc_field(default_factory=list)
     gevrey_saturated: list[bool] = dc_field(default_factory=list)
     diss_integral: list[float] = dc_field(default_factory=list)
+    aborted: bool = False
+    abort_reason: str | None = None
 
     CSV_HEADER = "t,l2,hs,h2,gevrey_hs,diss1,diss2,max_u,dt"
 
@@ -550,8 +542,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     A = dissipation_multiplier(grid, p)
     m1, m2 = riesz_multipliers(grid)
     mask = grid.dealias_mask
-    w_s = (1.0 + grid.k_sq) ** s
-    w_2 = (1.0 + grid.k_sq) ** 2
+    w_s = sobolev_weight(grid, s)
+    w_2 = sobolev_weight(grid, 2.0)
     d1 = np.abs(grid.k1) ** (2.0 * p.alpha)
     d2 = np.abs(grid.k2) ** (2.0 * p.beta)
 
@@ -598,7 +590,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     steps_since_trace = 0
     aborted = False
     reason = None
-    cache = {"dt": None}
+    propagated_dt = None
 
     while t < T * (1.0 - 1e-12):
         remaining = T - t
@@ -616,12 +608,9 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
             aborted, reason = True, f"step size collapsed (dt={dt})"
             break
 
-        if cache["dt"] != dt:
-            E_f, W_f = propagators(dt)
-            E_h, W_h = propagators(0.5 * dt)
-            cache = {"dt": dt, "E_f": E_f, "W_f": W_f, "E_h": E_h, "W_h": W_h}
-        else:
-            E_f, W_f, E_h, W_h = cache["E_f"], cache["W_f"], cache["E_h"], cache["W_h"]
+        if propagated_dt != dt:
+            (E_f, W_f), (E_h, W_h) = propagators(dt), propagators(0.5 * dt)
+            propagated_dt = dt
 
         with np.errstate(over="ignore", invalid="ignore"):
             if nonlinear:
@@ -655,28 +644,19 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         if at_cp and cps:
             cps.pop(0)
             if on_checkpoint is not None:
-                on_checkpoint(t + t_offset, SpectralField(grid, _symmetrized(c)))
+                on_checkpoint(t + t_offset, SpectralField(grid, c))
         done = t >= T * (1.0 - 1e-12)
         if steps_since_trace >= trace_stride or done or at_cp:
             _record(trace, grid, p, s, w_s, w_2, d1, d2, t + t_offset, c, max_u, dt, diss_int)
             steps_since_trace = 0
 
-    if aborted:
-        trace.aborted = True
-        trace.abort_reason = reason
-    final = SpectralField(grid, _symmetrized(c))
-    return EvolveResult(trace, final, t + t_offset, aborted, reason)
-
-
-def _symmetrized(c: np.ndarray) -> np.ndarray:
-    from .grid import reflected_conj
-    return 0.5 * (c + reflected_conj(c))
+    trace.aborted, trace.abort_reason = aborted, reason
+    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason)
 
 
 def _max_velocity(c: np.ndarray, grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> float:
-    n = grid.n1 * grid.n2
-    u1 = np.real(np.fft.ifft2(m1 * c * n))
-    u2 = np.real(np.fft.ifft2(m2 * c * n))
+    u1 = to_physical(m1 * c, grid)
+    u2 = to_physical(m2 * c, grid)
     return float(np.max(np.sqrt(u1**2 + u2**2)))
 
 
@@ -688,7 +668,7 @@ def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, s: float,
     trace.l2.append(float(np.sqrt(np.sum(mod2))))
     trace.hs.append(float(np.sqrt(np.sum(w_s * mod2))))
     trace.h2.append(float(np.sqrt(np.sum(w_2 * mod2))))
-    g = gevrey_weighted_norm(SpectralField(grid, _symmetrized(c)), max(t, 0.0), s, p)
+    g = _gevrey_norm(c, grid, max(t, 0.0), s, p)
     trace.gevrey_hs.append(g.value)
     trace.gevrey_saturated.append(g.saturated)
     trace.diss1.append(float(np.sqrt(np.sum(d1 * mod2))))

@@ -1,6 +1,8 @@
 """Checkpoint binary format: round trips and corruption handling."""
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,3 +73,27 @@ def test_unknown_version_rejected(state, params, tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError, match="cannot read"):
         read_checkpoint(tmp_path / "absent.aqgs")
+
+
+def _partial_write(self, data):
+    with open(self, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
+def _failed_rename(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("owner, name, broken", [(Path, "write_bytes", _partial_write),
+                                                 (os, "replace", _failed_rename)])
+def test_failed_write_keeps_old_file(state, params, tmp_path, monkeypatch, owner, name, broken):
+    path = tmp_path / "state_0000.aqgs"
+    write_checkpoint(path, state, params, 0.25)
+    before = path.read_bytes()
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(OSError):
+        write_checkpoint(path, state * 2.0, params, 0.5)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state_0000.aqgs"]

@@ -52,6 +52,27 @@ def test_validate_reports_key_path():
         validate_config({"time": {"T": 1.0, "checkpoint_times": [2.0]}})
 
 
+def test_validate_rejects_non_finite_numbers():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"time": {"T": 1.0, "checkpoint_times": [0.5, -math.inf]}})
+    assert err.value.path == "time.checkpoint_times[1]"
+    with pytest.raises(ConfigError, match="finite"):
+        validate_config({"init": {"kind": "modes", "modes": [{"k": [1, 0],
+                                                              "amplitude": math.nan}]}})
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("picard", {"params": {"s": math.nan}}, "params.s"),
+    ("simulate", {"time": {"T": math.inf}}, "time.T"),
+])
+def test_non_finite_config_number_exit_1(tmp_path, capsys, command, overrides, key):
+    cfg = write_config(tmp_path, overrides)
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
 def test_validate_explicit_constants_required():
     with pytest.raises(ConfigError, match="constants.C2"):
         validate_config({"constants": {"mode": "explicit", "C1": 1.0}})
@@ -79,7 +100,11 @@ def test_simulate_rerun_bit_identical(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    assert (out1 / "state_final.aqgs").read_bytes() == (out2 / "state_final.aqgs").read_bytes()
+    states = sorted(p.name for p in out1.glob("state_*.aqgs"))
+    assert states == ["state_0000.aqgs", "state_final.aqgs"]
+    assert states == sorted(p.name for p in out2.glob("state_*.aqgs"))
+    for name in states:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_simulate_linear_flag_matches_closed_form(tmp_path):
@@ -266,3 +291,12 @@ def test_gevrey_missing_dir_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["gevrey", "--config", str(cfg), "--out", str(tmp_path / "g"),
                  "--traj", str(tmp_path / "nothing")]) == 3
+
+
+def test_gevrey_unreadable_checkpoint_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    sim = tmp_path / "sim"
+    (sim / "state_0000.aqgs").mkdir(parents=True)
+    assert main(["gevrey", "--config", str(cfg), "--out", str(tmp_path / "g"),
+                 "--traj", str(sim)]) == 3
+    assert "I/O failure" in capsys.readouterr().err

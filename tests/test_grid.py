@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
                          hermitian_defect, sine_field, zero_field)
+from aqgsim.lemmas import oversampled_product
+from aqgsim.operators import DissipParams, nonlinear_term
+from aqgsim.solver import evolve
+
+from conftest import random_real_grid
 
 
 def test_grid_rejects_odd_or_small():
@@ -27,6 +34,36 @@ def test_transform_round_trip(grid64):
     v = rng.standard_normal(grid64.shape)
     f = field_from_values(grid64, v)
     assert np.max(np.abs(f.values() - v)) < 1e-13
+
+
+@st.composite
+def grids_and_values(draw):
+    n1, n2 = (draw(st.integers(4, 32)) * 2 for _ in range(2))
+    values = draw(arrays(np.float64, (n1, n2),
+                         elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    return GridSpec(n1, n2), values
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(grids_and_values())
+def test_transform_round_trip_property(grid_values):
+    grid, v = grid_values
+    f = field_from_values(grid, v)
+    assert hermitian_defect(f.coeffs) == 0.0
+    assert np.max(np.abs(f.values() - v)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
+def test_hermitian_by_construction(shape):
+    """Every transform output and the march state are exactly Hermitian."""
+    grid = GridSpec(*shape)
+    f = field_from_values(grid, random_real_grid(grid, 3)).dealiased()
+    g = field_from_values(grid, random_real_grid(grid, 4)).dealiased()
+    assert hermitian_defect(f.coeffs) == 0.0
+    assert hermitian_defect(nonlinear_term(f).coeffs) == 0.0
+    assert hermitian_defect(oversampled_product(f, g).coeffs) == 0.0
+    res = evolve(f * 0.1, 0.01, DissipParams(0.75, 0.6, s=1.2), dt_fixed=1e-3)
+    assert hermitian_defect(res.final.coeffs) == 0.0
 
 
 def test_hermitian_rejected(grid32):

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from aqgsim.grid import field_from_modes, field_from_values, sine_field, zero_field
-from aqgsim.norms import (NormRequest, directional_seminorm, evaluate_norm,
-                          gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
+from aqgsim.norms import (directional_seminorm, gevrey_weighted_norm, lp_norm, sobolev_norm,
+                          vector_lp_norm)
 from aqgsim.operators import DissipParams
 
 from conftest import random_real_grid
@@ -132,17 +132,3 @@ def test_interpolation_inequality_random_fields(grid64):
             rhs = sobolev_norm(f, s1, True) ** t * sobolev_norm(f, s2, True) ** (1 - t)
             assert lhs <= rhs * (1 + 1e-12)
 
-
-def test_norm_request_dispatch(grid32):
-    f = sine_field(grid32, (1, 0))
-    p = DissipParams(0.75, 0.75)
-    assert evaluate_norm(f, NormRequest("Hs", s=1.0)) == pytest.approx(1.0, rel=1e-14)
-    assert evaluate_norm(f, NormRequest("Hs_dot", s=0.0)) == pytest.approx(INV_SQRT2, rel=1e-14)
-    assert evaluate_norm(f, NormRequest("Lp", p=4.0)) == pytest.approx(
-        (3.0 / 8.0) ** 0.25, rel=1e-12)
-    assert evaluate_norm(f, NormRequest("directional", axis=1, exponent=0.75)) \
-        == pytest.approx(INV_SQRT2, rel=1e-14)
-    got = evaluate_norm(f, NormRequest("gevrey_weighted", weight_time=1.0, gevrey_params=p))
-    assert got == pytest.approx(math.e * INV_SQRT2, rel=1e-13)
-    with pytest.raises(ValueError):
-        NormRequest("bogus")

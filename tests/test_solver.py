@@ -8,7 +8,8 @@ import pytest
 from aqgsim.grid import GridSpec, field_from_modes, sine_field, zero_field
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import sobolev_norm
-from aqgsim.operators import DissipParams, RegimeWarning, apply_semigroup
+from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
+                              dissipation_symbol, nonlinear_term)
 from aqgsim.solver import (LOG_3_2, ConstantsTable, PicardConfig, Trajectory,
                            calibrate_constants, constant_trajectory, duhamel_bilinear,
                            evolve, existence_time, glue_continue, picard_solve,
@@ -123,6 +124,24 @@ def test_duhamel_mismatched_grids(grid32, params_sym):
     g = constant_trajectory(sine_field(GridSpec(64, 64), (1, 0)), times)
     with pytest.raises(ValueError, match="mismatched"):
         duhamel_bilinear(f, g, params_sym)
+
+
+def test_duhamel_matches_quadratic_trapezoid_sum(grid64, params):
+    """The linear-time recursion reproduces the explicit trapezoid sum
+    dt [E^i N_0 / 2 + sum_{0<j<i} E^{i-j} N_j + N_i / 2] on a time-varying trajectory."""
+    theta0 = unit_random_field(grid64, 5, params.s)
+    traj = semigroup_trajectory(theta0, time_grid(0.5, 33), params)
+    got = duhamel_bilinear(traj, traj, params).coeffs
+    N = np.array([nonlinear_term(f).coeffs for f in traj.fields()])
+    A = dissipation_symbol((grid64.k1, grid64.k2), params)
+    dt = traj.dt
+    ref = np.zeros_like(N)
+    for i in range(1, traj.n_nodes):
+        acc = 0.5 * (np.exp(-i * dt * A) * N[0] + N[i])
+        for j in range(1, i):
+            acc = acc + np.exp(-(i - j) * dt * A) * N[j]
+        ref[i] = dt * acc
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
@@ -281,6 +300,21 @@ def test_calibration_monotone_in_samples(params_sym):
     large = calibrate_constants(params_sym, n_samples=6, seed=4)
     for name in ("C1", "C2", "C3", "C4"):
         assert getattr(large, name) >= getattr(small, name)
+
+
+def test_calibration_one_kernel_call_per_field_pair(params_sym, monkeypatch):
+    import aqgsim.solver as solver
+
+    calls = []
+    kernel = solver._nonlinear_raw
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonlinear_raw", counting)
+    calibrate_constants(params_sym, n_samples=3, seed=4)
+    assert len(calls) == 3
 
 
 def test_calibration_riesz_isometry_observed(params_sym):
