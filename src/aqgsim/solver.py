@@ -1,6 +1,6 @@
 """Constructive core: existence-time conditions, the Duhamel bilinear operator,
-plain and Gevrey-weighted Picard iterations, the exponential-integrator march,
-and checkpoint-based continuation.
+plain and Gevrey-weighted Picard iterations, the second-order exponential (ETD2RK)
+march with step-doubling error control, and checkpoint-based continuation.
 
 The fixed-point map is psi(theta) = L0 - B(theta, theta) on a uniform time grid,
 with L0 the semigroup trajectory of the initial data and B the Duhamel integral
@@ -438,7 +438,6 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
                              spectrum_slope=spectrum_slope)
     s = p.s
     m1, m2 = riesz_multipliers(grid)
-    shape = (n_nodes, *grid.shape)
     ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
     cz_worst = 0.0
     for i in range(n_samples):
@@ -452,7 +451,7 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
         # node of every horizon
         Nfg, _ = _nonlinear_raw(f.coeffs, grid, m1, m2, grid.dealias_mask,
                                 velocity_coeffs=g.coeffs)
-        N = np.broadcast_to(Nfg, shape)
+        N = np.broadcast_to(Nfg, (n_nodes, *grid.shape))
         for T in _CALIBRATION_HORIZONS:
             times = time_grid(T, n_nodes)
             B = _duhamel_sum(N, float(times[1] - times[0]), grid, p)
@@ -464,8 +463,9 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             # weighted form: weight both the output and the input factors
             lhs_w = _weighted_sup(grid, times, B, p, s)
-            nfw = _weighted_sup(grid, times, np.broadcast_to(f.coeffs, shape), p, s)
-            ngw = _weighted_sup(grid, times, np.broadcast_to(g.coeffs, shape), p, s)
+            # f, g are constant in time and B >= 0: their weighted sup is at the last node
+            nfw = _weighted_sup(grid, times[-1:], f.coeffs[None], p, s)
+            ngw = _weighted_sup(grid, times[-1:], g.coeffs[None], p, s)
             eT = math.exp(T)
             ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
@@ -478,8 +478,18 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# long-time march (first-order exponential integrator, step doubling)
+# long-time march (second-order exponential integrator ETD2RK, step doubling)
 # ---------------------------------------------------------------------------
+
+def phi2(x: np.ndarray) -> np.ndarray:
+    """phi_2(x) = (e^-x - 1 + x) / x^2 elementwise for x >= 0, with phi_2(0) = 1/2.
+
+    Below x = 0.1 the closed form loses about 2e-16/x relative to cancellation
+    in expm1(-x) + x, so a ten-term Taylor series is summed there instead.
+    """
+    series = np.polyval([(-1) ** k / math.factorial(k + 2) for k in range(9, -1, -1)], x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x < 0.1, series, (np.expm1(-x) + x) / (x * x))
 
 
 @dataclass
@@ -518,6 +528,7 @@ class EvolveResult:
     t_final: float
     aborted: bool = False
     abort_reason: str | None = None
+    rejected_steps: int = 0
 
 
 def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *,
@@ -525,9 +536,10 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
            dt_init: float | None = None, dt_max: float | None = None,
            dt_fixed: float | None = None, trace_stride: int = 1,
            checkpoint_times=(), on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
-    """March the flow to time T with exact per-step linear decay, an explicit
-    dealiased nonlinearity, and step-doubling error control (disabled when
-    dt_fixed is given). Initial data is projected onto the dealiased band.
+    """March the flow to time T with ETD2RK (Cox & Matthews 2002), exact in the
+    linear decay and second order in the dealiased nonlinearity, as two half
+    steps per step of size dt; error control (off when dt_fixed is given) compares
+    them with one full step in H^s. Initial data is projected onto the dealiased band.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
@@ -559,7 +571,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         E = np.exp(-a)
         with np.errstate(divide="ignore", invalid="ignore"):
             W = np.where(A > 0.0, -np.expm1(-a) / np.where(A > 0.0, A, 1.0), dt)
-        return E, W
+        return E, W, dt * phi2(a)
 
     def rhs(c):
         # overflow here surfaces as a non-finite state and triggers the abort path
@@ -568,6 +580,11 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
                 return None, _max_velocity(c, grid, m1, m2)
             Nc, mu = _nonlinear_raw(c, grid, m1, m2, mask)
             return -Nc, mu
+
+    def etd2rk(c, N_c, E, W, P):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = E * c + W * N_c
+            return a + P * (rhs(a)[0] - N_c)
 
     trace = DiagnosticsTrace()
     cps = sorted(float(x) - t_offset for x in checkpoint_times)
@@ -591,6 +608,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     aborted = False
     reason = None
     propagated_dt = None
+    rejected = 0
 
     while t < T * (1.0 - 1e-12):
         remaining = T - t
@@ -602,38 +620,39 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         if cps and t + dt >= cps[0] * (1.0 - 1e-12):
             dt = cps[0] - t
             hit_cp = True
-        if remaining <= dt * (1.0 + 1e-9) and not hit_cp:
+        elif remaining <= dt * (1.0 + 1e-9):
             dt = remaining
+        elif dt_fixed is None and t + 2.0 * dt > (cps[0] if cps else T):
+            # split the way to the next target evenly rather than leave a sliver
+            dt = 0.5 * ((cps[0] if cps else T) - t)
         if dt <= 0.0 or not math.isfinite(dt):
             aborted, reason = True, f"step size collapsed (dt={dt})"
             break
 
         if propagated_dt != dt:
-            (E_f, W_f), (E_h, W_h) = propagators(dt), propagators(0.5 * dt)
+            prop_full, prop_half = propagators(dt), propagators(0.5 * dt)
             propagated_dt = dt
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            if nonlinear:
-                coarse = E_f * c + W_f * N_c
-                half = E_h * c + W_h * N_c
-                N_h, _ = rhs(half)
-                fine = E_h * half + W_h * N_h
-            else:
-                coarse = E_f * c
-                half = E_h * c
-                fine = E_h * half
+        if nonlinear:
+            half = etd2rk(c, N_c, *prop_half)
+            fine = etd2rk(half, rhs(half)[0], *prop_half)
+        else:
+            half = prop_half[0] * c
+            fine = prop_half[0] * half
 
         if not np.all(np.isfinite(fine.view(np.float64))):
             aborted, reason = True, f"non-finite state at t={t + t_offset:.6g}"
             break
 
         if dt_fixed is None and nonlinear:
-            err = hs_of(fine - coarse)
+            err = hs_of(fine - etd2rk(c, N_c, *prop_full))
             scale = atol + rtol * hs_of(fine)
+            factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 3.0)
             if err > scale and dt > 1e-13 * max(T, 1.0):
-                dt_prop = dt * max(0.2, 0.9 * math.sqrt(scale / max(err, 1e-300)))
+                dt_prop = dt * max(0.2, factor)
+                rejected += 1
                 continue
-            dt_prop = dt * min(5.0, max(0.2, 0.9 * math.sqrt(scale / max(err, 1e-300))))
+            dt_prop = dt * min(5.0, max(0.2, factor))
 
         diss_int += dt / 6.0 * (diss_rate(c) + 4.0 * diss_rate(half) + diss_rate(fine))
         c = fine
@@ -651,7 +670,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
             steps_since_trace = 0
 
     trace.aborted, trace.abort_reason = aborted, reason
-    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason)
+    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason, rejected)
 
 
 def _max_velocity(c: np.ndarray, grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> float:

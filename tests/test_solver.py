@@ -1,6 +1,7 @@
 """Existence-time conditions, Duhamel operator, Picard iterations, the march."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
                               dissipation_symbol, nonlinear_term)
 from aqgsim.solver import (LOG_3_2, ConstantsTable, PicardConfig, Trajectory,
                            calibrate_constants, constant_trajectory, duhamel_bilinear,
-                           evolve, existence_time, glue_continue, picard_solve,
+                           evolve, existence_time, glue_continue, phi2, picard_solve,
                            semigroup_trajectory, solve_time_condition, time_grid,
                            weight_domination_slack, weighted_picard_solve)
 
@@ -23,6 +24,22 @@ def unit_random_field(grid, seed, s, kmax=8, slope=2.0):
     spec = FieldEnsembleSpec(grid, seed=seed, count=1, kmax=kmax, spectrum_slope=slope)
     f = random_band_limited_field(spec, 0)
     return f * (1.0 / sobolev_norm(f, s))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that grows by one at each nonlinear-kernel call made by the solver."""
+    import aqgsim.solver as solver
+
+    calls = []
+    kernel = solver._nonlinear_raw
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonlinear_raw", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +319,31 @@ def test_calibration_monotone_in_samples(params_sym):
         assert getattr(large, name) >= getattr(small, name)
 
 
-def test_calibration_one_kernel_call_per_field_pair(params_sym, monkeypatch):
+def test_calibration_one_kernel_call_per_field_pair(params_sym, kernel_calls):
+    calibrate_constants(params_sym, n_samples=3, seed=4)
+    assert len(kernel_calls) == 3
+
+
+@pytest.mark.parametrize("p", [DissipParams(0.75, 0.75, s=1.0),
+                               DissipParams(0.6, 0.9, s=1.2)])
+def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
+    """The weighted sup of the constant inputs, taken at the last node only,
+    gives bitwise the C1..C4 of the loop over every node of every horizon."""
     import aqgsim.solver as solver
 
-    calls = []
-    kernel = solver._nonlinear_raw
+    fast = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
+    loop = solver._weighted_sup
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def every_node(grid, times, coeffs, p, s):
+        if len(times) == 1:  # a constant input: weight it at all 33 nodes again
+            times = time_grid(float(times[0]), 33)
+            coeffs = np.broadcast_to(coeffs[0], (33, *grid.shape))
+        return loop(grid, times, coeffs, p, s)
 
-    monkeypatch.setattr(solver, "_nonlinear_raw", counting)
-    calibrate_constants(params_sym, n_samples=3, seed=4)
-    assert len(calls) == 3
+    monkeypatch.setattr(solver, "_weighted_sup", every_node)
+    full = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
+    assert fast[0] == full[0]
+    assert fast[1]["max_ratios"] == full[1]["max_ratios"]
 
 
 def test_calibration_riesz_isometry_observed(params_sym):
@@ -392,6 +421,57 @@ def test_evolve_aborts_on_overflow(grid32, params_sym):
     assert "non-finite" in res.abort_reason
     assert np.all(np.isfinite(res.final.coeffs.view(np.float64)))
     assert res.trace.aborted
+
+
+def test_phi2_matches_decimal_reference():
+    xs = np.concatenate([np.logspace(-10.0, 3.0, 1500),
+                         np.linspace(0.09, 0.11, 201)])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ref = np.array([float(((-d).exp() - 1 + d) / (d * d))
+                        for d in map(Decimal, xs.tolist())])
+    assert np.max(np.abs(phi2(xs) - ref) / ref) <= 1e-14
+    assert phi2(np.array([0.0]))[0] == 0.5
+    # no jump where the series hands over to the closed form
+    below, at = phi2(np.array([np.nextafter(0.1, 0.0), 0.1]))
+    assert abs(below - at) <= 1e-14 * at
+
+
+def test_evolve_second_order_self_convergence(grid64, params):
+    """Fixed steps T/4 ... T/64: successive differences shrink by 4 per halving."""
+    theta0 = unit_random_field(grid64, 21, params.s)
+    finals = [evolve(theta0, 0.2, params, dt_fixed=0.2 / n, trace_stride=10**9).final
+              for n in (4, 8, 16, 32, 64)]
+    diffs = [sobolev_norm(a - b, params.s) for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(1.9 < q < 2.1 for q in orders), orders
+
+
+def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
+    """Accepted steps cost 5 kernel calls, rejected ones 4, fixed steps 4."""
+    theta0 = unit_random_field(grid32, 3, 0.0)
+    # an oversized first step forces rejections
+    res = evolve(theta0, 0.02, params, dt_init=0.02)
+    accepted = len(res.trace.t) - 1
+    assert res.rejected_steps > 0
+    assert len(kernel_calls) == 1 + 5 * accepted + 4 * res.rejected_steps
+    kernel_calls.clear()
+    res = evolve(theta0, 0.02, params, dt_fixed=0.002)
+    assert len(res.trace.t) - 1 == 10
+    assert res.rejected_steps == 0
+    assert len(kernel_calls) == 1 + 4 * 10
+
+
+def test_evolve_no_sliver_steps(grid32, params):
+    """Adaptive steps reach checkpoints and T without a step far below the last."""
+    theta0 = unit_random_field(grid32, 3, 0.0)
+    seen = []
+    res = evolve(theta0, 0.1, params, checkpoint_times=[0.03, 0.07],
+                 on_checkpoint=lambda t, f: seen.append(t))
+    assert seen == pytest.approx([0.03, 0.07], rel=1e-12)
+    assert res.t_final == pytest.approx(0.1, rel=1e-12)
+    dt = np.array(res.trace.dt[1:])
+    assert np.min(dt[1:] / dt[:-1]) >= 0.4
 
 
 def test_evolve_requires_mean_zero(grid32, params_sym):
