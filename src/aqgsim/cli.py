@@ -224,7 +224,7 @@ def _sweep_row(cfg: RunConfig, alpha: float, beta: float) -> str:
         fit = analyticity_radius_fit(res.final, theta0.dealiased(), sw["T_short"], p)
         rate1 = fit.rate1 if fit.rate1 is not None else math.nan
         rate2 = fit.rate2 if fit.rate2 is not None else math.nan
-    except Exception as exc:  # failures are findings; the sweep continues
+    except (ValueError, ArithmeticError) as exc:  # numerical failures are findings
         print(f"sweep point ({alpha}, {beta}) failed: {exc}", file=sys.stderr)
         T0 = hs_growth = rate1 = rate2 = math.nan
     return ",".join([repr(float(alpha)), repr(float(beta)), region, repr(float(T0)),

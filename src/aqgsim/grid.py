@@ -7,11 +7,12 @@ axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
 
 This module is the package's only spectral workspace: `from_physical` and
 `to_physical` are the sole transforms, and `sobolev_weight` the sole builder of
-the (1+|k|^2)^s weight. `from_physical` returns exactly Hermitian coefficients:
-the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0 and
-k2 = -n2/2) is an exact conjugate copy of the other half, and the four
-self-conjugate modes are real. Multipliers even in k keep that symmetry exact,
-so no caller repairs it after an operation.
+the (1+|k|^2)^s weight. The forward transform is the rfft2 half spectrum
+(k2 >= 0) plus one Hermitian fill, `full_spectrum`, which the nonlinear kernel
+also calls on its half-spectrum result: the k2 < 0 half (and the k1 < 0 half of
+the self-conjugate columns k2 = 0 and k2 = -n2/2) is an exact conjugate copy of
+the other half, and the four self-conjugate modes are real. Multipliers even in
+k keep that symmetry exact, so no caller repairs it after an operation.
 """
 
 from __future__ import annotations
@@ -77,24 +78,27 @@ class GridSpec:
 
 def from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of real grid samples, Hermitian by construction."""
-    n1, n2 = grid.shape
-    h1, h2 = n1 // 2, n2 // 2
-    half = np.fft.rfft2(values) / (n1 * n2)  # columns k2 = 0 .. n2/2
+    return full_spectrum(np.fft.rfft2(values) / (grid.n1 * grid.n2), grid)
+
+
+def full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The (n1, n2) coefficients whose columns k2 = 0 .. n2/2 are `half`, with
+    the rest filled in as exact conjugates and the four self-conjugate modes real."""
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
     c = np.empty(grid.shape, dtype=np.complex128)
     c[:, :h2 + 1] = half
     # c(k1, k2) = conj(c(-k1, -k2)) for k2 < 0
-    c[0, h2 + 1:] = np.conj(half[0, h2 - 1:0:-1])
-    c[1:, h2 + 1:] = np.conj(half[:0:-1, h2 - 1:0:-1])
+    np.conj(half[0, h2 - 1:0:-1], out=c[0, h2 + 1:])
+    np.conj(half[:0:-1, h2 - 1:0:-1], out=c[1:, h2 + 1:])
     # the columns k2 = 0 and k2 = -n2/2 are their own reflection
-    cols = [0, h2]
-    c[h1 + 1:, cols] = np.conj(c[h1 - 1:0:-1, cols])
-    c[np.ix_([0, h1], cols)] = c[np.ix_([0, h1], cols)].real
+    np.conj(c[h1 - 1:0:-1, ::h2], out=c[h1 + 1:, ::h2])
+    c[::h1, ::h2].imag = 0.0
     return c
 
 
 def to_physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real grid samples of the field with these coefficients."""
-    return np.real(np.fft.ifft2(coeffs * (grid.n1 * grid.n2)))
+    return np.fft.ifft2(coeffs, norm="forward").real
 
 
 def sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:

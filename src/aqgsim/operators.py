@@ -2,18 +2,20 @@
 
 The linear part acts mode-wise through A(k) = mu|k1|^{2 alpha} + nu|k2|^{2 beta};
 the velocity is the perpendicular Riesz transform of the scalar; the nonlinear
-term is div(theta u) computed pseudospectrally under the 2/3 rule.
+term is div(theta u) computed pseudospectrally under the 2/3 rule, with the mask
+folded into derivative multipliers on the rfft2 half spectrum of the fluxes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, from_physical, to_physical
+from .grid import GridSpec, SpectralField, full_spectrum, to_physical
 
 
 class RegimeWarning(UserWarning):
@@ -111,30 +113,42 @@ def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
             SpectralField(theta.grid, m2 * theta.coeffs))
 
 
-def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec, m1: np.ndarray, m2: np.ndarray,
-                   mask: np.ndarray, velocity_coeffs: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, float]:
+@lru_cache(maxsize=8)
+def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Read-only (m1, m2, d1, d2) for the kernel, built once per grid: the Riesz
+    multipliers and, on the rfft2 half spectrum (columns k2 = 0 .. n2/2), the
+    dealiased derivatives d_j = i k_j / (n1 n2), zero outside the 2/3 band."""
+    h = grid.n2 // 2 + 1
+    mask = grid.dealias_mask[:, :h]
+    d1, d2 = (np.zeros(mask.shape, dtype=np.complex128) for _ in range(2))
+    d1.imag, d2.imag = (np.where(mask, k / (grid.n1 * grid.n2), 0.0)
+                        for k in (grid.k1, grid.k2[:, :h]))
+    d1.flags.writeable = d2.flags.writeable = False
+    return (*riesz_multipliers(grid), d1, d2)
+
+
+def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
+                   velocity_coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """div(theta u) coefficients (dealiased) plus max |u| on the grid.
 
     The velocity derives from `velocity_coeffs` when given (bilinear form),
     else from `coeffs` itself.
     """
+    m1, m2, d1, d2 = _kernel_multipliers(grid)
     cv = coeffs if velocity_coeffs is None else velocity_coeffs
     theta_phys = to_physical(coeffs, grid)
     u1_phys = to_physical(m1 * cv, grid)
     u2_phys = to_physical(m2 * cv, grid)
-    max_u = float(np.max(np.sqrt(u1_phys**2 + u2_phys**2)))
-    flux1 = from_physical(theta_phys * u1_phys, grid)
-    flux2 = from_physical(theta_phys * u2_phys, grid)
-    out = 1j * (grid.k1 * flux1 + grid.k2 * flux2)
-    return np.where(mask, out, 0.0), max_u
+    max_u = math.sqrt(float(np.max(u1_phys * u1_phys + u2_phys * u2_phys)))
+    out = d1 * np.fft.rfft2(theta_phys * u1_phys)
+    out += d2 * np.fft.rfft2(theta_phys * u2_phys)
+    return full_spectrum(out, grid), max_u
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Dealiased div(theta u_theta); equals u.grad(theta) since div u = 0."""
     _require_mean_zero(theta, "nonlinear_term")
-    m1, m2 = riesz_multipliers(theta.grid)
-    out, _ = _nonlinear_raw(theta.coeffs, theta.grid, m1, m2, theta.grid.dealias_mask)
+    out, _ = _nonlinear_raw(theta.coeffs, theta.grid)
     return SpectralField(theta.grid, out)
 
 

@@ -268,6 +268,39 @@ def test_sweep_threads_deterministic(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def _sweep_with_failing_evolve(tmp_path, monkeypatch, exc_type):
+    """Sweep alphas (0.6, 0.9) at beta 0.75 with evolve raising at alpha = 0.9."""
+    import aqgsim.cli as cli
+
+    real_evolve = cli.evolve
+
+    def evolve(theta0, T, p, **kwargs):
+        if p.alpha == 0.9:
+            raise exc_type("injected failure")
+        return real_evolve(theta0, T, p, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    cfg = write_config(tmp_path, {"sweep": {"alphas": [0.6, 0.9], "betas": [0.75]}})
+    out = tmp_path / "sw"
+    out.mkdir()
+    return cli.cmd_sweep(cli.load_config(str(cfg)), out), out
+
+
+def test_sweep_numerical_failure_is_a_nan_row(tmp_path, monkeypatch, capsys):
+    rc, out = _sweep_with_failing_evolve(tmp_path, monkeypatch, ValueError)
+    assert rc == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.6", "0.9"]
+    assert all(v != "nan" for v in rows[0][3:])
+    assert rows[1][3:] == ["nan"] * 4
+    assert "sweep point (0.9, 0.75) failed: injected failure" in capsys.readouterr().err
+
+
+def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
+    with pytest.raises(TypeError, match="injected failure"):
+        _sweep_with_failing_evolve(tmp_path, monkeypatch, TypeError)
+
+
 # ---------------------------------------------------------------------------
 # gevrey post-processing
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Multipliers, Riesz velocity, semigroup, and the dealiased nonlinearity."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from aqgsim.grid import GridSpec, field_from_modes, field_from_values, sine_field
+from aqgsim.grid import (GridSpec, field_from_modes, field_from_values, from_physical,
+                        sine_field, to_physical)
 from aqgsim.norms import sobolev_norm
-from aqgsim.operators import (DissipParams, apply_semigroup, dissipation_symbol,
-                              gevrey_symbol, nonlinear_term, riesz_velocity)
+from aqgsim.operators import (DissipParams, _nonlinear_raw, apply_semigroup,
+                              dissipation_symbol, gevrey_symbol, nonlinear_term,
+                              riesz_multipliers, riesz_velocity)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 
 from conftest import random_real_grid
@@ -127,6 +130,54 @@ def test_nonlinear_term_matches_oversampled_oracle(grid64):
     oracle = np.where(grid64.dealias_mask, oracle, 0.0)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(out.coeffs - oracle)) < 1e-12 * scale
+
+
+def _former_kernel(coeffs, grid, velocity_coeffs=None):
+    """Reference: both fluxes through the full forward transform, then
+    i(k1 f1 + k2 f2) under the 2/3 mask."""
+    cv = coeffs if velocity_coeffs is None else velocity_coeffs
+    m1, m2 = riesz_multipliers(grid)
+    theta = to_physical(coeffs, grid)
+    u1, u2 = to_physical(m1 * cv, grid), to_physical(m2 * cv, grid)
+    f1 = from_physical(theta * u1, grid)
+    f2 = from_physical(theta * u2, grid)
+    out = np.where(grid.dealias_mask, 1j * (grid.k1 * f1 + grid.k2 * f2), 0.0)
+    return out, float(np.max(np.sqrt(u1**2 + u2**2)))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64)])
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_kernel_matches_former_formula(shape, bilinear):
+    grid = GridSpec(*shape)
+    spec = FieldEnsembleSpec(grid, seed=13, count=2, kmax=min(shape) // 3, spectrum_slope=1.0)
+    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    cv = other if bilinear else None
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    ref, ref_max_u = _former_kernel(theta, grid, cv)
+    assert max_u == ref_max_u
+    if shape == (64, 64):
+        # k / (n1 n2) is exact on power-of-two grids: every bit agrees in the
+        # band, and outside it both are zero (of either sign)
+        band = grid.dealias_mask
+        assert out[band].tobytes() == ref[band].tobytes()
+        assert np.array_equal(out, ref)
+    else:
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_kernel_makes_three_inverse_and_two_real_transforms(grid64, monkeypatch):
+    spec = FieldEnsembleSpec(grid64, seed=14, count=2, kmax=12, spectrum_slope=1.0)
+    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn"):
+        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    _nonlinear_raw(theta, grid64)
+    _nonlinear_raw(theta, grid64, velocity_coeffs=other)
+    assert calls == {"ifft2": 6, "rfft2": 4}
 
 
 def test_semigroup_identity_and_decay(grid32):

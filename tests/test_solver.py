@@ -327,19 +327,41 @@ def test_calibration_one_kernel_call_per_field_pair(params_sym, kernel_calls):
 @pytest.mark.parametrize("p", [DissipParams(0.75, 0.75, s=1.0),
                                DissipParams(0.6, 0.9, s=1.2)])
 def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
-    """The weighted sup of the constant inputs, taken at the last node only,
-    gives bitwise the C1..C4 of the loop over every node of every horizon."""
+    """Calibration takes every sup over a horizon at its last node: the weighted
+    sups of the constant inputs, and the plain and weighted sups of the Duhamel
+    sum. Each is bitwise the sup over all 33 nodes, and so are C1..C4."""
     import aqgsim.solver as solver
 
+    duhamel, hs, loop = solver._duhamel_sum, solver._hs_norms, solver._weighted_sup
+    sums = []
+
+    def recording(N, dt, grid, p):
+        sums.append(duhamel(N, dt, grid, p))
+        return sums[-1]
+
+    monkeypatch.setattr(solver, "_duhamel_sum", recording)
     fast = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
-    loop = solver._weighted_sup
+    grid = GridSpec(64, 64)
+    horizons = solver._CALIBRATION_HORIZONS * 3
+    assert len(sums) == len(horizons)
+    for T, B in zip(horizons, sums):
+        times = time_grid(T, 33)
+        assert hs(B[-1:], grid, p.s)[0] == np.max(hs(B, grid, p.s))
+        assert loop(grid, times[-1:], B[-1:], p, p.s) == loop(grid, times, B, p, p.s)
+
+    def hs_every_node(stack, grid, s):
+        if np.shares_memory(stack, sums[-1]):  # the last node of a Duhamel sum
+            return np.max(hs(sums[-1], grid, s), keepdims=True)
+        return hs(stack, grid, s)
 
     def every_node(grid, times, coeffs, p, s):
-        if len(times) == 1:  # a constant input: weight it at all 33 nodes again
+        if len(times) == 1:  # a last-node sup: take it over all 33 nodes again
             times = time_grid(float(times[0]), 33)
-            coeffs = np.broadcast_to(coeffs[0], (33, *grid.shape))
+            coeffs = (sums[-1] if np.shares_memory(coeffs, sums[-1])
+                      else np.broadcast_to(coeffs[0], (33, *grid.shape)))
         return loop(grid, times, coeffs, p, s)
 
+    monkeypatch.setattr(solver, "_hs_norms", hs_every_node)
     monkeypatch.setattr(solver, "_weighted_sup", every_node)
     full = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
     assert fast[0] == full[0]
