@@ -123,7 +123,12 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         T = pc["T"] if pc["T"] is not None else horizon
         return 1.0 if math.isinf(T) else T  # zero data: any horizon works
 
+    def solve_config(T, weighted=False):
+        return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"],
+                            tol=pc["tol"], weighted=weighted)
+
     T_plain = pick_T(T0)
+    T_w = min(pick_T(T1), T1) if not math.isinf(T1) else pick_T(T1)
     lines = [f"regime = {p.regime}", f"theta0_hs = {_fmt(norm0)}", f"T0 = {_fmt(T0)}",
              f"T1 = {_fmt(T1)}"]
     if T_plain <= 0.0:
@@ -132,9 +137,13 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         lines += ["converged = false", "note = existence conditions admit no positive horizon"]
         (out_dir / "picard_report.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
-    rep = picard_solve(theta0, PicardConfig(T=T_plain, n_nodes=pc["n_nodes"],
-                                            max_iter=pc["max_iter"], tol=pc["tol"]),
-                       p, table)
+    # the Gevrey weight is a norm measured on the iterates, not a part of the
+    # map, so on a shared horizon the weighted run's iteration is the plain one
+    shared = weighted and T_w == T_plain
+    if shared:
+        rep = weighted_picard_solve(theta0, solve_config(T_w, weighted=True), p, table)
+    else:
+        rep = picard_solve(theta0, solve_config(T_plain), p, table)
     lines += [
         f"T = {_fmt(T_plain)}",
         f"weighted = {_fmt(weighted)}",
@@ -149,11 +158,8 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     if rep.note:
         lines.append(f"note = {rep.note}")
     if weighted:
-        T_w = min(pick_T(T1), T1) if not math.isinf(T1) else pick_T(T1)
-        wrep = weighted_picard_solve(
-            theta0, PicardConfig(T=T_w, n_nodes=pc["n_nodes"],
-                                 max_iter=pc["max_iter"], tol=pc["tol"], weighted=True),
-            p, table)
+        wrep = rep if shared else weighted_picard_solve(
+            theta0, solve_config(T_w, weighted=True), p, table)
         lines += [
             f"weighted_T = {_fmt(T_w)}",
             f"weighted_converged = {_fmt(wrep.converged)}",

@@ -45,24 +45,35 @@ def _shell_representatives(m: int) -> tuple[tuple[int, int], ...]:
                         if max(abs(k1), abs(k2)) == m and (k1 > 0 or k2 > 0)))
 
 
+@lru_cache(maxsize=16)
+def _band_layout(grid: GridSpec, kmax: int, spectrum_slope: float):
+    """Read-only index arrays of the shells 1..kmax in canonical order, of their
+    reflections -k, and the amplitudes |k|^-slope, on this grid."""
+    reps = [k for m in range(1, kmax + 1) for k in _shell_representatives(m)]
+    k1 = np.array([k[0] for k in reps])
+    k2 = np.array([k[1] for k in reps])
+    r = np.array([float(np.hypot(a, b)) ** (-spectrum_slope) for a, b in reps])
+    layout = (k1 % grid.n1, k2 % grid.n2, -k1 % grid.n1, -k2 % grid.n2, r)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def random_band_limited_field(spec: FieldEnsembleSpec, index: int) -> SpectralField:
     """Sample `index` of the ensemble; bit-identical for equal (seed, index).
 
-    Phases are drawn shell by shell in a grid-independent canonical order, so
-    the same (seed, index) on a finer grid extends this field with new shells
-    rather than reshuffling the shared ones.
+    Phases are drawn shell by shell in a grid-independent canonical order (one
+    draw of all of them is the same stream), so the same (seed, index) on a
+    finer grid extends this field with new shells rather than reshuffling the
+    shared ones.
     """
     rng = np.random.default_rng([spec.seed, index])
     grid = spec.grid
+    i1, i2, j1, j2, r = _band_layout(grid, spec.kmax, spec.spectrum_slope)
+    amp = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=r.size))
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for m in range(1, spec.kmax + 1):
-        reps = _shell_representatives(m)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=len(reps))
-        for (k1, k2), phi in zip(reps, phases):
-            r = float(np.hypot(k1, k2)) ** (-spec.spectrum_slope)
-            amp = r * np.exp(1j * phi)
-            coeffs[k1 % grid.n1, k2 % grid.n2] = amp
-            coeffs[(-k1) % grid.n1, (-k2) % grid.n2] = np.conj(amp)
+    coeffs[i1, i2] = amp
+    coeffs[j1, j2] = np.conj(amp)
     return SpectralField(grid, coeffs)
 
 
@@ -367,9 +378,9 @@ def _calderon_zygmund_checks(reps, f: SpectralField, i: int) -> None:
 def _directional_checks(reps, f: SpectralField, p: DissipParams, a: float, b: float,
                         swap_axes: bool, i: int) -> None:
     ax1, ax2 = (2, 1) if swap_axes else (1, 2)
+    grad_a = SpectralField(f.grid, f.grid.k_sq ** (a / 2.0) * f.coeffs)
     for s in (0.0, p.s, 1.0):
-        lhs = sobolev_norm(SpectralField(f.grid, f.grid.k_sq ** (a / 2.0) * f.coeffs),
-                           s, homogeneous=True)
+        lhs = sobolev_norm(grad_a, s, homogeneous=True)
         rhs = (sobolev_norm(f, s, True)
                + directional_seminorm(f, ax1, a, s)
                + directional_seminorm(f, ax2, b, s))

@@ -188,6 +188,82 @@ def test_picard_weighted_horizon_below_log32(tmp_path):
     assert rep["weighted_within"] == "true"
 
 
+def _count_picard_runs(monkeypatch):
+    """Wrap the solves the CLI binds; the returned list names each run made."""
+    import aqgsim.cli as cli
+
+    runs = []
+    for name in ("picard_solve", "weighted_picard_solve"):
+        def counting(*args, _solve=getattr(cli, name), _name=name):
+            runs.append(_name)
+            return _solve(*args)
+        monkeypatch.setattr(cli, name, counting)
+    return runs
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    # T0 == T1: one weighted iteration serves both blocks
+    ({"picard": {"weighted": True, "n_nodes": 9}}, ["weighted_picard_solve"]),
+    # e^T < 3/2 caps T1 below T0: two horizons, two runs
+    ({"params": {"alpha": 0.55, "beta": 0.95, "s": 1.5}, "init": {"amplitude": 0.05},
+      "picard": {"weighted": True, "n_nodes": 5, "max_iter": 3}},
+     ["picard_solve", "weighted_picard_solve"]),
+    ({"picard": {"weighted": False, "n_nodes": 9}}, ["picard_solve"]),
+])
+def test_picard_one_run_per_distinct_horizon(tmp_path, monkeypatch, overrides, expected):
+    runs = _count_picard_runs(monkeypatch)
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "runs"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+    assert runs == expected
+
+
+def test_picard_shared_run_matches_separate_solves(tmp_path):
+    import aqgsim.cli as cli
+    from aqgsim.cli import _fmt
+    from aqgsim.config import load_config
+    from aqgsim.norms import sobolev_norm
+    from aqgsim.solver import PicardConfig, picard_solve, weighted_picard_solve
+
+    cfg_path = write_config(tmp_path, {"picard": {"weighted": True, "n_nodes": 9}})
+    out = tmp_path / "shared"
+    assert main(["picard", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = (out / "picard_report.txt").read_text().splitlines()
+    rep = parse_report(out / "picard_report.txt")
+    assert rep["T"] == rep["weighted_T"]
+
+    cfg = load_config(str(cfg_path))
+    p = cfg.dissip_params()
+    theta0 = cli.build_initial_field(cfg, cfg.grid_spec())
+    table = cli.resolve_constants(cfg, p)
+    T = float(rep["T"])
+    pc = dict(n_nodes=9, max_iter=cfg.picard["max_iter"], tol=cfg.picard["tol"])
+    plain = picard_solve(theta0, PicardConfig(T=T, **pc), p, table)
+    wrep = weighted_picard_solve(theta0, PicardConfig(T=T, weighted=True, **pc), p, table)
+    assert rep["theta0_hs"] == _fmt(sobolev_norm(theta0, p.s))
+    expected = [
+        f"T = {_fmt(T)}",
+        "weighted = true",
+        f"converged = {_fmt(plain.converged)}",
+        f"iterations = {plain.iterations}",
+        "distances = " + ", ".join(repr(d) for d in plain.distances),
+        "contraction_ratios = " + ", ".join(repr(r) for r in plain.contraction_ratios),
+        f"ball_sup_hs = {_fmt(plain.ball_radius_check.sup_hs)}",
+        f"ball_bound = {_fmt(plain.ball_radius_check.bound)}",
+        f"ball_within = {_fmt(plain.ball_radius_check.within)}",
+        *([f"note = {plain.note}"] if plain.note else []),
+        f"weighted_T = {_fmt(T)}",
+        f"weighted_converged = {_fmt(wrep.converged)}",
+        f"weighted_iterations = {wrep.iterations}",
+        f"weighted_sup = {_fmt(wrep.ball_radius_check.weighted_sup)}",
+        f"weighted_within = {_fmt(wrep.ball_radius_check.weighted_within)}",
+        f"weight_domination_slack = {_fmt(wrep.weight_domination_slack)}",
+    ]
+    start = lines.index(expected[0])
+    assert lines[start:start + len(expected)] == expected
+    assert rep["iterations"] == rep["weighted_iterations"]
+
+
 # ---------------------------------------------------------------------------
 # lemmas
 # ---------------------------------------------------------------------------

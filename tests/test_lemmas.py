@@ -44,6 +44,35 @@ def test_ensemble_is_grid_extension_stable():
         assert f.coeffs[k1 % 64, k2 % 64] == g.coeffs[k1 % 128, k2 % 128]
 
 
+def _shell_by_shell_field(spec, index):
+    """The ensemble sample as drawn and filled one mode at a time (reference)."""
+    from aqgsim.lemmas import _shell_representatives
+
+    rng = np.random.default_rng([spec.seed, index])
+    grid = spec.grid
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for m in range(1, spec.kmax + 1):
+        reps = _shell_representatives(m)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=len(reps))
+        for (k1, k2), phi in zip(reps, phases):
+            r = float(np.hypot(k1, k2)) ** (-spec.spectrum_slope)
+            amp = r * np.exp(1j * phi)
+            coeffs[k1 % grid.n1, k2 % grid.n2] = amp
+            coeffs[(-k1) % grid.n1, (-k2) % grid.n2] = np.conj(amp)
+    return coeffs
+
+
+@pytest.mark.parametrize("n1, n2, kmax, slope", [
+    (64, 64, 10, 2.0), (128, 128, 16, 1.5), (48, 48, 5, 0.7), (48, 64, 16, 2.5),
+])
+def test_ensemble_matches_shell_by_shell_fill(n1, n2, kmax, slope):
+    spec = FieldEnsembleSpec(GridSpec(n1, n2), seed=7, count=4, kmax=kmax,
+                             spectrum_slope=slope)
+    for index in range(4):
+        got = random_band_limited_field(spec, index).coeffs
+        assert got.tobytes() == _shell_by_shell_field(spec, index).tobytes()
+
+
 def test_ensemble_kmax_validation(grid32):
     with pytest.raises(ValueError):
         FieldEnsembleSpec(grid32, seed=0, count=1, kmax=11, spectrum_slope=2.0)

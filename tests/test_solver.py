@@ -327,24 +327,35 @@ def test_calibration_one_kernel_call_per_field_pair(params_sym, kernel_calls):
 @pytest.mark.parametrize("p", [DissipParams(0.75, 0.75, s=1.0),
                                DissipParams(0.6, 0.9, s=1.2)])
 def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
-    """Calibration takes every sup over a horizon at its last node: the weighted
-    sups of the constant inputs, and the plain and weighted sups of the Duhamel
-    sum. Each is bitwise the sup over all 33 nodes, and so are C1..C4."""
+    """Calibration accumulates each Duhamel sum of its constant nonlinearity to
+    the last node without the node stack, and takes every sup over a horizon at
+    that node: the weighted sups of the constant inputs, and the plain and
+    weighted sups of the sum. The accumulation is bitwise the last node of the
+    full 33-node sum, each sup is bitwise the sup over all 33 nodes, and so are
+    C1..C4."""
     import aqgsim.solver as solver
 
-    duhamel, hs, loop = solver._duhamel_sum, solver._hs_norms, solver._weighted_sup
-    sums = []
+    last, duhamel = solver._constant_duhamel_last, solver._duhamel_sum
+    hs, loop = solver._hs_norms, solver._weighted_sup
+    sums, accumulated = [], []
 
-    def recording(N, dt, grid, p):
-        sums.append(duhamel(N, dt, grid, p))
-        return sums[-1]
+    def full_sum(N, n_nodes, dt, grid, p):
+        sums.append(duhamel(np.broadcast_to(N, (n_nodes, *grid.shape)), dt, grid, p))
+        return sums[-1][-1]
 
-    monkeypatch.setattr(solver, "_duhamel_sum", recording)
+    def recording(N, n_nodes, dt, grid, p):
+        full_sum(N, n_nodes, dt, grid, p)
+        accumulated.append(last(N, n_nodes, dt, grid, p))
+        return accumulated[-1]
+
+    monkeypatch.setattr(solver, "_constant_duhamel_last", recording)
     fast = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
     grid = GridSpec(64, 64)
     horizons = solver._CALIBRATION_HORIZONS * 3
-    assert len(sums) == len(horizons)
-    for T, B in zip(horizons, sums):
+    assert len(sums) == len(accumulated) == len(horizons)
+    for T, B, acc in zip(horizons, sums, accumulated):
+        assert B.shape == (33, *grid.shape)
+        assert acc.tobytes() == B[-1].tobytes()
         times = time_grid(T, 33)
         assert hs(B[-1:], grid, p.s)[0] == np.max(hs(B, grid, p.s))
         assert loop(grid, times[-1:], B[-1:], p, p.s) == loop(grid, times, B, p, p.s)
@@ -361,6 +372,7 @@ def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
                       else np.broadcast_to(coeffs[0], (33, *grid.shape)))
         return loop(grid, times, coeffs, p, s)
 
+    monkeypatch.setattr(solver, "_constant_duhamel_last", full_sum)
     monkeypatch.setattr(solver, "_hs_norms", hs_every_node)
     monkeypatch.setattr(solver, "_weighted_sup", every_node)
     full = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
