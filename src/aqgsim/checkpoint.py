@@ -7,6 +7,7 @@ alpha, beta, mu, nu, s, t (f64), then n1*n2 complex coefficients as
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -52,6 +53,12 @@ class Checkpoint:
     def grid(self) -> GridSpec:
         return self.field.grid
 
+    def require_params(self, p: DissipParams) -> None:
+        """Raise CheckpointMismatchError at the first of (alpha, beta, mu, nu, s) unlike p's."""
+        for name in ("alpha", "beta", "mu", "nu", "s"):
+            if getattr(self.params, name) != getattr(p, name):
+                raise CheckpointMismatchError(name)
+
 
 def write_checkpoint(path, field: SpectralField, p: DissipParams, t: float) -> None:
     grid = field.grid
@@ -76,16 +83,19 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointReadError(f"cannot read checkpoint: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise CheckpointFormatError("corrupt checkpoint: truncated header")
-    magic, version, n1, n2, alpha, beta, mu, nu, s, t = _HEADER.unpack_from(raw)
+    magic, version, n1, n2, *header = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise CheckpointFormatError("corrupt checkpoint: bad magic")
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    for name, value in zip(("alpha", "beta", "mu", "nu", "s", "t"), header):
+        if not math.isfinite(value):
+            raise CheckpointFormatError(f"corrupt checkpoint: non-finite {name} ({value})")
     expected = _HEADER.size + 16 * n1 * n2
     if len(raw) != expected:
         raise CheckpointFormatError(
             f"corrupt checkpoint: expected {expected} bytes, got {len(raw)}")
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n1, n2)
     grid = GridSpec(int(n1), int(n2))
-    params = DissipParams(alpha, beta, mu, nu, s)
-    return Checkpoint(params, float(t), SpectralField(grid, coeffs.astype(np.complex128)))
+    params = DissipParams(*header[:5])
+    return Checkpoint(params, float(header[5]), SpectralField(grid, coeffs.astype(np.complex128)))

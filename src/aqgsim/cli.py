@@ -123,9 +123,8 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         T = pc["T"] if pc["T"] is not None else horizon
         return 1.0 if math.isinf(T) else T  # zero data: any horizon works
 
-    def solve_config(T, weighted=False):
-        return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"],
-                            tol=pc["tol"], weighted=weighted)
+    def solve_config(T):
+        return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"], tol=pc["tol"])
 
     T_plain = pick_T(T0)
     T_w = min(pick_T(T1), T1) if not math.isinf(T1) else pick_T(T1)
@@ -141,7 +140,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     # map, so on a shared horizon the weighted run's iteration is the plain one
     shared = weighted and T_w == T_plain
     if shared:
-        rep = weighted_picard_solve(theta0, solve_config(T_w, weighted=True), p, table)
+        rep = weighted_picard_solve(theta0, solve_config(T_w), p, table)
     else:
         rep = picard_solve(theta0, solve_config(T_plain), p, table)
     lines += [
@@ -159,7 +158,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         lines.append(f"note = {rep.note}")
     if weighted:
         wrep = rep if shared else weighted_picard_solve(
-            theta0, solve_config(T_w, weighted=True), p, table)
+            theta0, solve_config(T_w), p, table)
         lines += [
             f"weighted_T = {_fmt(T_w)}",
             f"weighted_converged = {_fmt(wrep.converged)}",
@@ -257,6 +256,8 @@ def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
         print(f"no state_*.aqgs checkpoints in {traj_dir}", file=sys.stderr)
         return EXIT_IO
     states = [ckpt.read_checkpoint(path) for path in paths]
+    for cp in states:
+        cp.require_params(p)
     states.sort(key=lambda cp: cp.t)
     base = states[0]
     lines = ["t,gevrey_hs,saturated,h2,rate1,rate2,fit_residual1,fit_residual2"]

@@ -148,9 +148,10 @@ def validate_config(data: dict) -> RunConfig:
         _require(t[key] is None or (_is_num(t[key]) and t[key] > 0.0),
                  f"time.{key}", "must be null or positive")
     _require(isinstance(t["nonlinear"], bool), "time.nonlinear", "must be a boolean")
-    _require(isinstance(t["checkpoint_times"], list)
-             and all(_is_num(x) and 0.0 < x <= t["T"] for x in t["checkpoint_times"]),
-             "time.checkpoint_times", "must be times in (0, T]")
+    cps = t["checkpoint_times"]
+    _require(isinstance(cps, list) and all(_is_num(x) and 0.0 < x <= t["T"] for x in cps)
+             and len(set(cps)) == len(cps),
+             "time.checkpoint_times", "must be distinct times in (0, T]")
 
     pc = merged["picard"]
     _require(isinstance(pc["n_nodes"], int) and pc["n_nodes"] >= 2, "picard.n_nodes",

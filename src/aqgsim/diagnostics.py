@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import SpectralField, sobolev_weight
 from .norms import GevreyNorm, gevrey_weighted_norm, sobolev_norm
-from .operators import DissipParams, gevrey_symbol
+from .operators import DissipParams, gevrey_multiplier
 from .solver import Trajectory
 
 NOISE_FLOOR = 1e-14
@@ -125,7 +125,7 @@ def h2_smoothing_check(traj: Trajectory, t0: float, p: DissipParams, s: float) -
     t_node = float(times[i0])
     eps = 0.5 * t_node
     grid = traj.grid
-    B = gevrey_symbol((grid.k1, grid.k2), p)
+    B = gevrey_multiplier(grid, p)
     weight = sobolev_weight(grid, 4.0 - 2.0 * s) * np.exp(-(t_node - eps) * B)
     weight_sup = float(np.max(weight))
     margin = t_node - eps

@@ -6,13 +6,15 @@ Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 alon
 axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
 
 This module is the package's only spectral workspace: `from_physical` and
-`to_physical` are the sole transforms, and `sobolev_weight` the sole builder of
-the (1+|k|^2)^s weight. The forward transform is the rfft2 half spectrum
-(k2 >= 0) plus one Hermitian fill, `full_spectrum`, which the nonlinear kernel
-also calls on its half-spectrum result: the k2 < 0 half (and the k1 < 0 half of
-the self-conjugate columns k2 = 0 and k2 = -n2/2) is an exact conjugate copy of
-the other half, and the four self-conjugate modes are real. Multipliers even in
-k keep that symmetry exact, so no caller repairs it after an operation.
+`to_physical` are the sole transforms, and `sobolev_weight`, cached read-only per
+(grid, s, homogeneous), the sole builder of the (1+|k|^2)^s and |k|^{2s} weights
+(the dissipation and Gevrey symbols are cached in `operators.symbol_multipliers`).
+The forward transform is the rfft2 half spectrum (k2 >= 0) plus one Hermitian
+fill, `full_spectrum`, which the nonlinear kernel also calls on its half-spectrum
+result: the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0
+and k2 = -n2/2) is an exact conjugate copy of the other half, and the four
+self-conjugate modes are real. Multipliers even in k keep that symmetry exact,
+so no caller repairs it after an operation.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, from_physical, to_physical
+from .grid import GridSpec, SpectralField, from_physical, sobolev_weight, to_physical
 from .norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
 from .operators import DissipParams, riesz_velocity
 
@@ -378,7 +378,7 @@ def _calderon_zygmund_checks(reps, f: SpectralField, i: int) -> None:
 def _directional_checks(reps, f: SpectralField, p: DissipParams, a: float, b: float,
                         swap_axes: bool, i: int) -> None:
     ax1, ax2 = (2, 1) if swap_axes else (1, 2)
-    grad_a = SpectralField(f.grid, f.grid.k_sq ** (a / 2.0) * f.coeffs)
+    grad_a = SpectralField(f.grid, sobolev_weight(f.grid, a / 2.0, True) * f.coeffs)
     for s in (0.0, p.s, 1.0):
         lhs = sobolev_norm(grad_a, s, homogeneous=True)
         rhs = (sobolev_norm(f, s, True)

@@ -20,8 +20,14 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float
 
 
 def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = False) -> float:
-    mod2 = np.abs(coeffs) ** 2
-    return float(np.sqrt(np.sum(sobolev_weight(grid, s, homogeneous) * mod2)))
+    return float(_hs_norms(coeffs, grid, s, homogeneous))
+
+
+def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
+              homogeneous: bool = False) -> np.ndarray:
+    """H^s norms over the last two axes: of one field, or of each node of a stack."""
+    w = sobolev_weight(grid, s, homogeneous)
+    return np.sqrt((w * np.abs(coeffs) ** 2).sum(axis=(-2, -1)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

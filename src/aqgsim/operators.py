@@ -4,6 +4,9 @@ The linear part acts mode-wise through A(k) = mu|k1|^{2 alpha} + nu|k2|^{2 beta}
 the velocity is the perpendicular Riesz transform of the scalar; the nonlinear
 term is div(theta u) computed pseudospectrally under the 2/3 rule, with the mask
 folded into derivative multipliers on the rfft2 half spectrum of the fluxes.
+Grid multipliers are built once and cached read-only: `symbol_multipliers` per
+(grid, params), read by `dissipation_multiplier` and `gevrey_multiplier`, and
+`riesz_multipliers` and `_kernel_multipliers` per grid.
 """
 
 from __future__ import annotations
@@ -72,12 +75,22 @@ def gevrey_symbol(k, p: DissipParams):
     return 2.0 * (np.abs(k1) ** p.alpha + np.abs(k2) ** p.beta)
 
 
+@lru_cache(maxsize=8)
+def symbol_multipliers(grid: GridSpec, p: DissipParams) -> tuple[np.ndarray, ...]:
+    """Read-only (|k1|^{2 alpha} column, |k2|^{2 beta} row, A, B), built once per (grid, p)."""
+    d1, d2 = np.abs(grid.k1) ** (2.0 * p.alpha), np.abs(grid.k2) ** (2.0 * p.beta)
+    out = (d1, d2, p.mu * d1 + p.nu * d2, gevrey_symbol((grid.k1, grid.k2), p))
+    for m in out:
+        m.flags.writeable = False
+    return out
+
+
 def dissipation_multiplier(grid: GridSpec, p: DissipParams) -> np.ndarray:
-    return dissipation_symbol((grid.k1, grid.k2), p)
+    return symbol_multipliers(grid, p)[2]
 
 
 def gevrey_multiplier(grid: GridSpec, p: DissipParams) -> np.ndarray:
-    return gevrey_symbol((grid.k1, grid.k2), p)
+    return symbol_multipliers(grid, p)[3]
 
 
 @lru_cache(maxsize=8)
@@ -127,6 +140,12 @@ def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return (*riesz_multipliers(grid), d1, d2)
 
 
+def _velocity(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """Grid samples of the velocity u = R^perp theta, plus max |u|."""
+    u1, u2 = (to_physical(m * coeffs, grid) for m in _kernel_multipliers(grid)[:2])
+    return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
+
+
 def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
                    velocity_coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """div(theta u) coefficients (dealiased) plus max |u| on the grid.
@@ -134,12 +153,10 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
     The velocity derives from `velocity_coeffs` when given (bilinear form),
     else from `coeffs` itself.
     """
-    m1, m2, d1, d2 = _kernel_multipliers(grid)
-    cv = coeffs if velocity_coeffs is None else velocity_coeffs
+    d1, d2 = _kernel_multipliers(grid)[2:]
     theta_phys = to_physical(coeffs, grid)
-    u1_phys = to_physical(m1 * cv, grid)
-    u2_phys = to_physical(m2 * cv, grid)
-    max_u = math.sqrt(float(np.max(u1_phys * u1_phys + u2_phys * u2_phys)))
+    u1_phys, u2_phys, max_u = _velocity(coeffs if velocity_coeffs is None
+                                        else velocity_coeffs, grid)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)
     out += d2 * np.fft.rfft2(theta_phys * u2_phys)
     return full_spectrum(out, grid), max_u

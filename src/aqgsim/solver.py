@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, sobolev_weight, to_physical
-from .norms import GevreyNorm, _gevrey_norm, sobolev_norm
+from .grid import GridSpec, SpectralField, sobolev_weight
+from .norms import GevreyNorm, _gevrey_norm, _hs_norms, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
-                        riesz_multipliers, _nonlinear_raw)
+                        riesz_multipliers, symbol_multipliers, _nonlinear_raw, _velocity)
 
 LOG_3_2 = math.log(1.5)
 
@@ -118,22 +118,19 @@ def existence_time(theta0_norm: float, p: DissipParams, c: ConstantsTable,
     if theta0_norm == 0.0:
         return math.inf
     p.warn_if_unguaranteed()
-    candidates = [solve_time_condition(_step1_exponents(p),
-                                       1.0 / (8.0 * c.C1 * theta0_norm))]
-    if p.s >= 1.0:
-        candidates.append(solve_time_condition(_step2_exponents(p),
-                                               1.0 / (8.0 * c.C2 * theta0_norm)))
-    t_plain = min(candidates)
+
+    def candidates(C_low, C_four, with_exp_factor=False):
+        out = [solve_time_condition(_step1_exponents(p), 1.0 / (8.0 * C_low * theta0_norm),
+                                    with_exp_factor)]
+        if p.s >= 1.0:
+            out.append(solve_time_condition(_step2_exponents(p),
+                                            1.0 / (8.0 * C_four * theta0_norm), with_exp_factor))
+        return out
+
+    t_plain = min(candidates(c.C1, c.C2))
     if not weighted:
         return t_plain
-    weighted_candidates = [
-        solve_time_condition(_step1_exponents(p), 1.0 / (8.0 * c.C3 * theta0_norm),
-                             with_exp_factor=True)]
-    if p.s >= 1.0:
-        weighted_candidates.append(
-            solve_time_condition(_step2_exponents(p), 1.0 / (8.0 * c.C4 * theta0_norm),
-                                 with_exp_factor=True))
-    return min(t_plain, LOG_3_2 * (1.0 - 1e-12), *weighted_candidates)
+    return min(t_plain, LOG_3_2 * (1.0 - 1e-12), *candidates(c.C3, c.C4, True))
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +172,6 @@ class Trajectory:
 
     def fields(self) -> list[SpectralField]:
         return [self.field(i) for i in range(self.n_nodes)]
-
-    def hs_norms(self, s: float) -> np.ndarray:
-        return _hs_norms(self.coeffs, self.grid, s)
-
-    def sup_hs(self, s: float) -> float:
-        return float(np.max(self.hs_norms(s)))
-
-
-def _hs_norms(stack: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
-    """H^s norm of every node of an (n_nodes, n1, n2) coefficient stack."""
-    return np.sqrt(np.sum(sobolev_weight(grid, s) * np.abs(stack) ** 2, axis=(1, 2)))
 
 
 def time_grid(T: float, n_nodes: int) -> np.ndarray:
@@ -269,7 +255,6 @@ class PicardConfig:
     n_nodes: int = 64
     max_iter: int = 60
     tol: float = 1e-10
-    weighted: bool = False
     allow_beyond_horizon: bool = False
 
     def __post_init__(self):
@@ -308,16 +293,15 @@ class PicardReport:
     note: str = ""
 
 
-def weight_domination_slack(p: DissipParams, T: float, grid: GridSpec,
-                            n_t: int = 64) -> float:
-    """max over retained modes and t in [0, T] of (t/2)B(k) - t A(k) - t.
+def weight_domination_slack(p: DissipParams, T: float, grid: GridSpec) -> float:
+    """max over retained modes and 64 times t in [0, T] of (t/2)B(k) - t A(k) - t.
 
     Nonpositive iff the weighted semigroup obeys exp((t/2)B - tA) <= e^t mode-wise
     (exact when mu = nu = 1, from A - B >= -2).
     """
     A = dissipation_multiplier(grid, p)
     B = gevrey_multiplier(grid, p)
-    ts = np.linspace(0.0, T, n_t)[:, None, None]
+    ts = np.linspace(0.0, T, 64)[:, None, None]
     return float(np.max(ts * (0.5 * B - A - 1.0)))
 
 
@@ -361,8 +345,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         return PicardReport(True, 0, [], [], ball, traj, 0.0, horizon, within, c,
                             weighted_existence_horizon=weighted_horizon,
                             weighted_trace=[GevreyNorm(0.0, False, None)] * cfg.n_nodes
-                            if weighted else None,
-                            weight_domination_slack=None, note=note)
+                            if weighted else None, note=note)
 
     L0 = semigroup_trajectory(theta0, times, p)
     current = L0.coeffs.copy()
@@ -372,12 +355,10 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     distances: list[float] = []
     converged = False
     growth_streak = 0
-    iterations = 0
     for _ in range(cfg.max_iter):
         traj = Trajectory(grid, times, current)
         B = duhamel_bilinear(traj, traj, p)
         new = L0.coeffs - B.coeffs
-        iterations += 1
         d = float(np.max(_hs_norms(new - current, grid, s)))
         distances.append(d)
         current = new
@@ -409,21 +390,17 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                      weighted_sup=weighted_sup_all,
                      weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
                      if weighted else None)
-    return PicardReport(converged, iterations, distances, ratios, ball, traj,
-                        norm0, horizon, within, c,
-                        weighted_existence_horizon=weighted_horizon,
-                        weighted_trace=wtrace, weight_domination_slack=wslack,
-                        note=note)
+    return PicardReport(converged, len(distances), distances, ratios, ball, traj, norm0,
+                        horizon, within, c, weighted_existence_horizon=weighted_horizon,
+                        weighted_trace=wtrace, weight_domination_slack=wslack, note=note)
 
 
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
                   p: DissipParams, s: float) -> float:
     B = gevrey_multiplier(grid, p)
-    w = sobolev_weight(grid, s)
     worst = 0.0
     for i, t in enumerate(times):
-        weighted = np.exp(0.5 * float(t) * B) * coeffs[i]
-        worst = max(worst, float(np.sqrt(np.sum(w * np.abs(weighted) ** 2))))
+        worst = max(worst, float(_hs_norms(np.exp(0.5 * float(t) * B) * coeffs[i], grid, s)))
     return worst
 
 
@@ -432,14 +409,15 @@ def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _CALIBRATION_HORIZONS = (0.25, 0.5, 1.0, 2.0)
+_CALIBRATION_GRID, _CALIBRATION_KMAX, _CALIBRATION_SLOPE = GridSpec(64, 64), 10, 2.0
+_CALIBRATION_NODES = 33
 
 
 def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
-                        grid: GridSpec | None = None, kmax: int = 10,
-                        spectrum_slope: float = 2.0, n_nodes: int = 33,
                         return_details: bool = False):
     """Estimate C1..C4 as 2x the worst observed left/right ratio of the
-    corresponding bilinear estimate over random band-limited field pairs.
+    corresponding bilinear estimate over random band-limited field pairs
+    (on the 64^2 grid, band |k| <= 10, spectrum |k|^-2, 33 time nodes).
 
     Deterministic given the seed; sample k of a larger run reuses sample k of a
     smaller one, so enlarging n_samples can only increase the estimates.
@@ -448,9 +426,9 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    grid = grid or GridSpec(64, 64)
-    spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=kmax,
-                             spectrum_slope=spectrum_slope)
+    grid, n_nodes = _CALIBRATION_GRID, _CALIBRATION_NODES
+    spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=_CALIBRATION_KMAX,
+                             spectrum_slope=_CALIBRATION_SLOPE)
     s = p.s
     m1, m2 = riesz_multipliers(grid)
     ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
@@ -571,15 +549,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         raise ValueError("evolve requires mean-zero initial data")
     grid = theta0.grid
     s = p.s
-    A = dissipation_multiplier(grid, p)
-    m1, m2 = riesz_multipliers(grid)
-    w_s = sobolev_weight(grid, s)
-    w_2 = sobolev_weight(grid, 2.0)
-    d1 = np.abs(grid.k1) ** (2.0 * p.alpha)
-    d2 = np.abs(grid.k2) ** (2.0 * p.beta)
-
-    def hs_of(c):
-        return float(np.sqrt(np.sum(w_s * np.abs(c) ** 2)))
+    d1, d2, A, _ = symbol_multipliers(grid, p)
 
     def diss_rate(c):
         m = np.abs(c) ** 2
@@ -595,7 +565,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         # overflow here surfaces as a non-finite state and triggers the abort path
         with np.errstate(over="ignore", invalid="ignore"):
             if not nonlinear:
-                return None, _max_velocity(c, grid, m1, m2)
+                return None, _velocity(c, grid)[2]
             Nc, mu = _nonlinear_raw(c, grid)
             return -Nc, mu
 
@@ -620,7 +590,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     else:
         # the linear factor is exact, so without a nonlinearity any step works
         dt_prop = dt_ceiling if not nonlinear else min(1e-3, dt_ceiling)
-    _record(trace, grid, p, s, w_s, w_2, d1, d2, t + t_offset, c, max_u, dt_prop, diss_int)
+    _record(trace, grid, p, t + t_offset, c, max_u, dt_prop, diss_int)
 
     steps_since_trace = 0
     aborted = False
@@ -663,8 +633,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
             break
 
         if dt_fixed is None and nonlinear:
-            err = hs_of(fine - etd2rk(c, N_c, *prop_full))
-            scale = atol + rtol * hs_of(fine)
+            err = float(_hs_norms(fine - etd2rk(c, N_c, *prop_full), grid, s))
+            scale = atol + rtol * float(_hs_norms(fine, grid, s))
             factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 3.0)
             if err > scale and dt > 1e-13 * max(T, 1.0):
                 dt_prop = dt * max(0.2, factor)
@@ -684,32 +654,25 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
                 on_checkpoint(t + t_offset, SpectralField(grid, c))
         done = t >= T * (1.0 - 1e-12)
         if steps_since_trace >= trace_stride or done or at_cp:
-            _record(trace, grid, p, s, w_s, w_2, d1, d2, t + t_offset, c, max_u, dt, diss_int)
+            _record(trace, grid, p, t + t_offset, c, max_u, dt, diss_int)
             steps_since_trace = 0
 
     trace.aborted, trace.abort_reason = aborted, reason
     return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason, rejected)
 
 
-def _max_velocity(c: np.ndarray, grid: GridSpec, m1: np.ndarray, m2: np.ndarray) -> float:
-    u1 = to_physical(m1 * c, grid)
-    u2 = to_physical(m2 * c, grid)
-    return float(np.max(np.sqrt(u1**2 + u2**2)))
-
-
-def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, s: float,
-            w_s: np.ndarray, w_2: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-            t: float, c: np.ndarray, max_u: float, dt: float, diss_int: float) -> None:
+def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
+            c: np.ndarray, max_u: float, dt: float, diss_int: float) -> None:
+    d1, d2 = symbol_multipliers(grid, p)[:2]
     mod2 = np.abs(c) ** 2
     trace.t.append(float(t))
     trace.l2.append(float(np.sqrt(np.sum(mod2))))
-    trace.hs.append(float(np.sqrt(np.sum(w_s * mod2))))
-    trace.h2.append(float(np.sqrt(np.sum(w_2 * mod2))))
-    g = _gevrey_norm(c, grid, max(t, 0.0), s, p)
+    for column, w in ((trace.hs, sobolev_weight(grid, p.s)), (trace.h2, sobolev_weight(grid, 2.0)),
+                      (trace.diss1, d1), (trace.diss2, d2)):
+        column.append(float(np.sqrt(np.sum(w * mod2))))
+    g = _gevrey_norm(c, grid, max(t, 0.0), p.s, p)
     trace.gevrey_hs.append(g.value)
     trace.gevrey_saturated.append(g.saturated)
-    trace.diss1.append(float(np.sqrt(np.sum(d1 * mod2))))
-    trace.diss2.append(float(np.sqrt(np.sum(d2 * mod2))))
     trace.max_u.append(float(max_u))
     trace.dt.append(float(dt))
     trace.diss_integral.append(float(diss_int))
@@ -726,10 +689,8 @@ def glue_continue(checkpoint, T_extra: float, p: DissipParams, **evolve_kwargs) 
     `checkpoint` is a path or a loaded Checkpoint; its grid and parameters must
     match p exactly (typed error naming the first mismatched field otherwise).
     """
-    from .checkpoint import Checkpoint, CheckpointMismatchError, read_checkpoint
+    from .checkpoint import Checkpoint, read_checkpoint
 
     cp = checkpoint if isinstance(checkpoint, Checkpoint) else read_checkpoint(checkpoint)
-    for name in ("alpha", "beta", "mu", "nu", "s"):
-        if getattr(cp.params, name) != getattr(p, name):
-            raise CheckpointMismatchError(name)
+    cp.require_params(p)
     return evolve(cp.field, T_extra, p, t_offset=cp.t, **evolve_kwargs)

@@ -123,7 +123,7 @@ def test_criterion_5_gevrey_weighted_ball():
     p, grid, theta0, table = picard_setup()
     T1 = existence_time(1.0, p, table, weighted=True)
     assert T1 < LOG_3_2
-    cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10, weighted=True)
+    cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10)
     rep = weighted_picard_solve(theta0, cfg, p, table)
     assert rep.converged
     values = [g.value for g in rep.weighted_trace]

@@ -70,6 +70,18 @@ def test_unknown_version_rejected(state, params, tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("name, index, value", [("t", 5, float("nan")),
+                                               ("mu", 2, float("inf"))])
+def test_non_finite_header_value_rejected(state, params, tmp_path, name, index, value):
+    path = tmp_path / "state.aqgs"
+    write_checkpoint(path, state, params, 0.5)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, struct.calcsize("<4sIII") + 8 * index, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=f"non-finite {name} "):
+        read_checkpoint(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError, match="cannot read"):
         read_checkpoint(tmp_path / "absent.aqgs")

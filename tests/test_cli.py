@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import pytest
 
@@ -71,6 +72,16 @@ def test_non_finite_config_number_exit_1(tmp_path, capsys, command, overrides, k
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert key in err and "finite" in err
+
+
+def test_duplicate_checkpoint_times_exit_1(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        validate_config({"time": {"T": 1.0, "checkpoint_times": [0.5, 0.25, 0.5]}})
+    assert err.value.path == "time.checkpoint_times"
+    cfg = write_config(tmp_path, {"time": {"checkpoint_times": [0.02, 0.02]}})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "time.checkpoint_times" in err and "distinct" in err
 
 
 def test_validate_explicit_constants_required():
@@ -239,7 +250,7 @@ def test_picard_shared_run_matches_separate_solves(tmp_path):
     T = float(rep["T"])
     pc = dict(n_nodes=9, max_iter=cfg.picard["max_iter"], tol=cfg.picard["tol"])
     plain = picard_solve(theta0, PicardConfig(T=T, **pc), p, table)
-    wrep = weighted_picard_solve(theta0, PicardConfig(T=T, weighted=True, **pc), p, table)
+    wrep = weighted_picard_solve(theta0, PicardConfig(T=T, **pc), p, table)
     assert rep["theta0_hs"] == _fmt(sobolev_norm(theta0, p.s))
     expected = [
         f"T = {_fmt(T)}",
@@ -400,6 +411,30 @@ def test_gevrey_missing_dir_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["gevrey", "--config", str(cfg), "--out", str(tmp_path / "g"),
                  "--traj", str(tmp_path / "nothing")]) == 3
+
+
+def test_gevrey_non_finite_checkpoint_time_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    path = sim / "state_0000.aqgs"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, struct.calcsize("<4sIII5d"), math.nan)  # the stored t
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "gev"
+    assert main(["gevrey", "--config", str(cfg), "--out", str(out), "--traj", str(sim)]) == 1
+    assert "non-finite t" in capsys.readouterr().err
+    assert not (out / "gevrey_report.csv").exists()
+
+
+def test_gevrey_checkpoint_of_other_params_exit_1(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(sim)]) == 0
+    other = write_config(tmp_path, {"params": {"alpha": 0.6}}, name="other.json")
+    out = tmp_path / "gev"
+    assert main(["gevrey", "--config", str(other), "--out", str(out), "--traj", str(sim)]) == 1
+    assert "checkpoint mismatch in field 'alpha'" in capsys.readouterr().err
+    assert not (out / "gevrey_report.csv").exists()
 
 
 def test_gevrey_unreadable_checkpoint_exit_3(tmp_path, capsys):

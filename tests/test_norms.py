@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from aqgsim.grid import field_from_modes, field_from_values, sine_field, zero_field
-from aqgsim.norms import (directional_seminorm, gevrey_weighted_norm, lp_norm, sobolev_norm,
-                          vector_lp_norm)
+from aqgsim.grid import (GridSpec, field_from_modes, field_from_values, sine_field,
+                         zero_field)
+from aqgsim.norms import (_hs_norm, _hs_norms, directional_seminorm, gevrey_weighted_norm,
+                          lp_norm, sobolev_norm, vector_lp_norm)
 from aqgsim.operators import DissipParams
 
 from conftest import random_real_grid
@@ -23,6 +25,21 @@ def test_sobolev_norm_closed_forms(grid32):
     g = sine_field(grid32, (2, 0))
     assert sobolev_norm(g, 0.5, homogeneous=True) == pytest.approx(
         math.sqrt(2.0) * INV_SQRT2, rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
+@pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.3, False), (0.4, True)])
+def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
+    grid = GridSpec(*shape)
+    stack = np.stack([field_from_values(grid, random_real_grid(grid, 40 + i)).coeffs
+                      for i in range(7)])
+    norms = _hs_norms(stack, grid, s, homogeneous)
+    assert norms.shape == (7,)
+    for c, n in zip(stack, norms):
+        one = _hs_norm(c, grid, s, homogeneous)
+        # a Python float, so that repr() in the reports prints a bare number
+        assert type(one) is float
+        assert np.float64(one).tobytes() == n.tobytes()
 
 
 def test_homogeneous_norm_ignores_mean(grid32):

@@ -6,12 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from aqgsim.grid import (GridSpec, field_from_modes, field_from_values, from_physical,
-                        sine_field, to_physical)
+from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
+                        from_physical, sine_field, to_physical)
 from aqgsim.norms import sobolev_norm
-from aqgsim.operators import (DissipParams, _nonlinear_raw, apply_semigroup,
-                              dissipation_symbol, gevrey_symbol, nonlinear_term,
-                              riesz_multipliers, riesz_velocity)
+from aqgsim.operators import (DissipParams, _nonlinear_raw, _velocity, apply_semigroup,
+                              dissipation_multiplier, dissipation_symbol, gevrey_multiplier,
+                              gevrey_symbol, nonlinear_term, riesz_multipliers,
+                              riesz_velocity, symbol_multipliers)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 
 from conftest import random_real_grid
@@ -47,6 +48,40 @@ def test_gevrey_symbol_values():
     assert gevrey_symbol((0, 0), p) == 0.0
     assert gevrey_symbol((1, 1), p) == pytest.approx(4.0, abs=0)
     assert gevrey_symbol((4, 0), p) == pytest.approx(2.0 * 4.0**0.75, rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
+def test_symbol_multipliers_built_once_read_only_and_exact(shape):
+    p = DissipParams(0.6, 0.85, mu=0.7, nu=1.9, s=1.3)
+    grid = GridSpec(*shape)
+    d1, d2, A, B = symbol_multipliers(grid, p)
+    # an equal (grid, params) key returns the same arrays, not a rebuild
+    again = symbol_multipliers(GridSpec(*shape), DissipParams(0.6, 0.85, 0.7, 1.9, 1.3))
+    assert all(x is y for x, y in zip(again, (d1, d2, A, B)))
+    assert dissipation_multiplier(grid, p) is A and gevrey_multiplier(grid, p) is B
+    assert d1.shape == (grid.n1, 1) and d2.shape == (1, grid.n2)
+    for m in (d1, d2, A, B):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    k = (grid.k1, grid.k2)
+    assert A.tobytes() == dissipation_symbol(k, p).tobytes()
+    assert B.tobytes() == gevrey_symbol(k, p).tobytes()
+    assert d1.tobytes() == (np.abs(grid.k1) ** (2.0 * p.alpha)).tobytes()
+    assert d2.tobytes() == (np.abs(grid.k2) ** (2.0 * p.beta)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
+def test_velocity_is_riesz_velocity_with_its_max_magnitude(shape):
+    grid = GridSpec(*shape)
+    spec = FieldEnsembleSpec(grid, seed=12, count=1, kmax=min(shape) // 3, spectrum_slope=1.0)
+    theta = random_band_limited_field(spec, 0)
+    u1, u2, max_u = _velocity(theta.coeffs, grid)
+    v1, v2 = riesz_velocity(theta)
+    assert u1.tobytes() == v1.values().tobytes() and u2.tobytes() == v2.values().tobytes()
+    # sqrt is monotone and correctly rounded: the max of the pointwise magnitude
+    assert max_u == float(np.max(np.sqrt(u1**2 + u2**2)))
+    assert type(max_u) is float
 
 
 def test_riesz_velocity_single_modes(grid32):

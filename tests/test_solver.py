@@ -262,7 +262,7 @@ def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
     theta0 = sine_field(grid32, (1, 0))
     norm0 = sobolev_norm(theta0, params_sym.s)
     T1 = existence_time(norm0, params_sym, TABLE, weighted=True)
-    cfg = PicardConfig(T=T1, n_nodes=9, weighted=True)
+    cfg = PicardConfig(T=T1, n_nodes=9)
     rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
     assert rep.converged
     values = [g.value for g in rep.weighted_trace]
@@ -275,7 +275,7 @@ def test_weighted_picard_random_data_ball(grid64, params_sym):
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
     T1 = existence_time(1.0, params_sym, table, weighted=True)
     assert T1 < LOG_3_2
-    cfg = PicardConfig(T=T1, n_nodes=17, weighted=True)
+    cfg = PicardConfig(T=T1, n_nodes=17)
     rep = weighted_picard_solve(theta0, cfg, params_sym, table)
     assert rep.converged
     assert rep.ball_radius_check.weighted_sup <= 2.0 * (1.0 + 1e-6)
