@@ -14,12 +14,12 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, echo_config, load_config
-from .diagnostics import analyticity_radius_fit, region_classify
+from .diagnostics import analyticity_radius_fit, build_gevrey_report, region_classify
 from .grid import GridSpec, SpectralField, zero_field, sine_field
 from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite,
                      total_violations)
-from .norms import gevrey_weighted_norm, sobolev_norm
+from .norms import sobolev_norm
 from .operators import DissipParams
 from .solver import (ConstantsTable, PicardConfig, calibrate_constants, evolve,
                      existence_time, picard_solve, weighted_picard_solve)
@@ -173,7 +173,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_lemmas(cfg: RunConfig, out_dir: Path, inject_fault: bool = False) -> int:
+def cmd_lemmas(cfg: RunConfig, out_dir: Path) -> int:
     grid = cfg.grid_spec()
     p = cfg.dissip_params()
     lm = cfg.lemmas
@@ -181,9 +181,6 @@ def cmd_lemmas(cfg: RunConfig, out_dir: Path, inject_fault: bool = False) -> int
                              kmax=lm["kmax"], spectrum_slope=lm["spectrum_slope"])
     reports = scalar_inequality_suite(p, lm["grid_density"])
     reports += functional_inequality_suite(spec, p)
-    if inject_fault:
-        reports[0].merge_violation({"injected": True, "seed": lm["seed"]})
-        reports[0].note += " [fault injected for testing]"
     lines = []
     for r in reports:
         lines.append(f"[{r.inequality}]")
@@ -208,10 +205,7 @@ def cmd_lemmas(cfg: RunConfig, out_dir: Path, inject_fault: bool = False) -> int
 
 
 def _sweep_row(cfg: RunConfig, alpha: float, beta: float) -> str:
-    try:
-        region = region_classify(alpha, beta).value
-    except ValueError:
-        region = "outside"
+    region = region_classify(alpha, beta).value  # config keeps (alpha, beta) in (0, 1)^2
     try:
         p = DissipParams(alpha, beta, cfg.params["mu"], cfg.params["nu"], cfg.params["s"])
         grid = cfg.grid_spec()
@@ -250,7 +244,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
 
 def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
     p = cfg.dissip_params()
-    s = p.s
     paths = sorted(Path(traj_dir).glob("state_*.aqgs"))
     if not paths:
         print(f"no state_*.aqgs checkpoints in {traj_dir}", file=sys.stderr)
@@ -259,17 +252,13 @@ def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
     for cp in states:
         cp.require_params(p)
     states.sort(key=lambda cp: cp.t)
-    base = states[0]
+    rep = build_gevrey_report([cp.t for cp in states], [cp.field for cp in states], p, p.s)
     lines = ["t,gevrey_hs,saturated,h2,rate1,rate2,fit_residual1,fit_residual2"]
-    for cp in states:
-        g = gevrey_weighted_norm(cp.field, cp.t, s, p)
-        fit = analyticity_radius_fit(cp.field, base.field, cp.t - base.t, p)
-        lines.append(",".join([
-            repr(float(cp.t)), repr(float(g.value)), _fmt(g.saturated),
-            repr(float(sobolev_norm(cp.field, 2.0))),
-            repr(float(fit.rate1)) if fit.rate1 is not None else "nan",
-            repr(float(fit.rate2)) if fit.rate2 is not None else "nan",
-            repr(float(fit.residual1)), repr(float(fit.residual2))]))
+    for t, g, sat, h2, fit in zip(rep.times, rep.weighted_hs, rep.saturated, rep.h2_trace,
+                                  rep.fits):
+        lines.append(",".join(_fmt(v) for v in (
+            float(t), float(g), bool(sat), float(h2),
+            fit.rate1, fit.rate2, fit.residual1, fit.residual2)))
     (out_dir / "gevrey_report.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -296,9 +285,6 @@ def make_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="concurrent sweep points")
-        if name == "lemmas":
-            p.add_argument("--inject-fault", action="store_true",
-                           help=argparse.SUPPRESS)
         if name == "gevrey":
             p.add_argument("--traj", required=True,
                            help="directory holding state_*.aqgs checkpoints")
@@ -325,7 +311,7 @@ def main(argv=None) -> int:
         if args.command == "picard":
             return cmd_picard(cfg, out_dir)
         if args.command == "lemmas":
-            return cmd_lemmas(cfg, out_dir, inject_fault=args.inject_fault)
+            return cmd_lemmas(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, threads=args.threads)
         return cmd_gevrey(cfg, out_dir, args.traj)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import GridSpec
@@ -50,7 +50,6 @@ class RunConfig:
     output: dict
     lemmas: dict
     sweep: dict
-    raw: dict = field(default_factory=dict)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.grid["n1"], self.grid["n2"])
@@ -196,7 +195,7 @@ def validate_config(data: dict) -> RunConfig:
     _require(_is_num(sw["T_short"]) and sw["T_short"] > 0.0, "sweep.T_short",
              "must be positive")
 
-    return RunConfig(**merged, raw=data)
+    return RunConfig(**merged)
 
 
 def load_config(path) -> RunConfig:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpectralField, sobolev_weight
-from .norms import GevreyNorm, gevrey_weighted_norm, sobolev_norm
+from .norms import GevreyNorm, _gevrey_norm, gevrey_weighted_norm, sobolev_norm
 from .operators import DissipParams, gevrey_multiplier
 from .solver import Trajectory
 
@@ -47,8 +47,7 @@ def region_classify(alpha: float, beta: float) -> Region:
 
 def weighted_norm_trace(traj: Trajectory, p: DissipParams, s: float) -> list[GevreyNorm]:
     """Gevrey-weighted H^s norm at every node, with weight time = node time."""
-    return [gevrey_weighted_norm(traj.field(i), float(traj.times[i]), s, p)
-            for i in range(traj.n_nodes)]
+    return [_gevrey_norm(c, traj.grid, float(t), s, p) for c, t in zip(traj.coeffs, traj.times)]
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def remark_chain_check(p: DissipParams, T0: float, t_samples: int = 16,
 
 @dataclass(frozen=True)
 class GevreyReport:
-    """Weighted-norm trace, per-node rate fits, and the H^2 record of a trajectory."""
+    """Weighted-norm trace, per-field rate fits, and the H^2 record of a run."""
 
     times: np.ndarray
     weighted_hs: np.ndarray
@@ -201,11 +200,17 @@ class GevreyReport:
     fits: list[RateFit]
 
 
-def build_gevrey_report(traj: Trajectory, p: DissipParams, s: float) -> GevreyReport:
-    wtrace = weighted_norm_trace(traj, p, s)
-    f0 = traj.field(0)
-    fits = [analyticity_radius_fit(traj.field(i), f0, float(traj.times[i]), p)
-            for i in range(traj.n_nodes)]
-    h2 = np.array([sobolev_norm(traj.field(i), 2.0) for i in range(traj.n_nodes)])
-    return GevreyReport(np.asarray(traj.times), np.array([g.value for g in wtrace]),
+def build_gevrey_report(times, fields: list[SpectralField], p: DissipParams,
+                        s: float) -> GevreyReport:
+    """Gevrey-weighted H^s norm (weight time t), H^2 norm and decay-rate fit of
+    each field at its time t; the rates are fitted against the first field,
+    over the elapsed time t - times[0]. Times must be nondecreasing."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(fields) != times.size or np.any(np.diff(times) < 0.0):
+        raise ValueError("gevrey report needs one field per time, times nondecreasing")
+    wtrace = [gevrey_weighted_norm(f, float(t), s, p) for f, t in zip(fields, times)]
+    fits = [analyticity_radius_fit(f, fields[0], float(t - times[0]), p)
+            for f, t in zip(fields, times)]
+    h2 = np.array([sobolev_norm(f, 2.0) for f in fields])
+    return GevreyReport(times, np.array([g.value for g in wtrace]),
                         np.array([g.saturated for g in wtrace]), h2, fits)

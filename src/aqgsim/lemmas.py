@@ -144,9 +144,9 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
     eta = np.linspace(-50.0, 50.0, gd)[None, :]
     r_values = sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta})
     for r in r_values:
-        lhs = np.abs(xi + 0.0 * eta) ** r  # broadcast |xi|
+        lhs = np.abs(xi) ** r
         rhs = np.abs(xi - eta) ** r + np.abs(eta) ** r
-        rep.samples += lhs.size
+        rep.samples += rhs.size
         bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
         if np.any(bad):
             i, j = np.argwhere(bad)[0]

@@ -1,5 +1,10 @@
 """Norms as exact coefficient sums (Sobolev, directional, Gevrey-weighted) or
-grid quadratures (Lp), in the normalized measure dx/(4 pi^2)."""
+grid quadratures (Lp), in the normalized measure dx/(4 pi^2).
+
+`_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
+and applies its overflow policy; every weighted norm in the package (the
+march trace, the Picard sups, the gevrey report) goes through it.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 from .grid import GridSpec, SpectralField, sobolev_weight
 from .operators import DissipParams, gevrey_multiplier
 
-WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the result is flagged
+WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the norm saturates
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -60,30 +65,35 @@ class GevreyNorm(NamedTuple):
     saturated_mode: tuple[int, int] | None
 
 
-def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams,
-                         cap: float = WEIGHT_CAP) -> GevreyNorm:
+def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> GevreyNorm:
     """H^s norm of exp((t/2) B(D)) f, flagged (not clipped) on weight overflow."""
-    return _gevrey_norm(f.coeffs, f.grid, t, s, p, cap)
+    return _gevrey_norm(f.coeffs, f.grid, t, s, p)
 
 
-def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float, p: DissipParams,
-                 cap: float = WEIGHT_CAP) -> GevreyNorm:
-    """gevrey_weighted_norm on bare coefficients."""
+def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
+                 p: DissipParams) -> GevreyNorm:
+    """gevrey_weighted_norm on bare coefficients.
+
+    A weight exponent above WEIGHT_CAP on a nonzero mode, or a non-finite
+    result, saturates the norm: inf, flagged with the mode of largest exponent.
+    Zero modes carry no weight, so the live mask is built only when some
+    exponent exceeds the cap.
+    """
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
     exponent = 0.5 * t * gevrey_multiplier(grid, p)
-    live = np.abs(coeffs) > 0.0
+    if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
+        live = coeffs != 0.0
+        over = live & (exponent > WEIGHT_CAP)
+        if np.any(over):
+            return _saturated(exponent, over, grid)
+        exponent = np.where(live, exponent, 0.0)
+    value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
+    if math.isfinite(value):
+        return GevreyNorm(value, False, None)
+    return _saturated(exponent, coeffs != 0.0, grid)
 
-    def worst_mode(selector):
-        idx = np.unravel_index(np.argmax(np.where(selector, exponent, -np.inf)),
-                               exponent.shape)
-        return (int(grid.k1[idx[0], 0]), int(grid.k2[0, idx[1]]))
 
-    over = live & (exponent > cap)
-    if np.any(over):
-        return GevreyNorm(float("inf"), True, worst_mode(over))
-    weighted = np.where(live, np.exp(np.where(live, exponent, 0.0)) * coeffs, 0.0)
-    value = _hs_norm(weighted, grid, s)
-    if not math.isfinite(value):
-        return GevreyNorm(float("inf"), True, worst_mode(live))
-    return GevreyNorm(value, False, None)
+def _saturated(exponent: np.ndarray, selector: np.ndarray, grid: GridSpec) -> GevreyNorm:
+    idx = np.unravel_index(np.argmax(np.where(selector, exponent, -np.inf)), exponent.shape)
+    return GevreyNorm(float("inf"), True, (int(grid.k1[idx[0], 0]), int(grid.k2[0, idx[1]])))

@@ -40,8 +40,12 @@ class DissipParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.mu <= 0.0 or self.nu <= 0.0:
-            raise ValueError("mu and nu must be positive")
+        for name in ("mu", "nu"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
 
     @property
     def s_lower(self) -> float:

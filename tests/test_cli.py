@@ -313,13 +313,27 @@ def test_lemmas_clean_exit_0(tmp_path):
             assert line == "violations = 0"
 
 
-def test_lemmas_fault_injection_exit_4(tmp_path, capsys):
+def test_lemmas_fault_injection_exit_4(tmp_path, capsys, monkeypatch):
+    import aqgsim.cli as cli
+
+    suite = cli.scalar_inequality_suite
+
+    def faulty_suite(*args, **kwargs):
+        reports = suite(*args, **kwargs)
+        reports[0].merge_violation({"xi": 1.0, "eta": 2.0})
+        return reports
+
+    monkeypatch.setattr(cli, "scalar_inequality_suite", faulty_suite)
     cfg = write_config(tmp_path)
     out = tmp_path / "lemf"
-    assert main(["lemmas", "--config", str(cfg), "--out", str(out),
-                 "--inject-fault"]) == 4
-    assert "violation" in capsys.readouterr().err
-    assert "fault injected" in (out / "inequality_report.txt").read_text()
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 4
+    report = out / "inequality_report.txt"
+    assert capsys.readouterr().err == \
+        f"1 theorem-backed inequality violation(s); see {report}\n"
+    first_block = report.read_text().split("\n\n")[0].splitlines()
+    assert first_block[0] == "[subadditivity_fractional]"
+    assert "violations = 1" in first_block
+    assert "violation_example = {'xi': 1.0, 'eta': 2.0}" in first_block
 
 
 # ---------------------------------------------------------------------------

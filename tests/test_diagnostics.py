@@ -10,7 +10,7 @@ from aqgsim.diagnostics import (Region, analyticity_radius_fit, build_gevrey_rep
                                 weighted_norm_trace)
 from aqgsim.grid import GridSpec
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
-from aqgsim.norms import sobolev_norm
+from aqgsim.norms import gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import DissipParams, apply_semigroup
 from aqgsim.solver import semigroup_trajectory
 
@@ -227,7 +227,7 @@ def test_gevrey_report_linear_flow(grid64, params):
     f0 = band_field(grid64, 8, 21)
     times = np.linspace(0.0, 0.3, 7)
     traj = semigroup_trajectory(f0, times, params)
-    rep = build_gevrey_report(traj, params, params.s)
+    rep = build_gevrey_report(traj.times, traj.fields(), params, params.s)
     assert rep.times.shape == (7,)
     assert not np.any(rep.saturated)
     trace = weighted_norm_trace(traj, params, params.s)
@@ -239,3 +239,22 @@ def test_gevrey_report_linear_flow(grid64, params):
     # fitted rates grow along the trajectory
     rates = [f.rate1 for f in rep.fits if f.rate1 is not None]
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
+
+
+def test_gevrey_report_fits_over_elapsed_time(grid64):
+    # a linear flow observed from t0 > 0 on: each rate is the decay since t0
+    p = DissipParams(0.75, 0.6, mu=2.0, nu=0.5, s=1.2)
+    f0 = band_field(grid64, 8, 21)
+    t0 = 0.5
+    times = t0 + np.array([0.0, 0.05, 0.1])
+    rep = build_gevrey_report(times, [apply_semigroup(f0, t - t0, p) for t in times], p, p.s)
+    assert rep.weighted_hs[0] == gevrey_weighted_norm(f0, t0, p.s, p).value
+    for t, fit in zip(times, rep.fits):
+        assert fit.rate1 == pytest.approx(p.mu * (t - t0), abs=1e-9)
+        assert fit.rate2 == pytest.approx(p.nu * (t - t0), abs=1e-9)
+
+
+def test_gevrey_report_rejects_decreasing_times(grid64, params):
+    f0 = band_field(grid64, 8, 21)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        build_gevrey_report([0.2, 0.1], [f0, f0], params, params.s)

@@ -111,10 +111,21 @@ def test_gevrey_weight_monotone_in_time(grid64):
 def test_gevrey_saturation_flagged(grid32):
     p = DissipParams(0.75, 0.75)
     f = sine_field(grid32, (10, 0))
-    res = gevrey_weighted_norm(f, 1.0, 0.0, p, cap=5.0)
+    res = gevrey_weighted_norm(f, 200.0, 0.0, p)  # exponent 200 * 10^0.75 > WEIGHT_CAP
     assert res.saturated
     assert res.value == math.inf
     assert res.saturated_mode in ((10, 0), (-10, 0))
+
+
+def test_gevrey_dead_modes_past_cap_stay_unweighted(grid32):
+    # at t = 100 the weight exponent passes WEIGHT_CAP on the outer modes of the
+    # grid, but only the mode (1, 0) is live, with exponent 100
+    p = DissipParams(0.75, 0.75)
+    f = sine_field(grid32, (1, 0))
+    res = gevrey_weighted_norm(f, 100.0, 0.0, p)
+    assert not res.saturated
+    assert res.saturated_mode is None
+    assert res.value == pytest.approx(math.exp(100.0) * INV_SQRT2, rel=1e-13)
 
 
 def test_gevrey_matches_gevrey_sobolev_norm_on_axis(grid32):

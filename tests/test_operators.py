@@ -28,6 +28,13 @@ def test_dissip_params_validation():
     assert DissipParams(0.75, 0.75, s=0.3).regime == "unguaranteed"
 
 
+@pytest.mark.parametrize("name", ["mu", "nu", "s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dissip_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        DissipParams(0.75, 0.75, **{name: value})
+
+
 def test_dissipation_symbol_values(params):
     assert dissipation_symbol((0, 0), params) == 0.0
     sym = DissipParams(0.75, 0.75)

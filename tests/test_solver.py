@@ -8,9 +8,9 @@ import pytest
 
 from aqgsim.grid import GridSpec, field_from_modes, sine_field, zero_field
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
-from aqgsim.norms import sobolev_norm
+from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
-                              dissipation_symbol, nonlinear_term)
+                              dissipation_symbol, gevrey_multiplier, nonlinear_term)
 from aqgsim.solver import (LOG_3_2, ConstantsTable, PicardConfig, Trajectory,
                            calibrate_constants, constant_trajectory, duhamel_bilinear,
                            evolve, existence_time, glue_continue, phi2, picard_solve,
@@ -380,10 +380,38 @@ def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
     assert fast[1]["max_ratios"] == full[1]["max_ratios"]
 
 
-def test_calibration_riesz_isometry_observed(params_sym):
-    _, details = calibrate_constants(params_sym, n_samples=3, seed=4,
-                                     return_details=True)
-    assert details["cz_p2_deviation"] < 1e-12
+def _bare_product_sup(grid, times, coeffs, p, s):
+    """The weighted sup as a plain product loop, with no overflow policy."""
+    B = gevrey_multiplier(grid, p)
+    worst = 0.0
+    for i, t in enumerate(times):
+        worst = max(worst, float(_hs_norms(np.exp(0.5 * float(t) * B) * coeffs[i], grid, s)))
+    return worst
+
+
+@pytest.mark.parametrize("grid, p", [
+    (GridSpec(64, 64), DissipParams(0.75, 0.75, s=1.0)),
+    (GridSpec(32, 48), DissipParams(0.6, 0.85, mu=0.7, nu=1.9, s=1.3)),
+])
+def test_weighted_sup_matches_bare_product_loop(grid, p):
+    import aqgsim.solver as solver
+
+    times = time_grid(0.4, 9)
+    stack = semigroup_trajectory(unit_random_field(grid, 5, p.s), times, p).coeffs
+    got = solver._weighted_sup(grid, times, stack, p, p.s)
+    assert 0.0 < got < math.inf
+    assert got == _bare_product_sup(grid, times, stack, p, p.s)
+
+
+def test_weighted_sup_of_saturated_node_is_inf():
+    import aqgsim.solver as solver
+
+    grid = GridSpec(64, 64)
+    p = DissipParams(0.75, 0.75, s=400.0)  # (1+|k|^2)^400 overflows inside the band
+    f = unit_random_field(grid, 0, 1.0, kmax=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert gevrey_weighted_norm(f, 0.25, p.s, p).saturated
+        assert solver._weighted_sup(grid, np.array([0.25]), f.coeffs[None], p, p.s) == math.inf
 
 
 def test_constants_table_validation():
