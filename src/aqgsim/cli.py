@@ -220,7 +220,7 @@ def _sweep_row(cfg: RunConfig, alpha: float, beta: float) -> str:
                      rtol=cfg.time["rtol"], atol=cfg.time["atol"],
                      trace_stride=10**9)
         hs_growth = res.trace.hs[-1] / res.trace.hs[0] if res.trace.hs[0] > 0 else math.nan
-        fit = analyticity_radius_fit(res.final, theta0.dealiased(), sw["T_short"], p)
+        fit = analyticity_radius_fit(res.final, theta0.dealiased(), p)
         rate1 = fit.rate1 if fit.rate1 is not None else math.nan
         rate2 = fit.rate2 if fit.rate2 is not None else math.nan
     except (ValueError, ArithmeticError) as exc:  # numerical failures are findings

@@ -80,6 +80,16 @@ def _require_finite(value, path: str) -> None:
             _require_finite(item, f"{path}[{i}]")
 
 
+def _require_band_amplitudes(kmax: int, slope: float, path: str) -> None:
+    """The ensemble amplitudes |k|^-slope on the shells 1..kmax must be floats;
+    for slope < 0 the largest is at |k| = sqrt(2) kmax."""
+    try:
+        math.hypot(kmax, kmax) ** -slope
+    except OverflowError:
+        raise ConfigError(path, f"gives amplitudes |k|^-slope beyond the float range "
+                                f"for kmax = {kmax}") from None
+
+
 def validate_config(data: dict) -> RunConfig:
     """Merge with defaults and check every field; unknown keys are rejected."""
     _require(isinstance(data, dict), "<root>", "top level must be an object")
@@ -116,6 +126,7 @@ def validate_config(data: dict) -> RunConfig:
     _require(isinstance(init["kmax"], int) and 1 <= init["kmax"] <= band,
              "init.kmax", f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(init["spectrum_slope"]), "init.spectrum_slope", "must be a number")
+    _require_band_amplitudes(init["kmax"], init["spectrum_slope"], "init.spectrum_slope")
     _require(_is_num(init["amplitude"]), "init.amplitude", "must be a number")
     _require(init["normalize"] in (None, "hs", "l2"), "init.normalize",
              "must be null, 'hs', or 'l2'")
@@ -184,6 +195,7 @@ def validate_config(data: dict) -> RunConfig:
     _require(isinstance(lm["kmax"], int) and 1 <= lm["kmax"] <= band, "lemmas.kmax",
              f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(lm["spectrum_slope"]), "lemmas.spectrum_slope", "must be a number")
+    _require_band_amplitudes(lm["kmax"], lm["spectrum_slope"], "lemmas.spectrum_slope")
     _require(isinstance(lm["grid_density"], int) and lm["grid_density"] >= 10,
              "lemmas.grid_density", "must be an integer >= 10")
 

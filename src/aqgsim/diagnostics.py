@@ -64,10 +64,11 @@ class RateFit:
         return self.rate1 is not None and self.rate2 is not None
 
 
-def analyticity_radius_fit(f_t: SpectralField, f_0: SpectralField, t: float,
+def analyticity_radius_fit(f_t: SpectralField, f_0: SpectralField,
                            p: DissipParams) -> RateFit:
     """Least-squares decay rates of log|f_t/f_0| against -|k1|^{2a} / -|k2|^{2b}
-    along the coordinate axes; axes without enough live modes come back unfit."""
+    along the coordinate axes; axes without enough live modes come back unfit.
+    Under the linear flow over an elapsed time t the rates are (mu t, nu t)."""
     if f_t.grid != f_0.grid:
         raise ValueError("fields must share a grid")
     grid = f_t.grid
@@ -209,8 +210,7 @@ def build_gevrey_report(times, fields: list[SpectralField], p: DissipParams,
     if len(fields) != times.size or np.any(np.diff(times) < 0.0):
         raise ValueError("gevrey report needs one field per time, times nondecreasing")
     wtrace = [gevrey_weighted_norm(f, float(t), s, p) for f, t in zip(fields, times)]
-    fits = [analyticity_radius_fit(f, fields[0], float(t - times[0]), p)
-            for f, t in zip(fields, times)]
+    fits = [analyticity_radius_fit(f, fields[0], p) for f in fields]
     h2 = np.array([sobolev_norm(f, 2.0) for f in fields])
     return GevreyReport(times, np.array([g.value for g in wtrace]),
                         np.array([g.saturated for g in wtrace]), h2, fits)

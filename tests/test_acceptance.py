@@ -201,7 +201,7 @@ def test_criterion_9_analyticity_rate_recovery():
     worst = 0.0
     for t in (0.1, 0.3, 1.0):
         res = evolve(theta0, t, p, nonlinear=False, dt_max=0.05)
-        fit = analyticity_radius_fit(res.final, theta0.dealiased(), t, p)
+        fit = analyticity_radius_fit(res.final, theta0.dealiased(), p)
         assert fit.fitted
         assert fit.rate1 == pytest.approx(t * p.mu, rel=0.01)
         assert fit.rate2 == pytest.approx(t * p.nu, rel=0.01)

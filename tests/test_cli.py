@@ -147,6 +147,26 @@ def test_simulate_solver_abort_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("picard", {"params": {"s": 400.0}}),
+    ("picard", {"params": {"s": -50.0}}),
+    ("picard", {"params": {"alpha": 1e-300}}),
+    ("simulate", {"init": {"spectrum_slope": -1e6}}),
+], ids=["s=400", "s=-50", "alpha=1e-300", "spectrum_slope=-1e6"])
+def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, overrides):
+    # a scalar power of each input overflows a float; that must end in an exit code
+    small = {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5}, "lemmas": {"kmax": 5},
+             "constants": {"mode": "calibrate", "samples": 2}, "picard": {"n_nodes": 8}}
+    for section, values in overrides.items():
+        small[section] = {**small.get(section, {}), **values}
+    cfg = write_config(tmp_path, small)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc in range(5)
+    if "init" in overrides:
+        assert rc == 1
+        assert "init.spectrum_slope" in capsys.readouterr().err
+
+
 def test_simulate_from_checkpoint_file(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "first"

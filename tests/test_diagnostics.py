@@ -71,7 +71,7 @@ def test_region_partition_scan():
 def test_rate_fit_zero_time():
     grid = GridSpec(64, 64)
     f = band_field(grid, 3, 21)
-    fit = analyticity_radius_fit(f, f, 0.0, DissipParams(0.75, 0.6))
+    fit = analyticity_radius_fit(f, f, DissipParams(0.75, 0.6))
     assert fit.rate1 == pytest.approx(0.0, abs=1e-15)
     assert fit.rate2 == pytest.approx(0.0, abs=1e-15)
 
@@ -82,7 +82,7 @@ def test_rate_fit_recovers_linear_decay(t):
     p = DissipParams(0.75, 0.6, mu=1.0, nu=1.0, s=1.2)
     f0 = band_field(grid, 5, 42)
     ft = apply_semigroup(f0, t, p)
-    fit = analyticity_radius_fit(ft, f0, t, p)
+    fit = analyticity_radius_fit(ft, f0, p)
     assert fit.fitted
     assert fit.rate1 == pytest.approx(t * p.mu, rel=0.01)
     assert fit.rate2 == pytest.approx(t * p.nu, rel=0.01)
@@ -93,7 +93,7 @@ def test_rate_fit_scaled_coefficients():
     p = DissipParams(0.75, 0.6, mu=2.0, nu=0.5, s=1.2)
     f0 = band_field(grid, 6, 42)
     ft = apply_semigroup(f0, 0.3, p)
-    fit = analyticity_radius_fit(ft, f0, 0.3, p)
+    fit = analyticity_radius_fit(ft, f0, p)
     assert fit.rate1 == pytest.approx(0.3 * 2.0, rel=0.01)
     assert fit.rate2 == pytest.approx(0.3 * 0.5, rel=0.01)
 
@@ -105,7 +105,7 @@ def test_rate_fit_unfit_without_modes():
     from aqgsim.grid import field_from_modes
     f = field_from_modes(grid, {(3, 4): 1.0, (2, 5): 0.5j, (5, 2): 0.25,
                                 (4, 3): 0.1j, (1, 6): 0.2})
-    fit = analyticity_radius_fit(f, f, 0.5, p)
+    fit = analyticity_radius_fit(f, f, p)
     assert fit.rate1 is None
     assert not fit.fitted
     assert fit.n_modes1 == 0
@@ -216,7 +216,7 @@ def test_rates_grow_on_weighted_picard_solution(grid64):
     f0 = traj.field(0)
     rates = []
     for i in range(1, traj.n_nodes):
-        fit = analyticity_radius_fit(traj.field(i), f0, float(traj.times[i]), p)
+        fit = analyticity_radius_fit(traj.field(i), f0, p)
         assert fit.fitted
         rates.append(fit.rate1)
     assert all(r > 0.0 for r in rates)

@@ -13,7 +13,7 @@ from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
                               dissipation_symbol, gevrey_multiplier, nonlinear_term)
 from aqgsim.solver import (LOG_3_2, ConstantsTable, PicardConfig, Trajectory,
                            calibrate_constants, constant_trajectory, duhamel_bilinear,
-                           evolve, existence_time, glue_continue, phi2, picard_solve,
+                           evolve, existence_time, glue_continue, phi_functions, picard_solve,
                            semigroup_trajectory, solve_time_condition, time_grid,
                            weight_domination_slack, weighted_picard_solve)
 
@@ -485,43 +485,49 @@ def test_evolve_aborts_on_overflow(grid32, params_sym):
     assert res.trace.aborted
 
 
-def test_phi2_matches_decimal_reference():
+def test_phi_functions_match_decimal_reference():
     xs = np.concatenate([np.logspace(-10.0, 3.0, 1500),
-                         np.linspace(0.09, 0.11, 201)])
+                         np.linspace(0.99, 1.01, 201)])
     with localcontext() as ctx:
         ctx.prec = 50
-        ref = np.array([float(((-d).exp() - 1 + d) / (d * d))
-                        for d in map(Decimal, xs.tolist())])
-    assert np.max(np.abs(phi2(xs) - ref) / ref) <= 1e-14
-    assert phi2(np.array([0.0]))[0] == 0.5
+        ref = []
+        for d in map(Decimal, xs.tolist()):
+            e = (-d).exp()
+            ref.append([float((1 - e) / d), float((e - 1 + d) / (d * d)),
+                        float((1 - d + d * d / 2 - e) / (d * d * d))])
+    ref = np.array(ref).T
+    got = np.array(phi_functions(xs))
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    assert [phi[0] for phi in phi_functions(np.array([0.0]))] == [1.0, 0.5, 1.0 / 6.0]
     # no jump where the series hands over to the closed form
-    below, at = phi2(np.array([np.nextafter(0.1, 0.0), 0.1]))
-    assert abs(below - at) <= 1e-14 * at
+    for below, at in phi_functions(np.array([np.nextafter(1.0, 0.0), 1.0])):
+        assert abs(below - at) <= 1e-14 * at
 
 
-def test_evolve_second_order_self_convergence(grid64, params):
-    """Fixed steps T/4 ... T/64: successive differences shrink by 4 per halving."""
+def test_evolve_fourth_order_self_convergence(grid64, params):
+    """Fixed steps T/4 ... T/64: successive differences shrink by 16 per halving."""
     theta0 = unit_random_field(grid64, 21, params.s)
     finals = [evolve(theta0, 0.2, params, dt_fixed=0.2 / n, trace_stride=10**9).final
               for n in (4, 8, 16, 32, 64)]
     diffs = [sobolev_norm(a - b, params.s) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
-    assert all(1.9 < q < 2.1 for q in orders), orders
+    assert all(3.9 < q < 4.1 for q in orders), orders
 
 
 def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
-    """Accepted steps cost 5 kernel calls, rejected ones 4, fixed steps 4."""
+    """Accepted steps cost 11 kernel calls, rejected ones 10, fixed steps 8."""
     theta0 = unit_random_field(grid32, 3, 0.0)
     # an oversized first step forces rejections
     res = evolve(theta0, 0.02, params, dt_init=0.02)
-    accepted = len(res.trace.t) - 1
+    assert res.accepted_steps == len(res.trace.t) - 1
     assert res.rejected_steps > 0
-    assert len(kernel_calls) == 1 + 5 * accepted + 4 * res.rejected_steps
+    assert res.kernel_calls == len(kernel_calls)
+    assert res.kernel_calls == 1 + 11 * res.accepted_steps + 10 * res.rejected_steps
     kernel_calls.clear()
     res = evolve(theta0, 0.02, params, dt_fixed=0.002)
-    assert len(res.trace.t) - 1 == 10
+    assert res.accepted_steps == len(res.trace.t) - 1 == 10
     assert res.rejected_steps == 0
-    assert len(kernel_calls) == 1 + 4 * 10
+    assert res.kernel_calls == len(kernel_calls) == 1 + 8 * 10
 
 
 def test_evolve_no_sliver_steps(grid32, params):
