@@ -96,6 +96,10 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"corrupt checkpoint: expected {expected} bytes, got {len(raw)}")
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n1, n2)
-    grid = GridSpec(int(n1), int(n2))
-    params = DissipParams(*header[:5])
-    return Checkpoint(params, float(header[5]), SpectralField(grid, coeffs.astype(np.complex128)))
+    try:
+        grid = GridSpec(int(n1), int(n2))
+        params = DissipParams(*header[:5])
+        field = SpectralField(grid, coeffs.astype(np.complex128))
+    except ValueError as exc:  # a well-formed file holding an invalid grid, params or state
+        raise CheckpointFormatError(f"corrupt checkpoint: {exc}") from exc
+    return Checkpoint(params, float(header[5]), field)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite,
                      total_violations)
 from .norms import sobolev_norm
-from .operators import DissipParams
+from .operators import DissipParams, RegimeWarning
 from .solver import (ConstantsTable, PicardConfig, calibrate_constants, evolve,
                      existence_time, picard_solve, weighted_picard_solve)
 
@@ -127,7 +128,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"], tol=pc["tol"])
 
     T_plain = pick_T(T0)
-    T_w = min(pick_T(T1), T1) if not math.isinf(T1) else pick_T(T1)
+    T_w = min(pick_T(T1), T1)
     lines = [f"regime = {p.regime}", f"theta0_hs = {_fmt(norm0)}", f"T0 = {_fmt(T0)}",
              f"T1 = {_fmt(T1)}"]
     if T_plain <= 0.0:
@@ -204,17 +205,12 @@ def cmd_lemmas(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_row(cfg: RunConfig, alpha: float, beta: float) -> str:
+def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float) -> str:
     region = region_classify(alpha, beta).value  # config keeps (alpha, beta) in (0, 1)^2
     try:
         p = DissipParams(alpha, beta, cfg.params["mu"], cfg.params["nu"], cfg.params["s"])
-        grid = cfg.grid_spec()
-        theta0 = build_initial_field(cfg, grid)
         table = resolve_constants(cfg, p)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
+        T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
         sw = cfg.sweep
         res = evolve(theta0, sw["T_short"], p, cfl=cfg.time["cfl"],
                      rtol=cfg.time["rtol"], atol=cfg.time["atol"],
@@ -232,11 +228,17 @@ def _sweep_row(cfg: RunConfig, alpha: float, beta: float) -> str:
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     points = [(a, b) for a in cfg.sweep["alphas"] for b in cfg.sweep["betas"]]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda ab: _sweep_row(cfg, *ab), points))
-    else:
-        rows = [_sweep_row(cfg, a, b) for a, b in points]
+    # (alpha, beta) varies, s does not: the initial field is the same at every point
+    theta0 = build_initial_field(cfg, cfg.grid_spec())
+    # the filter list is process-wide, so it is set once here and never per thread;
+    # a lattice is expected to leave the guaranteed regime
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(lambda ab: _sweep_row(cfg, theta0, *ab), points))
+        else:
+            rows = [_sweep_row(cfg, theta0, a, b) for a, b in points]
     header = "alpha,beta,region,T0,hs_growth,rate1,rate2"
     (out_dir / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
     return EXIT_OK

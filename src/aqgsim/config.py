@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .grid import GridSpec
 from .operators import DissipParams
+from .solver import _CALIBRATION_GRID
 
 
 class ConfigError(Exception):
@@ -117,6 +118,18 @@ def validate_config(data: dict) -> RunConfig:
     _require(_is_num(q["mu"]) and q["mu"] > 0.0, "params.mu", "must be positive")
     _require(_is_num(q["nu"]) and q["nu"] > 0.0, "params.nu", "must be positive")
     _require(_is_num(q["s"]), "params.s", "must be a number")
+    grids = [(g["n1"], g["n2"])]
+    if merged["constants"]["mode"] == "calibrate":
+        grids.append(_CALIBRATION_GRID.shape)
+    for n1, n2 in grids:
+        # the H^s weight (1+|k|^2)^s of every mode must be a positive float; it is
+        # largest (s > 0) or smallest (s < 0) at the corner |k|^2 = (n1/2)^2 + (n2/2)^2
+        try:
+            w = (1.0 + (n1 // 2) ** 2 + (n2 // 2) ** 2) ** q["s"]
+        except OverflowError:
+            w = math.inf
+        _require(0.0 < w < math.inf, "params.s",
+                 f"gives H^s weights beyond the float range on the {n1}x{n2} grid")
 
     init = merged["init"]
     _require(init["kind"] in ("random", "modes", "file"), "init.kind",
@@ -224,7 +237,4 @@ def load_config(path) -> RunConfig:
 
 def echo_config(cfg: RunConfig, out_dir: Path) -> None:
     """Write the fully merged configuration next to the outputs, for provenance."""
-    doc = {section: getattr(cfg, section)
-           for section in ("grid", "params", "init", "time", "picard",
-                           "constants", "output", "lemmas", "sweep")}
-    (out_dir / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

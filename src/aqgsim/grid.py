@@ -151,8 +151,6 @@ class SpectralField:
         defect = hermitian_defect(c)
         if defect > HERMITIAN_ATOL * scale:
             raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
-        if abs(c[0, 0].imag) > HERMITIAN_ATOL * scale:
-            raise ValueError("mean coefficient must be real")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)

@@ -100,9 +100,9 @@ class InequalityReport:
     """Evidence for one inequality over one scan or ensemble."""
 
     inequality: str
-    samples: int
-    worst_ratio: float
-    empirical_constant: float
+    samples: int = 0
+    worst_ratio: float = 0.0
+    empirical_constant: float = 0.0
     violations: int = 0
     violation_examples: list = dc_field(default_factory=list)
     skipped: int = 0
@@ -138,7 +138,7 @@ def scalar_inequality_suite(p: DissipParams, grid_density: int = 1000) -> list[I
 
 
 def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
-    rep = InequalityReport("subadditivity_fractional", 0, 0.0, 0.0,
+    rep = InequalityReport("subadditivity_fractional",
                            note="|xi|^r <= |xi-eta|^r + |eta|^r, r in (0,1]")
     xi = np.linspace(-50.0, 50.0, gd)[:, None]
     eta = np.linspace(-50.0, 50.0, gd)[None, :]
@@ -172,7 +172,7 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
 
 
 def _check_exp_bound(gd: int) -> InequalityReport:
-    rep = InequalityReport("exp_decay_bound", 0, 0.0, 0.0,
+    rep = InequalityReport("exp_decay_bound",
                            note="x^a exp(-rx) <= a^a / r^a; sharp value (a/e r)^a")
     x = np.logspace(-4.0, 4.0, gd)
     for a in (0.3, 0.5, 0.75, 1.0, 2.0):
@@ -199,7 +199,7 @@ def _check_exp_bound(gd: int) -> InequalityReport:
 
 
 def _check_multiplier_equivalence(p: DissipParams, gd: int) -> InequalityReport:
-    rep = InequalityReport("multiplier_equivalence", 0, 0.0, 0.0,
+    rep = InequalityReport("multiplier_equivalence",
                            note="1 <= (|k1|^2a+|k2|^2a)/|k|^2a <= 2^(1-a) for a=b, mu=nu=1")
     kk = np.arange(-128, 129, dtype=float)
     k1 = kk[:, None]
@@ -225,7 +225,7 @@ def _check_multiplier_equivalence(p: DissipParams, gd: int) -> InequalityReport:
 
 
 def _check_weight_gap(p: DissipParams, gd: int) -> InequalityReport:
-    rep = InequalityReport("dissipation_minus_weight_gap", 0, 0.0, 0.0,
+    rep = InequalityReport("dissipation_minus_weight_gap",
                            note="A(k)-B(k) = (|k1|^a-1)^2+(|k2|^b-1)^2-2 >= -2 at mu=nu=1")
     n = max(200, gd // 3)
     x = np.concatenate(([0.0, 1.0], np.linspace(0.0, 40.0, n), np.logspace(-3, 3, n)))
@@ -263,34 +263,24 @@ CZ_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
 def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> list[InequalityReport]:
     """Evaluate the Sobolev-injection, product-law, Riesz-Lp, directional-control,
     and interpolation inequalities on every ensemble sample."""
-    reps = {
-        "interpolation_homogeneous": InequalityReport(
-            "interpolation_homogeneous", 0, 0.0, 0.0,
-            note="||f||_{ts1+(1-t)s2} <= ||f||_{s1}^t ||f||_{s2}^(1-t), homogeneous"),
-        "interpolation_inhomogeneous": InequalityReport(
-            "interpolation_inhomogeneous", 0, 0.0, 0.0),
-        "sobolev_injection": InequalityReport(
-            "sobolev_injection", 0, 0.0, 0.0, exact_bound=False,
-            note="||f||_Lp <= C |||grad|^sigma f||_L2 at 1/p + sigma/2 = 1/2"),
-        "product_law_symmetric": InequalityReport(
-            "product_law_symmetric", 0, 0.0, 0.0, exact_bound=False,
-            note="||fg||_{s1+s2-1} <= C(||f||_{s1}||g||_{s2} + ||f||_{s2}||g||_{s1})"),
-        "product_law_asymmetric": InequalityReport(
-            "product_law_asymmetric", 0, 0.0, 0.0, exact_bound=False,
-            note="||fg||_{s1+s2-1} <= C'||f||_{s1}||g||_{s2}, s1, s2 < 1"),
-        "calderon_zygmund": InequalityReport(
-            "calderon_zygmund", 0, 0.0, 0.0, exact_bound=False,
-            note="||R^perp theta||_Lp <= C(p) ||theta||_Lp"),
-        "calderon_zygmund_p2": InequalityReport(
-            "calderon_zygmund_p2", 0, 0.0, 0.0,
-            note="p=2 multiplier isometry: ratio = 1 to 1e-12"),
-        "directional_control": InequalityReport(
-            "directional_control", 0, 0.0, 0.0,
-            note="|||grad|^a f|| <= ||f|| + |||d1|^a f|| + |||d2|^b f||, a <= b"),
-        "directional_interpolation": InequalityReport(
-            "directional_interpolation", 0, 0.0, 0.0,
-            note="|||d2|^a f|| <= ||f||^(1-z) |||d2|^b f||^z, z = a/b"),
-    }
+    reps = {r.inequality: r for r in (
+        InequalityReport("interpolation_homogeneous",
+                         note="||f||_{ts1+(1-t)s2} <= ||f||_{s1}^t ||f||_{s2}^(1-t), homogeneous"),
+        InequalityReport("interpolation_inhomogeneous"),
+        InequalityReport("sobolev_injection", exact_bound=False,
+                         note="||f||_Lp <= C |||grad|^sigma f||_L2 at 1/p + sigma/2 = 1/2"),
+        InequalityReport("product_law_symmetric", exact_bound=False,
+                         note="||fg||_{s1+s2-1} <= C(||f||_{s1}||g||_{s2} + ||f||_{s2}||g||_{s1})"),
+        InequalityReport("product_law_asymmetric", exact_bound=False,
+                         note="||fg||_{s1+s2-1} <= C'||f||_{s1}||g||_{s2}, s1, s2 < 1"),
+        InequalityReport("calderon_zygmund", exact_bound=False,
+                         note="||R^perp theta||_Lp <= C(p) ||theta||_Lp"),
+        InequalityReport("calderon_zygmund_p2", note="p=2 multiplier isometry: ratio = 1 to 1e-12"),
+        InequalityReport("directional_control",
+                         note="|||grad|^a f|| <= ||f|| + |||d1|^a f|| + |||d2|^b f||, a <= b"),
+        InequalityReport("directional_interpolation",
+                         note="|||d2|^a f|| <= ||f||^(1-z) |||d2|^b f||^z, z = a/b"),
+    )}
     a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
     swap_axes = p.alpha > p.beta
 

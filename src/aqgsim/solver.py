@@ -295,23 +295,20 @@ class PicardReport:
     theta0_norm: float
     existence_horizon: float
     within_guaranteed_horizon: bool
-    constants: ConstantsTable
-    weighted_existence_horizon: float | None = None
     weighted_trace: list[GevreyNorm] | None = None
     weight_domination_slack: float | None = None
     note: str = ""
 
 
 def weight_domination_slack(p: DissipParams, T: float, grid: GridSpec) -> float:
-    """max over retained modes and 64 times t in [0, T] of (t/2)B(k) - t A(k) - t.
+    """max over retained modes and times t in [0, T] of (t/2)B(k) - t A(k) - t.
 
     Nonpositive iff the weighted semigroup obeys exp((t/2)B - tA) <= e^t mode-wise
-    (exact when mu = nu = 1, from A - B >= -2).
+    (exact when mu = nu = 1, from A - B >= -2). It is t x, x = max(0.5 B - A - 1),
+    so it peaks at t = T or at t = 0, where 0.0 * x keeps the sign of zero.
     """
-    A = dissipation_multiplier(grid, p)
-    B = gevrey_multiplier(grid, p)
-    ts = np.linspace(0.0, T, 64)[:, None, None]
-    return float(np.max(ts * (0.5 * B - A - 1.0)))
+    x = float(np.max(0.5 * gevrey_multiplier(grid, p) - dissipation_multiplier(grid, p) - 1.0))
+    return max(0.0 * x, T * x)
 
 
 def picard_solve(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
@@ -335,7 +332,6 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     s = p.s
     norm0 = sobolev_norm(theta0, s)
     horizon = existence_time(norm0, p, c, weighted=weighted)
-    weighted_horizon = horizon if weighted else None
     within = cfg.T <= horizon * (1.0 + 1e-12)
     note = ""
     if not within:
@@ -351,8 +347,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         ball = BallCheck(0.0, 0.0, True,
                          weighted_sup=0.0 if weighted else None,
                          weighted_within=True if weighted else None)
-        return PicardReport(True, 0, [], [], ball, traj, 0.0, horizon, within, c,
-                            weighted_existence_horizon=weighted_horizon,
+        return PicardReport(True, 0, [], [], ball, traj, 0.0, horizon, within,
                             weighted_trace=[GevreyNorm(0.0, False, None)] * cfg.n_nodes
                             if weighted else None, note=note)
 
@@ -399,8 +394,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                      weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
                      if weighted else None)
     return PicardReport(converged, len(distances), distances, ratios, ball, traj, norm0,
-                        horizon, within, c, weighted_existence_horizon=weighted_horizon,
-                        weighted_trace=wtrace, weight_domination_slack=wslack, note=note)
+                        horizon, within, weighted_trace=wtrace,
+                        weight_domination_slack=wslack, note=note)
 
 
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
@@ -516,8 +511,6 @@ class DiagnosticsTrace:
     dt: list[float] = dc_field(default_factory=list)
     gevrey_saturated: list[bool] = dc_field(default_factory=list)
     diss_integral: list[float] = dc_field(default_factory=list)
-    aborted: bool = False
-    abort_reason: str | None = None
 
     CSV_HEADER = "t,l2,hs,h2,gevrey_hs,diss1,diss2,max_u,dt"
 
@@ -544,8 +537,7 @@ class EvolveResult:
 
 def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *,
            nonlinear: bool = True, rtol: float = 1e-8, atol: float = 1e-12,
-           dt_init: float | None = None, dt_max: float | None = None,
-           dt_fixed: float | None = None, trace_stride: int = 1,
+           dt_max: float | None = None, dt_fixed: float | None = None, trace_stride: int = 1,
            checkpoint_times=(), on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
     """March the flow to time T with ETDRK4 (Cox & Matthews 2002), exact in the
     linear decay and fourth order in the dealiased nonlinearity, as two half
@@ -554,7 +546,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
 
     An adaptive step costs 11 nonlinear-kernel calls when accepted and 10 when
     rejected, a fixed step 8; the result counts them in `kernel_calls`, after
-    one call for the initial state.
+    one call for the initial state. A non-finite state or H^s error norm ends
+    the march with `aborted` set and the reason in `abort_reason`.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
@@ -617,8 +610,6 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     dt_ceiling = dt_max if dt_max is not None else T
     if dt_fixed is not None:
         dt_prop = dt_fixed
-    elif dt_init is not None:
-        dt_prop = dt_init
     else:
         # the linear factor is exact, so without a nonlinearity any step works
         dt_prop = dt_ceiling if not nonlinear else min(1e-3, dt_ceiling)
@@ -632,8 +623,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
 
     while t < T * (1.0 - 1e-12):
         remaining = T - t
-        dt = dt_prop if dt_fixed is None else dt_fixed
-        dt = min(dt, dt_ceiling)
+        dt = min(dt_prop, dt_ceiling)
         if nonlinear and max_u > 0.0 and dt_fixed is None:
             dt = min(dt, cfl * grid.dx / max_u)
         hit_cp = False
@@ -666,6 +656,9 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
 
         if dt_fixed is None and nonlinear:
             err = float(_hs_norms(fine - etdrk4(c, N_c, *prop_full), grid, s))
+            if not math.isfinite(err):  # no step size can pass this test
+                aborted, reason = True, f"non-finite error norm at t={t + t_offset:.6g}"
+                break
             scale = atol + rtol * float(_hs_norms(fine, grid, s))
             factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
             if err > scale and dt > 1e-13 * max(T, 1.0):
@@ -690,7 +683,6 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
             _record(trace, grid, p, t + t_offset, c, max_u, dt, diss_int)
             steps_since_trace = 0
 
-    trace.aborted, trace.abort_reason = aborted, reason
     return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason,
                         rejected, accepted, kernel_calls)
 

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aqgsim.checkpoint import CheckpointFormatError, read_checkpoint, write_checkpoint
+from aqgsim.checkpoint import (CheckpointError, CheckpointFormatError, read_checkpoint,
+                               write_checkpoint)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 
 
@@ -80,6 +82,58 @@ def test_non_finite_header_value_rejected(state, params, tmp_path, name, index, 
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match=f"non-finite {name} "):
         read_checkpoint(path)
+
+
+HEADER = struct.Struct("<4sIII6d")
+
+
+def _raw_checkpoint(n1, n2, alpha=0.75, body=None):
+    """Bytes of a correctly sized v1 file; the body defaults to the zero state."""
+    body = np.zeros((n1, n2), dtype="<c16") if body is None else body
+    return HEADER.pack(b"AQGS", 1, n1, n2, alpha, 0.75, 1.0, 1.0, 1.0, 0.0) + body.tobytes()
+
+
+def _non_hermitian_body():
+    body = np.zeros((8, 8), dtype="<c16")
+    body[1, 0] = 1.0
+    return body
+
+
+@pytest.mark.parametrize("raw, cause", [
+    (_raw_checkpoint(3, 8), "n1 must be even"),
+    (_raw_checkpoint(8, 8, alpha=5.0), "alpha must lie in"),
+    (_raw_checkpoint(8, 8, body=_non_hermitian_body()), "not Hermitian-symmetric"),
+], ids=["n1=3", "alpha=5", "non-Hermitian"])
+def test_invalid_content_of_well_sized_file_rejected(tmp_path, raw, cause):
+    path = tmp_path / "state.aqgs"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError, match=f"corrupt checkpoint: .*{cause}"):
+        read_checkpoint(path)
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    """Arbitrary bytes, or a v1-shaped header (any sizes and values) and any body."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=256))
+    n1, n2 = (draw(st.integers(0, 12) | st.integers(0, 2**32 - 1)) for _ in range(2))
+    header = HEADER.pack(draw(st.sampled_from([b"AQGS", b"AQGZ"])), draw(st.sampled_from([1, 2])),
+                         n1, n2, *(draw(st.floats(0.1, 0.9) | st.floats()) for _ in range(6)))
+    size = 16 * n1 * n2 if n1 * n2 <= 144 else 0
+    body = draw(st.just(bytes(size)) | st.binary(min_size=size, max_size=size)
+                | st.binary(max_size=size + 32))
+    return header + body
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(checkpoint_bytes())
+def test_any_bytes_read_as_checkpoint_or_checkpoint_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "property.aqgs"
+    path.write_bytes(raw)
+    try:
+        read_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_missing_file_rejected(tmp_path):

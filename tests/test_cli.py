@@ -3,11 +3,14 @@
 import json
 import math
 import struct
+import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqgsim.cli import main
-from aqgsim.config import ConfigError, validate_config
+from aqgsim.config import DEFAULTS, ConfigError, RunConfig, validate_config
 
 BASE = {
     "grid": {"n1": 32, "n2": 32},
@@ -60,6 +63,32 @@ def test_validate_rejects_non_finite_numbers():
     with pytest.raises(ConfigError, match="finite"):
         validate_config({"init": {"kind": "modes", "modes": [{"k": [1, 0],
                                                               "amplitude": math.nan}]}})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["random", "modes", "file", "hs", "l2", "calibrate", "explicit", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "amplitude", "phase", "x"]), inner, max_size=3),
+    max_leaves=8)
+
+
+def config_documents():
+    """Any JSON value, or an object whose sections hold known keys with any JSON values."""
+    sections = {name: st.dictionaries(st.sampled_from([*keys, "x"]), JSON_VALUES,
+                                      max_size=len(keys))
+                for name, keys in DEFAULTS.items()}
+    return JSON_VALUES | st.fixed_dictionaries({}, optional=sections)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(config_documents())
+def test_any_json_document_is_a_config_or_a_config_error(doc):
+    try:
+        cfg = validate_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 @pytest.mark.parametrize("command, overrides, key", [
@@ -147,24 +176,40 @@ def test_simulate_solver_abort_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("picard", {"params": {"s": 400.0}}),
-    ("picard", {"params": {"s": -50.0}}),
-    ("picard", {"params": {"alpha": 1e-300}}),
-    ("simulate", {"init": {"spectrum_slope": -1e6}}),
-], ids=["s=400", "s=-50", "alpha=1e-300", "spectrum_slope=-1e6"])
-def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, overrides):
-    # a scalar power of each input overflows a float; that must end in an exit code
+@pytest.mark.parametrize("command, overrides, rc, key", [
+    ("picard", {"params": {"s": 400.0}}, 1, "params.s"),
+    ("picard", {"params": {"s": -5000.0}}, 1, "params.s"),
+    ("picard", {"params": {"s": 10**400}}, 1, "params.s"),
+    ("picard", {"params": {"s": -50.0}}, 0, None),
+    ("picard", {"params": {"alpha": 1e-300}}, 0, None),
+    ("simulate", {"init": {"spectrum_slope": -1e6}}, 1, "init.spectrum_slope"),
+], ids=["s=400", "s=-5000", "s=1e400", "s=-50", "alpha=1e-300", "spectrum_slope=-1e6"])
+def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, overrides,
+                                                     rc, key):
+    # a scalar power of each input leaves the float range; that must end in an exit
+    # code, and where it makes the run meaningless, in a config error naming the key
     small = {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5}, "lemmas": {"kmax": 5},
              "constants": {"mode": "calibrate", "samples": 2}, "picard": {"n_nodes": 8}}
     for section, values in overrides.items():
         small[section] = {**small.get(section, {}), **values}
     cfg = write_config(tmp_path, small)
-    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc in range(5)
-    if "init" in overrides:
-        assert rc == 1
-        assert "init.spectrum_slope" in capsys.readouterr().err
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == rc
+    if key is not None:
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s, mode, ok", [(146.0, "explicit", True), (147.0, "explicit", False),
+                                         (93.0, "calibrate", True), (94.0, "calibrate", False)])
+def test_params_s_bounded_by_run_and_calibration_grids(s, mode, ok):
+    """(1+|k|^2)^s stays a float at the 16^2 corner |k|^2 = 128 up to s = 146, and
+    at the 64^2 calibration corner |k|^2 = 2048 up to s = 93."""
+    doc = {"grid": {"n1": 16, "n2": 16}, "params": {"s": s}, "init": {"kmax": 5},
+           "lemmas": {"kmax": 5}, "constants": BASE["constants"] | {"mode": mode}}
+    if ok:
+        validate_config(doc)
+    else:
+        with pytest.raises(ConfigError, match="params.s"):
+            validate_config(doc)
 
 
 def test_simulate_from_checkpoint_file(tmp_path):
@@ -387,6 +432,32 @@ def test_sweep_threads_deterministic(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--threads", "3"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_threaded_sweep_leaves_warning_filters_unchanged(tmp_path):
+    """The filter list is process-wide; worker threads must not swap it."""
+    cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5},
+                                  "lemmas": {"kmax": 5}})
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(10):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"w{i}"),
+                         "--threads", "4"]) == 0
+            assert warnings.filters == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sweep_unbuildable_initial_field_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16},
+                                  "init": {"kind": "modes", "kmax": 5, "modes": [{"k": [40, 0]}]},
+                                  "lemmas": {"kmax": 5}})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 1
+    assert "outside retained wavenumbers" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def _sweep_with_failing_evolve(tmp_path, monkeypatch, exc_type):

@@ -482,7 +482,17 @@ def test_evolve_aborts_on_overflow(grid32, params_sym):
     assert res.aborted
     assert "non-finite" in res.abort_reason
     assert np.all(np.isfinite(res.final.coeffs.view(np.float64)))
-    assert res.trace.aborted
+
+
+def test_evolve_aborts_on_non_finite_error_norm(grid32):
+    """(1+|k|^2)^400 overflows, so the H^s error norm is NaN: abort at once rather
+    than accept every step while dt collapses."""
+    theta0 = unit_random_field(grid32, 3, 0.0)
+    with np.errstate(all="ignore"):
+        res = evolve(theta0, 0.1, DissipParams(0.75, 0.75, s=400.0))
+    assert res.aborted
+    assert res.abort_reason == "non-finite error norm at t=0"
+    assert res.accepted_steps == res.rejected_steps == 0
 
 
 def test_phi_functions_match_decimal_reference():
@@ -517,8 +527,8 @@ def test_evolve_fourth_order_self_convergence(grid64, params):
 def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
     """Accepted steps cost 11 kernel calls, rejected ones 10, fixed steps 8."""
     theta0 = unit_random_field(grid32, 3, 0.0)
-    # an oversized first step forces rejections
-    res = evolve(theta0, 0.02, params, dt_init=0.02)
+    # a tolerance this tight rejects at least one step
+    res = evolve(theta0, 0.02, params, rtol=1e-12, atol=0.0)
     assert res.accepted_steps == len(res.trace.t) - 1
     assert res.rejected_steps > 0
     assert res.kernel_calls == len(kernel_calls)
