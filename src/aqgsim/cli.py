@@ -31,6 +31,8 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 EXIT_VIOLATION = 4
 
+SEEDED_COMMANDS = ("simulate", "picard", "sweep")  # the subcommands that read init.seed
+
 
 def _fmt(v) -> str:
     if v is None:
@@ -283,7 +285,8 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override init.seed")
+        if name in SEEDED_COMMANDS:
+            p.add_argument("--seed", type=int, default=None, help="override init.seed")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="concurrent sweep points")
@@ -301,7 +304,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if args.command in SEEDED_COMMANDS and args.seed is not None:
             cfg.init["seed"] = args.seed
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -153,6 +153,13 @@ def validate_config(data: dict) -> RunConfig:
             _require(isinstance(k, list) and len(k) == 2
                      and all(isinstance(v, int) for v in k), f"{path}.k",
                      "must be a pair of integers")
+            halves = (g["n1"] // 2, g["n2"] // 2)
+            _require(all(abs(v) <= h for v, h in zip(k, halves)), f"{path}.k",
+                     f"{k} outside retained wavenumbers |k1| <= {halves[0]}, "
+                     f"|k2| <= {halves[1]} of the {g['n1']}x{g['n2']} grid")
+            # k = -k on the grid: a sine there has no conjugate partner
+            _require(not all(abs(v) in (0, h) for v, h in zip(k, halves)), f"{path}.k",
+                     f"{k} is a self-conjugate mode of the {g['n1']}x{g['n2']} grid")
             _require(_is_num(m.get("amplitude", 1.0)), f"{path}.amplitude",
                      "must be a number")
             _require(_is_num(m.get("phase", 0.0)), f"{path}.phase", "must be a number")

@@ -14,7 +14,8 @@ fill, `full_spectrum`, which the nonlinear kernel also calls on its half-spectru
 result: the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0
 and k2 = -n2/2) is an exact conjugate copy of the other half, and the four
 self-conjugate modes are real. Multipliers even in k keep that symmetry exact,
-so no caller repairs it after an operation.
+so no caller repairs it after an operation; `hermitian_defect` measures how far
+an array is from its own fill.
 """
 
 from __future__ import annotations
@@ -121,13 +122,14 @@ def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
     return w
 
 
-def reflected_conj(coeffs: np.ndarray) -> np.ndarray:
-    """Return the array c'(k) = conj(c(-k)) in the same FFT ordering."""
-    return np.conj(np.roll(np.flip(coeffs, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
-
-
 def hermitian_defect(coeffs: np.ndarray) -> float:
-    return float(np.max(np.abs(coeffs - reflected_conj(coeffs))))
+    """max_k |c(k) - conj(c(-k))|, from the residual of the Hermitian fill of the
+    k2 >= 0 half. A pair k, -k has one residual of that size on the filled side;
+    a self-conjugate mode's residual is i Im c, half its defect, so it is doubled."""
+    grid = GridSpec(*coeffs.shape)
+    r = coeffs - full_spectrum(coeffs[:, :grid.n2 // 2 + 1], grid)
+    r[::grid.n1 // 2, ::grid.n2 // 2] *= 2.0
+    return float(np.max(np.abs(r)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ march with step-doubling error control, and checkpoint-based continuation.
 
 The fixed-point map is psi(theta) = L0 - B(theta, theta) on a uniform time grid,
 with L0 the semigroup trajectory of the initial data and B the Duhamel integral
-of the dealiased nonlinearity, discretized by the trapezoid rule.
+of the dealiased nonlinearity, discretized by the trapezoid rule in
+`_duhamel_sum`, which calibration also runs, once per horizon, on all-ones input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import GridSpec, SpectralField, sobolev_weight
-from .norms import GevreyNorm, _gevrey_norm, _hs_norms, sobolev_norm
+from .lemmas import FieldEnsembleSpec, random_band_limited_field
+from .norms import GevreyNorm, _gevrey_norm, _hs_norm, _hs_norms, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
                         symbol_multipliers, _nonlinear_raw, _velocity)
 
@@ -217,22 +219,6 @@ def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> n
     return out
 
 
-def _constant_duhamel_last(N: np.ndarray, n_nodes: int, dt: float, grid: GridSpec,
-                           p: DissipParams) -> np.ndarray:
-    """Last node of `_duhamel_sum` for N[j] = N at every one of n_nodes nodes.
-
-    The recursion's increment (dt/2)(E N + N) is then the same at every step, so
-    it is formed once; the remaining steps are the same floating-point operations
-    in the same order, with no node stack.
-    """
-    E = np.exp(-dt * dissipation_multiplier(grid, p))
-    inc = 0.5 * dt * (E * N + N)
-    out = np.zeros(N.shape, dtype=np.complex128)
-    for _ in range(n_nodes - 1):
-        out = E * out + inc
-    return out
-
-
 def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> Trajectory:
     """B(theta1, theta2): trapezoid-in-time Duhamel integral of the nonlinearity."""
     if traj1.grid != traj2.grid:
@@ -292,8 +278,6 @@ class PicardReport:
     contraction_ratios: list[float]
     ball_radius_check: BallCheck
     trajectory: Trajectory
-    theta0_norm: float
-    existence_horizon: float
     within_guaranteed_horizon: bool
     weighted_trace: list[GevreyNorm] | None = None
     weight_domination_slack: float | None = None
@@ -347,7 +331,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         ball = BallCheck(0.0, 0.0, True,
                          weighted_sup=0.0 if weighted else None,
                          weighted_within=True if weighted else None)
-        return PicardReport(True, 0, [], [], ball, traj, 0.0, horizon, within,
+        return PicardReport(True, 0, [], [], ball, traj, within,
                             weighted_trace=[GevreyNorm(0.0, False, None)] * cfg.n_nodes
                             if weighted else None, note=note)
 
@@ -393,9 +377,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                      weighted_sup=weighted_sup_all,
                      weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
                      if weighted else None)
-    return PicardReport(converged, len(distances), distances, ratios, ball, traj, norm0,
-                        horizon, within, weighted_trace=wtrace,
-                        weight_domination_slack=wslack, note=note)
+    return PicardReport(converged, len(distances), distances, ratios, ball, traj, within,
+                        weighted_trace=wtrace, weight_domination_slack=wslack, note=note)
 
 
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
@@ -419,42 +402,41 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
     corresponding bilinear estimate over random band-limited field pairs
     (on the 64^2 grid, band |k| <= 10, spectrum |k|^-2, 33 time nodes).
 
+    f and g are constant in time, so the Duhamel sum of their nonlinearity N is
+    W N, with W the all-ones `_duhamel_sum` at the last node; both that sum and
+    exp((t/2)B) grow with t, so every sup over a horizon is its value at t = T.
+
     Deterministic given the seed; sample k of a larger run reuses sample k of a
     smaller one, so enlarging n_samples can only increase the estimates.
     """
-    from .lemmas import FieldEnsembleSpec, random_band_limited_field
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     grid, n_nodes = _CALIBRATION_GRID, _CALIBRATION_NODES
     spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=_CALIBRATION_KMAX,
                              spectrum_slope=_CALIBRATION_SLOPE)
     s = p.s
+    # the last node is copied out so that no (n_nodes, n1, n2) sum outlives its horizon
+    ones = np.broadcast_to(1.0, (n_nodes, *grid.shape))
+    horizons = [(T, _duhamel_sum(ones, T / (n_nodes - 1), grid, p)[-1].copy(),
+                 _power_sum(T, _step1_exponents(p)), _power_sum(T, _step2_exponents(p)),
+                 math.exp(T))
+                for T in _CALIBRATION_HORIZONS]
     ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
     for i in range(n_samples):
         f = random_band_limited_field(spec, 2 * i)
         g = random_band_limited_field(spec, 2 * i + 1)
         nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
-        # f and g are constant in time, so one nonlinear evaluation serves every
-        # node of every horizon
         Nfg, _ = _nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)
-        for T in _CALIBRATION_HORIZONS:
-            times = time_grid(T, n_nodes)
-            # for constant N every mode of the Duhamel sum grows with the node
-            # index, and so does exp((t/2)B): every sup below is at the last node
-            dt = float(times[1] - times[0])
-            B = _constant_duhamel_last(Nfg, n_nodes, dt, grid, p)[None]
-            lhs_plain = float(_hs_norms(B, grid, s)[0])
-            g1 = _power_sum(T, _step1_exponents(p))
-            g2 = _power_sum(T, _step2_exponents(p))
+        for T, W_T, g1, g2, eT in horizons:
+            B = W_T * Nfg
+            lhs_plain = _hs_norm(B, grid, s)
             ratios["C1"] = max(ratios["C1"], lhs_plain / (g1 * nf * ng))
             if g2 > 0.0:
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             # weighted form: weight both the output and the input factors
-            lhs_w = _weighted_sup(grid, times[-1:], B, p, s)
-            nfw = _weighted_sup(grid, times[-1:], f.coeffs[None], p, s)
-            ngw = _weighted_sup(grid, times[-1:], g.coeffs[None], p, s)
-            eT = math.exp(T)
+            lhs_w = _gevrey_norm(B, grid, T, s, p).value
+            nfw = _gevrey_norm(f.coeffs, grid, T, s, p).value
+            ngw = _gevrey_norm(g.coeffs, grid, T, s, p).value
             ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
                 ratios["C4"] = max(ratios["C4"], lhs_w / (eT * g2 * nfw * ngw))

@@ -4,7 +4,9 @@ import json
 import math
 import struct
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,40 @@ def test_duplicate_checkpoint_times_exit_1(tmp_path, capsys):
 def test_validate_explicit_constants_required():
     with pytest.raises(ConfigError, match="constants.C2"):
         validate_config({"constants": {"mode": "explicit", "C1": 1.0}})
+
+
+@pytest.mark.parametrize("shape, k, message", [
+    ((16, 16), [40, 0], "outside retained wavenumbers"),
+    ((16, 16), [0, -9], "outside retained wavenumbers"),
+    ((16, 24), [9, 12], "outside retained wavenumbers"),
+    ((16, 16), [0, 0], "self-conjugate"),
+    ((16, 16), [8, 0], "self-conjugate"),
+    ((16, 16), [0, -8], "self-conjugate"),
+    ((16, 16), [-8, 8], "self-conjugate"),
+    ((16, 24), [8, -12], "self-conjugate"),
+])
+def test_init_mode_k_validated(tmp_path, capsys, shape, k, message):
+    """A mode beyond n/2 is not on the grid, and a self-conjugate one (each
+    component 0 or n/2) has no conjugate partner to make a sine real."""
+    grid = {"n1": shape[0], "n2": shape[1]}
+    modes = [{"k": [1, 2]}, {"k": k}]
+    with pytest.raises(ConfigError) as err:
+        validate_config({"grid": grid, "init": {"kind": "modes", "kmax": 5, "modes": modes},
+                         "lemmas": {"kmax": 5}})
+    assert err.value.path == "init.modes[1].k" and message in str(err.value)
+    cfg = write_config(tmp_path, {"grid": grid, "init": {"kind": "modes", "modes": modes,
+                                                          "kmax": 5},
+                                  "lemmas": {"kmax": 5}})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "init.modes[1].k" in err and message in err
+
+
+@pytest.mark.parametrize("k", [[8, 3], [-8, 3]])
+def test_init_mode_on_nyquist_row_runs(tmp_path, k):
+    cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16}, "lemmas": {"kmax": 5},
+                                  "init": {"kind": "modes", "kmax": 5, "modes": [{"k": k}]}})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +527,84 @@ def test_sweep_numerical_failure_is_a_nan_row(tmp_path, monkeypatch, capsys):
 def test_sweep_programming_error_propagates(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="injected failure"):
         _sweep_with_failing_evolve(tmp_path, monkeypatch, TypeError)
+
+
+# ---------------------------------------------------------------------------
+# argument handling
+# ---------------------------------------------------------------------------
+
+
+def test_seed_flag_only_on_subcommands_that_read_init_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim), "--seed", "5"]) == 0
+    assert json.loads((sim / "config.json").read_text())["init"]["seed"] == 5
+    capsys.readouterr()
+    for command, extra in (("lemmas", []), ("gevrey", ["--traj", str(sim)])):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "5",
+                     *extra]) == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@st.composite
+def bounded_runs(draw):
+    """A subcommand and a config of small size: grids <= 32^2, <= 2 calibration
+    samples, <= 8 Picard nodes, <= 2 lemma samples, T <= 0.02. Mode wavenumbers
+    range over [-40, 40]^2, so many are off the grid or self-conjugate."""
+    command = draw(st.sampled_from(["simulate", "picard", "lemmas", "sweep", "gevrey"]))
+    side = st.sampled_from([8, 16, 24, 32])
+    unit = st.floats(0.05, 0.95)
+    small_t = st.floats(1e-4, 0.02)
+    modes = st.lists(st.fixed_dictionaries(
+        {"k": st.lists(st.integers(-4, 4) | st.integers(-40, 40), min_size=2, max_size=2)},
+        optional={"amplitude": st.floats(-2.0, 2.0), "phase": st.floats(-4.0, 4.0)}),
+        min_size=1, max_size=3)
+    doc = {
+        "grid": {"n1": draw(side), "n2": draw(side)},
+        "params": {"alpha": draw(unit), "beta": draw(unit), "mu": draw(st.floats(0.1, 3.0)),
+                   "nu": draw(st.floats(0.1, 3.0)), "s": draw(st.floats(-1.0, 3.0))},
+        "init": {"kind": draw(st.sampled_from(["random", "modes"])),
+                 "seed": draw(st.integers(0, 9)), "kmax": draw(st.integers(1, 2)),
+                 "spectrum_slope": draw(st.floats(-1.0, 4.0)),
+                 "amplitude": draw(st.floats(-3.0, 3.0)),
+                 "normalize": draw(st.sampled_from([None, "hs", "l2"])),
+                 "modes": draw(modes)},
+        "time": {"T": draw(small_t), "dt_fixed": draw(st.none() | st.floats(1e-3, 0.01))},
+        "picard": {"n_nodes": draw(st.integers(2, 8)), "max_iter": draw(st.integers(1, 5)),
+                   "weighted": draw(st.booleans()), "T": draw(st.none() | small_t)},
+        "constants": draw(st.sampled_from([
+            {"mode": "calibrate", "samples": 1}, {"mode": "calibrate", "samples": 2},
+            BASE["constants"]])),
+        "lemmas": {"count": draw(st.integers(1, 2)), "kmax": draw(st.integers(1, 2)),
+                   "grid_density": draw(st.integers(10, 20))},
+        "sweep": {"alphas": draw(st.lists(unit, min_size=1, max_size=2)),
+                  "betas": draw(st.lists(unit, min_size=1, max_size=2)),
+                  "T_short": draw(small_t)},
+    }
+    seed = draw(st.none() | st.integers(0, 9)) if command in ("simulate", "picard",
+                                                               "sweep") else None
+    return command, doc, seed
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(bounded_runs())
+def test_cli_on_bounded_inputs_exits_0_to_4(run):
+    """No input ends in a traceback: every run returns one of the exit codes."""
+    command, doc, seed = run
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tmp = Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["--config", str(cfg), "--out", str(tmp / "out")]
+        if command == "gevrey":
+            assert main(["simulate", *argv[:2], "--out", str(tmp / "sim")]) in range(5)
+            argv += ["--traj", str(tmp / "sim")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main([command, *argv]) in range(5)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,32 @@ def test_hermitian_rejected(grid32):
         SpectralField(grid32, c)
 
 
+def reflected_copy_defect(c):
+    """max_k |c(k) - conj(c(-k))|, reading c(-k) off a copy with both indices negated."""
+    n1, n2 = c.shape
+    minus_k = c[-np.arange(n1) % n1][:, -np.arange(n2) % n2]
+    return float(np.max(np.abs(c - np.conj(minus_k))))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 24), (32, 48), (48, 16), (64, 64), (128, 128)])
+def test_hermitian_defect_matches_reflected_copy(shape):
+    """Bitwise equal to the reflected-copy formula on random arrays, on Hermitian
+    arrays perturbed at any mode, and at each of the four self-conjugate modes."""
+    grid = GridSpec(*shape)
+    rng = np.random.default_rng(shape)
+    arrays_ = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
+    base = field_from_values(grid, random_real_grid(grid, 5)).coeffs
+    for i, j in [*zip(rng.integers(0, shape[0], 12), rng.integers(0, shape[1], 12)),
+                 *((i, j) for i in (0, shape[0] // 2) for j in (0, shape[1] // 2))]:
+        for delta in (1e-9, 1e-13j, 0.3 - 0.2j):
+            c = base.copy()
+            c[i, j] += delta
+            arrays_.append(c)
+    for c in arrays_:
+        assert hermitian_defect(c) == reflected_copy_defect(c)
+    assert hermitian_defect(base) == reflected_copy_defect(base) == 0.0
+
+
 def test_immutability(grid32):
     f = sine_field(grid32, (1, 0))
     with pytest.raises(ValueError):

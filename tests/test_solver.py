@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from aqgsim.grid import GridSpec, field_from_modes, sine_field, zero_field
+from aqgsim.grid import GridSpec, SpectralField, field_from_modes, sine_field, zero_field
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
@@ -326,58 +326,51 @@ def test_calibration_one_kernel_call_per_field_pair(params_sym, kernel_calls):
 
 @pytest.mark.parametrize("p", [DissipParams(0.75, 0.75, s=1.0),
                                DissipParams(0.6, 0.9, s=1.2)])
-def test_calibration_weighted_input_sup_matches_full_loop(p, monkeypatch):
-    """Calibration accumulates each Duhamel sum of its constant nonlinearity to
-    the last node without the node stack, and takes every sup over a horizon at
-    that node: the weighted sups of the constant inputs, and the plain and
-    weighted sups of the sum. The accumulation is bitwise the last node of the
-    full 33-node sum, each sup is bitwise the sup over all 33 nodes, and so are
-    C1..C4."""
+def test_calibration_weighted_input_sup_matches_full_loop(p):
+    """Calibration takes the Duhamel sum of its constant nonlinearity N at the
+    last node as W_T N, with W_i the node-i value of the all-ones Duhamel sum, and
+    every sup over a horizon at t = T. Evaluated over all 33 nodes instead: the
+    plain and weighted sups of W_i N are at the last node, the Gevrey norms of f
+    and g at T are their maxima over the node times, and C1..C4 and the max
+    ratios come out bitwise the same. W_T N agrees with the last node of the
+    Duhamel sum of the constant N stack to rounding."""
     import aqgsim.solver as solver
 
-    last, duhamel = solver._constant_duhamel_last, solver._duhamel_sum
-    hs, loop = solver._hs_norms, solver._weighted_sup
-    sums, accumulated = [], []
-
-    def full_sum(N, n_nodes, dt, grid, p):
-        sums.append(duhamel(np.broadcast_to(N, (n_nodes, *grid.shape)), dt, grid, p))
-        return sums[-1][-1]
-
-    def recording(N, n_nodes, dt, grid, p):
-        full_sum(N, n_nodes, dt, grid, p)
-        accumulated.append(last(N, n_nodes, dt, grid, p))
-        return accumulated[-1]
-
-    monkeypatch.setattr(solver, "_constant_duhamel_last", recording)
-    fast = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
-    grid = GridSpec(64, 64)
-    horizons = solver._CALIBRATION_HORIZONS * 3
-    assert len(sums) == len(accumulated) == len(horizons)
-    for T, B, acc in zip(horizons, sums, accumulated):
-        assert B.shape == (33, *grid.shape)
-        assert acc.tobytes() == B[-1].tobytes()
-        times = time_grid(T, 33)
-        assert hs(B[-1:], grid, p.s)[0] == np.max(hs(B, grid, p.s))
-        assert loop(grid, times[-1:], B[-1:], p, p.s) == loop(grid, times, B, p, p.s)
-
-    def hs_every_node(stack, grid, s):
-        if np.shares_memory(stack, sums[-1]):  # the last node of a Duhamel sum
-            return np.max(hs(sums[-1], grid, s), keepdims=True)
-        return hs(stack, grid, s)
-
-    def every_node(grid, times, coeffs, p, s):
-        if len(times) == 1:  # a last-node sup: take it over all 33 nodes again
-            times = time_grid(float(times[0]), 33)
-            coeffs = (sums[-1] if np.shares_memory(coeffs, sums[-1])
-                      else np.broadcast_to(coeffs[0], (33, *grid.shape)))
-        return loop(grid, times, coeffs, p, s)
-
-    monkeypatch.setattr(solver, "_constant_duhamel_last", full_sum)
-    monkeypatch.setattr(solver, "_hs_norms", hs_every_node)
-    monkeypatch.setattr(solver, "_weighted_sup", every_node)
-    full = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
-    assert fast[0] == full[0]
-    assert fast[1]["max_ratios"] == full[1]["max_ratios"]
+    fast_table, fast = calibrate_constants(p, n_samples=3, seed=4, return_details=True)
+    grid, s, n = GridSpec(64, 64), p.s, 33
+    spec = FieldEnsembleSpec(grid, seed=4, count=6, kmax=10, spectrum_slope=2.0)
+    ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
+    for i in range(3):
+        f = random_band_limited_field(spec, 2 * i)
+        g = random_band_limited_field(spec, 2 * i + 1)
+        nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
+        N = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)[0]
+        for T in solver._CALIBRATION_HORIZONS:
+            times = time_grid(T, n)
+            W = solver._duhamel_sum(np.ones((n, *grid.shape)), times[1], grid, p)
+            stack = W * N
+            reference = solver._duhamel_sum(np.broadcast_to(N, stack.shape), times[1], grid, p)
+            assert np.all(np.abs(stack[-1] - reference[-1]) <= 1e-14 * np.abs(reference[-1]))
+            plain = _hs_norms(stack, grid, s)
+            weighted = [gevrey_weighted_norm(SpectralField(grid, c), t, s, p).value
+                        for c, t in zip(stack, times)]
+            assert np.max(plain) == plain[-1] and max(weighted) == weighted[-1]
+            nfw, ngw = (max(gevrey_weighted_norm(h, t, s, p).value for t in times)
+                        for h in (f, g))
+            assert nfw == gevrey_weighted_norm(f, T, s, p).value
+            assert ngw == gevrey_weighted_norm(g, T, s, p).value
+            g1 = solver._power_sum(T, solver._step1_exponents(p))
+            g2 = solver._power_sum(T, solver._step2_exponents(p))
+            eT = math.exp(T)
+            found = {"C1": float(np.max(plain)) / (g1 * nf * ng),
+                     "C3": max(weighted) / (eT * g1 * nfw * ngw)}
+            if g2 > 0.0:
+                found.update(C2=float(np.max(plain)) / (g2 * nf * ng),
+                             C4=max(weighted) / (eT * g2 * nfw * ngw))
+            for name, ratio in found.items():
+                ratios[name] = max(ratios[name], ratio)
+    assert fast["max_ratios"] == ratios
+    assert fast_table == ConstantsTable(*(2.0 * max(ratios[k], 1e-12) for k in ratios))
 
 
 def _bare_product_sup(grid, times, coeffs, p, s):
