@@ -121,22 +121,26 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     T1 = existence_time(norm0, p, table, weighted=True)
     pc = cfg.picard
     weighted = pc["weighted"]
+    if pc["T"] is not None and pc["T"] > T0 * (1.0 + 1e-12):
+        raise ConfigError("picard.T", f"{_fmt(pc['T'])} exceeds the existence time "
+                                      f"T0 = {_fmt(T0)}")
 
-    def pick_T(horizon):
-        T = pc["T"] if pc["T"] is not None else horizon
-        return 1.0 if math.isinf(T) else T  # zero data: any horizon works
+    def horizon(H):  # picard.T caps a block's existence time H; zero data (H = inf) takes 1.0
+        T = H if pc["T"] is None else min(pc["T"], H)
+        return 1.0 if math.isinf(T) else T
 
     def solve_config(T):
         return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"], tol=pc["tol"])
 
-    T_plain = pick_T(T0)
-    T_w = min(pick_T(T1), T1)
+    T_plain = horizon(T0)
+    T_w = horizon(T1)
+    # an empty smallness-condition set (possible off the symmetric axis when
+    # s >= 1, or from the weighted e^T factor) is a finding, not a crash
+    no_horizon = "existence conditions admit no positive horizon"
     lines = [f"regime = {p.regime}", f"theta0_hs = {_fmt(norm0)}", f"T0 = {_fmt(T0)}",
              f"T1 = {_fmt(T1)}"]
     if T_plain <= 0.0:
-        # empty smallness-condition set (possible off the symmetric axis when
-        # s >= 1); a finding, not a crash
-        lines += ["converged = false", "note = existence conditions admit no positive horizon"]
+        lines += ["converged = false", f"note = {no_horizon}"]
         (out_dir / "picard_report.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
     # the Gevrey weight is a norm measured on the iterates, not a part of the
@@ -159,7 +163,10 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     ]
     if rep.note:
         lines.append(f"note = {rep.note}")
-    if weighted:
+    if weighted and T_w <= 0.0:
+        lines += [f"weighted_T = {_fmt(T_w)}", "weighted_converged = false",
+                  f"weighted_note = {no_horizon}"]
+    elif weighted:
         wrep = rep if shared else weighted_picard_solve(
             theta0, solve_config(T_w), p, table)
         lines += [

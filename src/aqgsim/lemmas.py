@@ -370,14 +370,13 @@ def _directional_checks(reps, f: SpectralField, p: DissipParams, a: float, b: fl
     ax1, ax2 = (2, 1) if swap_axes else (1, 2)
     grad_a = SpectralField(f.grid, sobolev_weight(f.grid, a / 2.0, True) * f.coeffs)
     for s in (0.0, p.s, 1.0):
+        norm_s, seminorm_b = sobolev_norm(f, s, True), directional_seminorm(f, ax2, b, s)
         lhs = sobolev_norm(grad_a, s, homogeneous=True)
-        rhs = (sobolev_norm(f, s, True)
-               + directional_seminorm(f, ax1, a, s)
-               + directional_seminorm(f, ax2, b, s))
+        rhs = norm_s + directional_seminorm(f, ax1, a, s) + seminorm_b
         _ratio_update(reps["directional_control"], lhs, rhs, {"sample": i, "s": s})
         z = a / b
         lhs2 = directional_seminorm(f, ax2, a, s)
-        rhs2 = sobolev_norm(f, s, True) ** (1 - z) * directional_seminorm(f, ax2, b, s) ** z
+        rhs2 = norm_s ** (1 - z) * seminorm_b ** z
         _ratio_update(reps["directional_interpolation"], lhs2, rhs2,
                       {"sample": i, "s": s, "z": z})
 

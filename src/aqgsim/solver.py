@@ -246,11 +246,13 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
 
 @dataclass(frozen=True)
 class PicardConfig:
+    """One solve's horizon T (positive; the solve rejects one beyond the existence
+    time), time nodes, iteration cap and H^s distance tolerance."""
+
     T: float
     n_nodes: int = 64
     max_iter: int = 60
     tol: float = 1e-10
-    allow_beyond_horizon: bool = False
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -278,7 +280,6 @@ class PicardReport:
     contraction_ratios: list[float]
     ball_radius_check: BallCheck
     trajectory: Trajectory
-    within_guaranteed_horizon: bool
     weighted_trace: list[GevreyNorm] | None = None
     weight_domination_slack: float | None = None
     note: str = ""
@@ -310,40 +311,30 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig, p: DissipPar
 
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    c: ConstantsTable, weighted: bool) -> PicardReport:
+    """Raises ValueError for a cfg.T beyond the existence time (relative slack
+    1e-12). Three distance growths in a row end the run as "diverging distances";
+    zero data is its own fixed point, converged with no iterations."""
     if not theta0.is_mean_zero:
         raise ValueError("picard_solve requires mean-zero initial data")
     grid = theta0.grid
     s = p.s
     norm0 = sobolev_norm(theta0, s)
     horizon = existence_time(norm0, p, c, weighted=weighted)
-    within = cfg.T <= horizon * (1.0 + 1e-12)
-    note = ""
-    if not within:
-        if not cfg.allow_beyond_horizon:
-            raise ValueError(
-                f"requested horizon T={cfg.T} exceeds guaranteed existence time "
-                f"{horizon:.6g}; set allow_beyond_horizon to override")
-        note = "outside guaranteed ball"
+    if cfg.T > horizon * (1.0 + 1e-12):
+        raise ValueError(f"requested horizon T={cfg.T} exceeds guaranteed existence time "
+                         f"{horizon:.6g}")
 
     times = time_grid(cfg.T, cfg.n_nodes)
-    if norm0 == 0.0:
-        traj = constant_trajectory(theta0, times)
-        ball = BallCheck(0.0, 0.0, True,
-                         weighted_sup=0.0 if weighted else None,
-                         weighted_within=True if weighted else None)
-        return PicardReport(True, 0, [], [], ball, traj, within,
-                            weighted_trace=[GevreyNorm(0.0, False, None)] * cfg.n_nodes
-                            if weighted else None, note=note)
-
     L0 = semigroup_trajectory(theta0, times, p)
     current = L0.coeffs.copy()
     sup_hs_all = float(np.max(_hs_norms(current, grid, s)))
     weighted_sup_all = _weighted_sup(grid, times, current, p, s) if weighted else None
 
     distances: list[float] = []
-    converged = False
+    converged = norm0 == 0.0
+    note = ""
     growth_streak = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(0 if converged else cfg.max_iter):
         traj = Trajectory(grid, times, current)
         new = L0.coeffs - duhamel_bilinear(traj, traj, p).coeffs
         d = float(np.max(_hs_norms(new - current, grid, s)))
@@ -359,7 +350,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         if len(distances) >= 2 and d > distances[-2]:
             growth_streak += 1
             if growth_streak >= 3:
-                note = (note + "; " if note else "") + "diverging distances"
+                note = "diverging distances"
                 break
         else:
             growth_streak = 0
@@ -377,7 +368,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                      weighted_sup=weighted_sup_all,
                      weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
                      if weighted else None)
-    return PicardReport(converged, len(distances), distances, ratios, ball, traj, within,
+    return PicardReport(converged, len(distances), distances, ratios, ball, traj,
                         weighted_trace=wtrace, weight_domination_slack=wslack, note=note)
 
 
@@ -396,8 +387,7 @@ _CALIBRATION_GRID, _CALIBRATION_KMAX, _CALIBRATION_SLOPE = GridSpec(64, 64), 10,
 _CALIBRATION_NODES = 33
 
 
-def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
-                        return_details: bool = False):
+def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> ConstantsTable:
     """Estimate C1..C4 as 2x the worst observed left/right ratio of the
     corresponding bilinear estimate over random band-limited field pairs
     (on the 64^2 grid, band |k| <= 10, spectrum |k|^-2, 33 time nodes).
@@ -407,7 +397,8 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
     exp((t/2)B) grow with t, so every sup over a horizon is its value at t = T.
 
     Deterministic given the seed; sample k of a larger run reuses sample k of a
-    smaller one, so enlarging n_samples can only increase the estimates.
+    smaller one, so enlarging n_samples can only increase the estimates. A ratio
+    is floored at 1e-12, so every constant is positive.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -440,10 +431,7 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0,
             ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
                 ratios["C4"] = max(ratios["C4"], lhs_w / (eT * g2 * nfw * ngw))
-    table = ConstantsTable(*(2.0 * max(ratios[k], 1e-12) for k in ("C1", "C2", "C3", "C4")))
-    if return_details:
-        return table, {"max_ratios": ratios, "n_samples": n_samples, "seed": seed}
-    return table
+    return ConstantsTable(*(2.0 * max(ratios[k], 1e-12) for k in ("C1", "C2", "C3", "C4")))
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +596,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         dt = min(dt_prop, dt_ceiling)
         if nonlinear and max_u > 0.0 and dt_fixed is None:
             dt = min(dt, cfl * grid.dx / max_u)
-        hit_cp = False
         if cps and t + dt >= cps[0] * (1.0 - 1e-12):
             dt = cps[0] - t
-            hit_cp = True
         elif remaining <= dt * (1.0 + 1e-9):
             dt = remaining
         elif dt_fixed is None and t + 2.0 * dt > (cps[0] if cps else T):
@@ -655,8 +641,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
         accepted += 1
         N_c, max_u = rhs(c)
         steps_since_trace += 1
-        at_cp = hit_cp or (cps and abs(t - cps[0]) <= 1e-12 * max(1.0, cps[0]))
-        if at_cp and cps:
+        at_cp = bool(cps) and abs(t - cps[0]) <= 1e-12 * max(1.0, cps[0])
+        if at_cp:
             cps.pop(0)
             if on_checkpoint is not None:
                 on_checkpoint(t + t_offset, SpectralField(grid, c))

@@ -1,5 +1,7 @@
 """CLI subcommands, config validation, output schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -394,6 +396,53 @@ def test_picard_empty_horizon_is_a_finding(tmp_path):
     assert "no positive horizon" in rep["note"]
 
 
+def _small_picard(tmp_path, constants, overrides):
+    """A picard run on 16^2 with band |k| <= 3 and explicit constants."""
+    doc = {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 3}, "lemmas": {"kmax": 3},
+           "constants": dict(zip(("C1", "C2", "C3", "C4"), constants))}
+    for section, values in overrides.items():
+        doc.setdefault(section, {}).update(values)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "small"
+    return main(["picard", "--config", str(cfg), "--out", str(out)]), out / "picard_report.txt"
+
+
+def test_picard_empty_weighted_horizon_is_a_finding(tmp_path):
+    # at s = 0 and alpha = beta = 0.3 the conditions have negative exponents:
+    # the plain one holds for every large T, the weighted one (times e^T < 3/2)
+    # for none, so T1 = 0 while picard.T = 0.001 lies below T0
+    rc, report = _small_picard(tmp_path, (1.0,) * 4, {
+        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
+        "picard": {"T": 0.001, "weighted": True}})
+    assert rc == 0
+    rep = parse_report(report)
+    assert float(rep["T1"]) == 0.0 and float(rep["T0"]) > 1.0
+    assert rep["T"] == "0.001" and rep["converged"] in ("true", "false")
+    assert rep["weighted_T"] == "0.0"
+    assert rep["weighted_converged"] == "false"
+    assert rep["weighted_note"] == "existence conditions admit no positive horizon"
+
+
+def test_picard_T_beyond_existence_time_names_the_key(tmp_path, capsys):
+    rc, report = _small_picard(tmp_path, (1e3,) * 4, {"picard": {"T": 0.5}})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error at picard.T" in err and "T0 = " in err
+    assert not report.exists()
+
+
+def test_picard_zero_data_is_its_own_fixed_point(tmp_path):
+    rc, report = _small_picard(tmp_path, (0.25, 0.12, 0.05, 0.02),
+                               {"init": {"amplitude": 0.0}, "picard": {"weighted": True}})
+    assert rc == 0
+    rep = parse_report(report)
+    assert rep["T"] == rep["weighted_T"] == "1.0"
+    assert rep["converged"] == "true" and rep["iterations"] == "0"
+    assert rep["distances"] == ""
+    assert rep["weighted_sup"] == "0.0"
+    assert math.isfinite(float(rep["weight_domination_slack"]))
+
+
 def test_picard_rerun_bit_identical(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
@@ -604,7 +653,12 @@ def test_cli_on_bounded_inputs_exits_0_to_4(run):
             argv += ["--traj", str(tmp / "sim")]
         if seed is not None:
             argv += ["--seed", str(seed)]
-        assert main([command, *argv]) in range(5)
+        # capsys would trip the function-scoped-fixture health check
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([command, *argv])
+        assert rc in range(5)
+        if rc == 1:
+            assert "config error at " in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
