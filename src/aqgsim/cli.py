@@ -99,9 +99,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         ckpt.write_checkpoint(out_dir / f"state_{cp_index['n']:04d}.aqgs", f, p, t_global)
         cp_index["n"] += 1
 
-    result = evolve(theta0, t["T"], p, cfl=t["cfl"], nonlinear=t["nonlinear"],
-                    rtol=t["rtol"], atol=t["atol"], dt_fixed=t["dt_fixed"],
-                    dt_max=t["dt_max"], trace_stride=t["trace_stride"],
+    result = evolve(theta0, t["T"], p, nonlinear=t["nonlinear"], rtol=t["rtol"], atol=t["atol"],
+                    dt_fixed=t["dt_fixed"], dt_max=t["dt_max"], trace_stride=t["trace_stride"],
                     checkpoint_times=t["checkpoint_times"], on_checkpoint=on_checkpoint)
     (out_dir / "trace.csv").write_text(result.trace.to_csv())
     ckpt.write_checkpoint(out_dir / "state_final.aqgs", result.final, p, result.t_final)
@@ -221,9 +220,10 @@ def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float)
         table = resolve_constants(cfg, p)
         T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
         sw = cfg.sweep
-        res = evolve(theta0, sw["T_short"], p, cfl=cfg.time["cfl"],
-                     rtol=cfg.time["rtol"], atol=cfg.time["atol"],
+        res = evolve(theta0, sw["T_short"], p, rtol=cfg.time["rtol"], atol=cfg.time["atol"],
                      trace_stride=10**9)
+        if res.aborted:
+            raise ArithmeticError(f"march aborted: {res.abort_reason}")
         hs_growth = res.trace.hs[-1] / res.trace.hs[0] if res.trace.hs[0] > 0 else math.nan
         fit = analyticity_radius_fit(res.final, theta0.dealiased(), p)
         rate1 = fit.rate1 if fit.rate1 is not None else math.nan

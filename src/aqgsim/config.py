@@ -26,9 +26,8 @@ DEFAULTS = {
     "params": {"alpha": 0.75, "beta": 0.75, "mu": 1.0, "nu": 1.0, "s": 1.0},
     "init": {"kind": "random", "seed": 0, "kmax": 10, "spectrum_slope": 2.0,
              "amplitude": 1.0, "normalize": None, "modes": [], "path": None},
-    "time": {"T": 1.0, "cfl": 0.4, "trace_stride": 1, "rtol": 1e-8, "atol": 1e-12,
-             "dt_fixed": None, "dt_max": None, "nonlinear": True,
-             "checkpoint_times": []},
+    "time": {"T": 1.0, "trace_stride": 1, "rtol": 1e-8, "atol": 1e-12, "dt_fixed": None,
+             "dt_max": None, "nonlinear": True, "checkpoint_times": []},
     "picard": {"n_nodes": 32, "max_iter": 40, "tol": 1e-10, "weighted": False, "T": None},
     "constants": {"mode": "calibrate", "samples": 8, "seed": 0,
                   "C1": None, "C2": None, "C3": None, "C4": None},
@@ -169,7 +168,6 @@ def validate_config(data: dict) -> RunConfig:
 
     t = merged["time"]
     _require(_is_num(t["T"]) and t["T"] > 0.0, "time.T", "must be positive")
-    _require(_is_num(t["cfl"]) and t["cfl"] > 0.0, "time.cfl", "must be positive")
     _require(isinstance(t["trace_stride"], int) and t["trace_stride"] >= 1,
              "time.trace_stride", "must be a positive integer")
     _require(_is_num(t["rtol"]) and t["rtol"] > 0.0, "time.rtol", "must be positive")

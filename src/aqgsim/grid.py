@@ -68,11 +68,6 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    @property
-    def dx(self) -> float:
-        """Physical grid spacing (the smaller of the two directions)."""
-        return 2.0 * np.pi / max(self.n1, self.n2)
-
     def physical_points(self) -> tuple[np.ndarray, np.ndarray]:
         x1 = np.arange(self.n1) * (2.0 * np.pi / self.n1)
         x2 = np.arange(self.n2) * (2.0 * np.pi / self.n2)

@@ -100,7 +100,7 @@ class ConstantsTable:
 
     def __post_init__(self):
         for name in ("C1", "C2", "C3", "C4"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -124,7 +124,7 @@ def existence_time(theta0_norm: float, p: DissipParams, c: ConstantsTable,
     four-term condition. Weighted mode additionally multiplies the left sides
     by e^T, requires e^T < 3/2, and caps the result by the plain horizon.
     """
-    if theta0_norm < 0.0:
+    if not theta0_norm >= 0.0:
         raise ValueError("theta0_norm must be nonnegative")
     if theta0_norm == 0.0:
         return math.inf
@@ -255,9 +255,9 @@ class PicardConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("PicardConfig.T must be positive")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("PicardConfig.tol must be positive")
         if self.n_nodes < 2:
             raise ValueError("PicardConfig.n_nodes must be >= 2")
@@ -505,25 +505,28 @@ class EvolveResult:
     kernel_calls: int = 0
 
 
-def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *,
-           nonlinear: bool = True, rtol: float = 1e-8, atol: float = 1e-12,
-           dt_max: float | None = None, dt_fixed: float | None = None, trace_stride: int = 1,
-           checkpoint_times=(), on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
+def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool = True,
+           rtol: float = 1e-8, atol: float = 1e-12, dt_max: float | None = None,
+           dt_fixed: float | None = None, trace_stride: int = 1, checkpoint_times=(),
+           on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
     """March the flow to time T with ETDRK4 (Cox & Matthews 2002), exact in the
     linear decay and fourth order in the dealiased nonlinearity, as two half
     steps per step of size dt; error control (off when dt_fixed is given) compares
     them with one full step in H^s. Initial data is projected onto the dealiased band.
 
-    An adaptive step costs 11 nonlinear-kernel calls when accepted and 10 when
-    rejected, a fixed step 8; the result counts them in `kernel_calls`, after
-    one call for the initial state. A non-finite state or H^s error norm ends
-    the march with `aborted` set and the reason in `abort_reason`.
+    The error test alone sets an adaptive step, capped by dt_max; a step ends
+    exactly on the next checkpoint or T, and halves the way there rather than
+    leave a sliver. An adaptive step costs 11 nonlinear-kernel calls when
+    accepted and 10 when rejected, a fixed step 8; the result counts them in
+    `kernel_calls`, after one call for the initial state. A non-finite state or
+    H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march
+    with `aborted` set and the reason in `abort_reason`.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
     those times.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("evolve horizon must be positive")
     if not theta0.is_mean_zero:
         raise ValueError("evolve requires mean-zero initial data")
@@ -592,17 +595,13 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
     accepted = rejected = 0
 
     while t < T * (1.0 - 1e-12):
-        remaining = T - t
+        target = cps[0] if cps else T
         dt = min(dt_prop, dt_ceiling)
-        if nonlinear and max_u > 0.0 and dt_fixed is None:
-            dt = min(dt, cfl * grid.dx / max_u)
-        if cps and t + dt >= cps[0] * (1.0 - 1e-12):
-            dt = cps[0] - t
-        elif remaining <= dt * (1.0 + 1e-9):
-            dt = remaining
-        elif dt_fixed is None and t + 2.0 * dt > (cps[0] if cps else T):
-            # split the way to the next target evenly rather than leave a sliver
-            dt = 0.5 * ((cps[0] if cps else T) - t)
+        if t + dt >= target * (1.0 - 1e-12):
+            dt = target - t
+        elif dt_fixed is None and t + 2.0 * dt > target:
+            # split the way to the target evenly rather than leave a sliver
+            dt = 0.5 * (target - t)
         if dt <= 0.0 or not math.isfinite(dt):
             aborted, reason = True, f"step size collapsed (dt={dt})"
             break
@@ -629,7 +628,10 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, cfl: float = 0.4, *
                 break
             scale = atol + rtol * float(_hs_norms(fine, grid, s))
             factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
-            if err > scale and dt > 1e-13 * max(T, 1.0):
+            if err > scale:
+                if dt <= 1e-13 * max(T, 1.0):
+                    aborted, reason = True, f"step size collapsed (dt={dt})"
+                    break
                 dt_prop = dt * max(0.2, factor)
                 rejected += 1
                 continue

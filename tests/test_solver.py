@@ -409,6 +409,21 @@ def test_constants_table_validation():
         ConstantsTable(1.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: evolve(sine_field(GridSpec(16, 16), (1, 0)), math.nan, DissipParams(0.75, 0.75)),
+     "evolve horizon must be positive"),
+    (lambda: PicardConfig(T=math.nan), "PicardConfig.T must be positive"),
+    (lambda: PicardConfig(T=0.1, tol=math.nan), "PicardConfig.tol must be positive"),
+    (lambda: ConstantsTable(math.nan, 1.0, 1.0, 1.0), "C1 must be positive"),
+    (lambda: existence_time(math.nan, DissipParams(0.75, 0.75), TABLE),
+     "theta0_norm must be nonnegative"),
+], ids=["evolve.T", "PicardConfig.T", "PicardConfig.tol", "ConstantsTable.C1",
+        "existence_time.theta0_norm"])
+def test_nan_fails_positivity_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # the march
 # ---------------------------------------------------------------------------
@@ -483,6 +498,28 @@ def test_evolve_aborts_on_non_finite_error_norm(grid32):
     assert res.aborted
     assert res.abort_reason == "non-finite error norm at t=0"
     assert res.accepted_steps == res.rejected_steps == 0
+
+
+def test_evolve_aborts_when_the_step_collapses(grid32, params):
+    """A tolerance no step meets ends the march once a step fails at the dt floor."""
+    theta0 = unit_random_field(grid32, 3, 0.0)
+    res = evolve(theta0, 0.05, params, rtol=1e-16, atol=0.0)
+    assert res.aborted
+    assert res.abort_reason.startswith("step size collapsed (dt=")
+    assert res.accepted_steps == 0
+    assert res.t_final == 0.0
+
+
+def test_evolve_rtol_sets_the_step_at_loose_tolerances(grid64, params_sym):
+    """Each tolerance takes its own steps and meets its own bound in relative H^1."""
+    theta0 = unit_random_field(grid64, 5, 1.0, kmax=21, slope=1.5) * 100.0
+    ref = evolve(theta0, 0.05, params_sym, rtol=1e-11, trace_stride=10**9).final
+    steps = []
+    for rtol in (1e-2, 1e-4):
+        res = evolve(theta0, 0.05, params_sym, rtol=rtol, trace_stride=10**9)
+        steps.append(res.accepted_steps)
+        assert sobolev_norm(res.final - ref, 1.0) <= rtol * sobolev_norm(ref, 1.0)
+    assert steps[0] < steps[1], steps
 
 
 def test_phi_functions_match_decimal_reference():
