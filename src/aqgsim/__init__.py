@@ -4,8 +4,7 @@ anisotropic quasi-geostrophic equation on the periodic square."""
 from .grid import GridSpec, SpectralField, field_from_modes, field_from_values, sine_field, zero_field
 from .operators import (DissipParams, RegimeWarning, apply_semigroup, dissipation_symbol,
                         gevrey_symbol, nonlinear_term, riesz_velocity)
-from .norms import (GevreyNorm, directional_seminorm, gevrey_weighted_norm, lp_norm,
-                    sobolev_norm)
+from .norms import directional_seminorm, gevrey_weighted_norm, lp_norm, sobolev_norm
 from .solver import (ConstantsTable, DiagnosticsTrace, EvolveResult, PicardConfig,
                      PicardReport, Trajectory, calibrate_constants, constant_trajectory,
                      duhamel_bilinear, evolve, existence_time, glue_continue,

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import ConfigError, RunConfig, echo_config, load_config
+from .config import ConfigError, RunConfig, _require_seed, echo_config, load_config
 from .diagnostics import analyticity_radius_fit, build_gevrey_report, region_classify
 from .grid import GridSpec, SpectralField, zero_field, sine_field
 from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
@@ -265,10 +265,9 @@ def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
     states.sort(key=lambda cp: cp.t)
     rep = build_gevrey_report([cp.t for cp in states], [cp.field for cp in states], p, p.s)
     lines = ["t,gevrey_hs,saturated,h2,rate1,rate2,fit_residual1,fit_residual2"]
-    for t, g, sat, h2, fit in zip(rep.times, rep.weighted_hs, rep.saturated, rep.h2_trace,
-                                  rep.fits):
+    for t, g, h2, fit in zip(rep.times, rep.weighted_hs, rep.h2_trace, rep.fits):
         lines.append(",".join(_fmt(v) for v in (
-            float(t), float(g), bool(sat), float(h2),
+            float(t), float(g), math.isinf(g), float(h2),
             fit.rate1, fit.rate2, fit.residual1, fit.residual2)))
     (out_dir / "gevrey_report.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -312,6 +311,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command in SEEDED_COMMANDS and args.seed is not None:
+            _require_seed(args.seed, "init.seed")
             cfg.init["seed"] = args.seed
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

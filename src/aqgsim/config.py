@@ -68,6 +68,11 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _require_seed(seed, path: str) -> None:
+    """numpy's generators take only nonnegative integer seeds."""
+    _require(isinstance(seed, int) and seed >= 0, path, "must be a nonnegative integer")
+
+
 def _require_finite(value, path: str) -> None:
     """Reject the NaN and Infinity that Python's json accepts, at any depth."""
     if isinstance(value, float):
@@ -133,7 +138,7 @@ def validate_config(data: dict) -> RunConfig:
     init = merged["init"]
     _require(init["kind"] in ("random", "modes", "file"), "init.kind",
              "must be one of random|modes|file")
-    _require(isinstance(init["seed"], int), "init.seed", "must be an integer")
+    _require_seed(init["seed"], "init.seed")
     band = min(g["n1"] // 3, g["n2"] // 3)
     _require(isinstance(init["kmax"], int) and 1 <= init["kmax"] <= band,
              "init.kmax", f"must be an integer in [1, {band}] for this grid")
@@ -196,7 +201,7 @@ def validate_config(data: dict) -> RunConfig:
              "must be calibrate|explicit")
     _require(isinstance(cs["samples"], int) and cs["samples"] >= 1, "constants.samples",
              "must be a positive integer")
-    _require(isinstance(cs["seed"], int), "constants.seed", "must be an integer")
+    _require_seed(cs["seed"], "constants.seed")
     if cs["mode"] == "explicit":
         for key in ("C1", "C2", "C3", "C4"):
             _require(_is_num(cs[key]) and cs[key] > 0.0, f"constants.{key}",
@@ -207,7 +212,7 @@ def validate_config(data: dict) -> RunConfig:
              "must be a nonempty string")
 
     lm = merged["lemmas"]
-    _require(isinstance(lm["seed"], int), "lemmas.seed", "must be an integer")
+    _require_seed(lm["seed"], "lemmas.seed")
     _require(isinstance(lm["count"], int) and lm["count"] >= 1, "lemmas.count",
              "must be a positive integer")
     _require(isinstance(lm["kmax"], int) and 1 <= lm["kmax"] <= band, "lemmas.kmax",

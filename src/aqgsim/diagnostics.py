@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpectralField, sobolev_weight
-from .norms import GevreyNorm, _gevrey_norm, gevrey_weighted_norm, sobolev_norm
+from .norms import _gevrey_norms, gevrey_weighted_norm, sobolev_norm
 from .operators import DissipParams, gevrey_multiplier
 from .solver import Trajectory
 
@@ -45,9 +45,9 @@ def region_classify(alpha: float, beta: float) -> Region:
     return Region.OUTSIDE
 
 
-def weighted_norm_trace(traj: Trajectory, p: DissipParams, s: float) -> list[GevreyNorm]:
+def weighted_norm_trace(traj: Trajectory, p: DissipParams, s: float) -> np.ndarray:
     """Gevrey-weighted H^s norm at every node, with weight time = node time."""
-    return [_gevrey_norm(c, traj.grid, float(t), s, p) for c, t in zip(traj.coeffs, traj.times)]
+    return _gevrey_norms(traj.coeffs, traj.grid, traj.times, s, p)
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,11 @@ def remark_chain_check(p: DissipParams, T0: float, t_samples: int = 16,
 
 @dataclass(frozen=True)
 class GevreyReport:
-    """Weighted-norm trace, per-field rate fits, and the H^2 record of a run."""
+    """Weighted-norm trace (inf where the weight saturates), per-field rate fits,
+    and the H^2 record of a run."""
 
     times: np.ndarray
     weighted_hs: np.ndarray
-    saturated: np.ndarray
     h2_trace: np.ndarray
     fits: list[RateFit]
 
@@ -209,8 +209,7 @@ def build_gevrey_report(times, fields: list[SpectralField], p: DissipParams,
     times = np.asarray(times, dtype=np.float64)
     if len(fields) != times.size or np.any(np.diff(times) < 0.0):
         raise ValueError("gevrey report needs one field per time, times nondecreasing")
-    wtrace = [gevrey_weighted_norm(f, float(t), s, p) for f, t in zip(fields, times)]
+    wtrace = np.array([gevrey_weighted_norm(f, float(t), s, p) for f, t in zip(fields, times)])
     fits = [analyticity_radius_fit(f, fields[0], p) for f in fields]
     h2 = np.array([sobolev_norm(f, 2.0) for f in fields])
-    return GevreyReport(times, np.array([g.value for g in wtrace]),
-                        np.array([g.saturated for g in wtrace]), h2, fits)
+    return GevreyReport(times, wtrace, h2, fits)

@@ -209,14 +209,20 @@ def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
 
 
 def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> SpectralField:
-    """Build a field from {k: c_k}; the conjugate at -k is filled in automatically."""
+    """Build a field from {k: c_k}; the conjugate at -k is filled in automatically,
+    so naming both k and -k (or two aliases of one grid mode) is an error."""
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    owner = {}  # grid index -> the wavenumber whose entry or conjugate set it
     for (k1, k2), amp in modes.items():
         if abs(k1) > grid.n1 // 2 or abs(k2) > grid.n2 // 2:
             raise ValueError(f"mode {(k1, k2)} outside retained wavenumbers of {grid}")
-        coeffs[k1 % grid.n1, k2 % grid.n2] = amp
+        at, conj_at = (k1 % grid.n1, k2 % grid.n2), (-k1 % grid.n1, -k2 % grid.n2)
+        if at in owner:
+            raise ValueError(f"modes {owner[at]} and {(k1, k2)} set one conjugate pair")
+        owner[at] = owner[conj_at] = (k1, k2)
+        coeffs[at] = amp
         if (k1, k2) != (0, 0):
-            coeffs[(-k1) % grid.n1, (-k2) % grid.n2] = np.conj(amp)
+            coeffs[conj_at] = np.conj(amp)
     return SpectralField(grid, coeffs)
 
 

@@ -2,14 +2,14 @@
 grid quadratures (Lp), in the normalized measure dx/(4 pi^2).
 
 `_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
-and applies its overflow policy; every weighted norm in the package (the
-march trace, the Picard sups, the gevrey report) goes through it.
+and applies its overflow policy: a saturated norm reads as inf. Every weighted
+norm in the package (the march trace, the Picard sups, the gevrey report) goes
+through it, and `_gevrey_norms` walks a node stack.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +37,16 @@ def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm by grid quadrature of |f|^p in the normalized measure."""
-    if not p > 1.0:
-        raise ValueError(f"Lebesgue exponent must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
     v = np.abs(f.values())
     return float(np.mean(v**p) ** (1.0 / p))
 
 
 def vector_lp_norm(f1: SpectralField, f2: SpectralField, p: float) -> float:
     """L^p norm of the pointwise magnitude of the vector field (f1, f2)."""
-    if not p > 1.0:
-        raise ValueError(f"Lebesgue exponent must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
     mag = np.sqrt(f1.values() ** 2 + f2.values() ** 2)
     return float(np.mean(mag**p) ** (1.0 / p))
 
@@ -59,41 +59,32 @@ def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float)
     return _hs_norm(np.abs(k) ** exponent * f.coeffs, f.grid, s, homogeneous=True)
 
 
-class GevreyNorm(NamedTuple):
-    value: float
-    saturated: bool
-    saturated_mode: tuple[int, int] | None
-
-
-def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> GevreyNorm:
-    """H^s norm of exp((t/2) B(D)) f, flagged (not clipped) on weight overflow."""
+def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> float:
+    """H^s norm of exp((t/2) B(D)) f; inf (not clipped) on weight overflow."""
     return _gevrey_norm(f.coeffs, f.grid, t, s, p)
 
 
 def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
-                 p: DissipParams) -> GevreyNorm:
+                 p: DissipParams) -> float:
     """gevrey_weighted_norm on bare coefficients.
 
     A weight exponent above WEIGHT_CAP on a nonzero mode, or a non-finite
-    result, saturates the norm: inf, flagged with the mode of largest exponent.
-    Zero modes carry no weight, so the live mask is built only when some
-    exponent exceeds the cap.
+    result, saturates the norm: it reads as inf. Zero modes carry no weight, so
+    the live mask is built only when some exponent exceeds the cap.
     """
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
     exponent = 0.5 * t * gevrey_multiplier(grid, p)
     if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
         live = coeffs != 0.0
-        over = live & (exponent > WEIGHT_CAP)
-        if np.any(over):
-            return _saturated(exponent, over, grid)
+        if np.any(live & (exponent > WEIGHT_CAP)):
+            return math.inf
         exponent = np.where(live, exponent, 0.0)
     value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
-    if math.isfinite(value):
-        return GevreyNorm(value, False, None)
-    return _saturated(exponent, coeffs != 0.0, grid)
+    return value if math.isfinite(value) else math.inf
 
 
-def _saturated(exponent: np.ndarray, selector: np.ndarray, grid: GridSpec) -> GevreyNorm:
-    idx = np.unravel_index(np.argmax(np.where(selector, exponent, -np.inf)), exponent.shape)
-    return GevreyNorm(float("inf"), True, (int(grid.k1[idx[0], 0]), int(grid.k2[0, idx[1]])))
+def _gevrey_norms(coeffs: np.ndarray, grid: GridSpec, times: np.ndarray, s: float,
+                  p: DissipParams) -> np.ndarray:
+    """_gevrey_norm of each node of a stack, with weight time = node time."""
+    return np.array([_gevrey_norm(c, grid, float(t), s, p) for c, t in zip(coeffs, times)])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import GridSpec, SpectralField, sobolev_weight
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
-from .norms import GevreyNorm, _gevrey_norm, _hs_norm, _hs_norms, sobolev_norm
+from .norms import _gevrey_norm, _gevrey_norms, _hs_norm, _hs_norms, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
                         symbol_multipliers, _nonlinear_raw, _velocity)
 
@@ -280,7 +280,7 @@ class PicardReport:
     contraction_ratios: list[float]
     ball_radius_check: BallCheck
     trajectory: Trajectory
-    weighted_trace: list[GevreyNorm] | None = None
+    weighted_trace: np.ndarray | None = None
     weight_domination_slack: float | None = None
     note: str = ""
 
@@ -359,11 +359,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
               for i in range(len(distances) - 1) if distances[i] > 0.0]
     bound = 2.0 * norm0
     traj = Trajectory(grid, times, current)
-    wtrace = None
-    wslack = None
-    if weighted:
-        wtrace = [_gevrey_norm(c_i, grid, float(t), s, p) for c_i, t in zip(current, times)]
-        wslack = weight_domination_slack(p, cfg.T, grid)
+    wtrace = _gevrey_norms(current, grid, times, s, p) if weighted else None
+    wslack = weight_domination_slack(p, cfg.T, grid) if weighted else None
     ball = BallCheck(sup_hs_all, bound, sup_hs_all <= bound * (1.0 + 1e-9),
                      weighted_sup=weighted_sup_all,
                      weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
@@ -375,7 +372,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
                   p: DissipParams, s: float) -> float:
     """Largest Gevrey-weighted H^s norm over the nodes; a saturated node gives inf."""
-    return max(_gevrey_norm(c_i, grid, float(t), s, p).value for c_i, t in zip(coeffs, times))
+    return float(np.max(_gevrey_norms(coeffs, grid, times, s, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +422,9 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> 
             if g2 > 0.0:
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             # weighted form: weight both the output and the input factors
-            lhs_w = _gevrey_norm(B, grid, T, s, p).value
-            nfw = _gevrey_norm(f.coeffs, grid, T, s, p).value
-            ngw = _gevrey_norm(g.coeffs, grid, T, s, p).value
+            lhs_w = _gevrey_norm(B, grid, T, s, p)
+            nfw = _gevrey_norm(f.coeffs, grid, T, s, p)
+            ngw = _gevrey_norm(g.coeffs, grid, T, s, p)
             ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
                 ratios["C4"] = max(ratios["C4"], lhs_w / (eT * g2 * nfw * ngw))
@@ -479,7 +476,6 @@ class DiagnosticsTrace:
     diss2: list[float] = dc_field(default_factory=list)
     max_u: list[float] = dc_field(default_factory=list)
     dt: list[float] = dc_field(default_factory=list)
-    gevrey_saturated: list[bool] = dc_field(default_factory=list)
     diss_integral: list[float] = dc_field(default_factory=list)
 
     CSV_HEADER = "t,l2,hs,h2,gevrey_hs,diss1,diss2,max_u,dt"
@@ -498,11 +494,14 @@ class EvolveResult:
     trace: DiagnosticsTrace
     final: SpectralField
     t_final: float
-    aborted: bool = False
     abort_reason: str | None = None
     rejected_steps: int = 0
     accepted_steps: int = 0
     kernel_calls: int = 0
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool = True,
@@ -519,8 +518,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     leave a sliver. An adaptive step costs 11 nonlinear-kernel calls when
     accepted and 10 when rejected, a fixed step 8; the result counts them in
     `kernel_calls`, after one call for the initial state. A non-finite state or
-    H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march
-    with `aborted` set and the reason in `abort_reason`.
+    H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march;
+    `abort_reason` then names the cause, and `aborted` is true exactly when it is set.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
@@ -589,7 +588,6 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     _record(trace, grid, p, t + t_offset, c, max_u, dt_prop, diss_int)
 
     steps_since_trace = 0
-    aborted = False
     reason = None
     propagated_dt = None
     accepted = rejected = 0
@@ -603,7 +601,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             # split the way to the target evenly rather than leave a sliver
             dt = 0.5 * (target - t)
         if dt <= 0.0 or not math.isfinite(dt):
-            aborted, reason = True, f"step size collapsed (dt={dt})"
+            reason = f"step size collapsed (dt={dt})"
             break
 
         if propagated_dt != dt:
@@ -618,19 +616,19 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             fine = prop_half[0] * half
 
         if not np.all(np.isfinite(fine.view(np.float64))):
-            aborted, reason = True, f"non-finite state at t={t + t_offset:.6g}"
+            reason = f"non-finite state at t={t + t_offset:.6g}"
             break
 
         if dt_fixed is None and nonlinear:
             err = float(_hs_norms(fine - etdrk4(c, N_c, *prop_full), grid, s))
             if not math.isfinite(err):  # no step size can pass this test
-                aborted, reason = True, f"non-finite error norm at t={t + t_offset:.6g}"
+                reason = f"non-finite error norm at t={t + t_offset:.6g}"
                 break
             scale = atol + rtol * float(_hs_norms(fine, grid, s))
             factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
             if err > scale:
                 if dt <= 1e-13 * max(T, 1.0):
-                    aborted, reason = True, f"step size collapsed (dt={dt})"
+                    reason = f"step size collapsed (dt={dt})"
                     break
                 dt_prop = dt * max(0.2, factor)
                 rejected += 1
@@ -653,8 +651,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             _record(trace, grid, p, t + t_offset, c, max_u, dt, diss_int)
             steps_since_trace = 0
 
-    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, aborted, reason,
-                        rejected, accepted, kernel_calls)
+    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, reason, rejected, accepted,
+                        kernel_calls)
 
 
 def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
@@ -666,9 +664,7 @@ def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
     for column, w in ((trace.hs, sobolev_weight(grid, p.s)), (trace.h2, sobolev_weight(grid, 2.0)),
                       (trace.diss1, d1), (trace.diss2, d2)):
         column.append(float(np.sqrt(np.sum(w * mod2))))
-    g = _gevrey_norm(c, grid, max(t, 0.0), p.s, p)
-    trace.gevrey_hs.append(g.value)
-    trace.gevrey_saturated.append(g.saturated)
+    trace.gevrey_hs.append(_gevrey_norm(c, grid, max(t, 0.0), p.s, p))
     trace.max_u.append(float(max_u))
     trace.dt.append(float(dt))
     trace.diss_integral.append(float(diss_int))

@@ -126,8 +126,8 @@ def test_criterion_5_gevrey_weighted_ball():
     cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10)
     rep = weighted_picard_solve(theta0, cfg, p, table)
     assert rep.converged
-    values = [g.value for g in rep.weighted_trace]
-    assert not any(g.saturated for g in rep.weighted_trace)
+    values = rep.weighted_trace
+    assert all(math.isfinite(v) for v in values)
     assert max(values) <= 2.0 * (1.0 + 1e-6)
     _passline(5, f"T1={T1:.3e} < ln(3/2), weighted norm sup "
                  f"{max(values):.6f} <= 2(1+1e-6)")

@@ -630,6 +630,22 @@ def test_seed_flag_only_on_subcommands_that_read_init_seed(tmp_path, capsys):
         assert not out.exists()
 
 
+SMALL = {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5}, "lemmas": {"kmax": 5}}
+
+
+@pytest.mark.parametrize("command, overrides, flags, key", [
+    ("simulate", {"init": {"kmax": 5, "seed": -1}}, [], "init.seed"),
+    ("picard", {"constants": {"mode": "calibrate", "samples": 1, "seed": -3}}, [],
+     "constants.seed"),
+    ("lemmas", {"lemmas": {"kmax": 5, "seed": -2}}, [], "lemmas.seed"),
+    ("simulate", {}, ["--seed", "-5"], "init.seed"),
+])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, overrides, flags, key):
+    cfg = write_config(tmp_path, {**SMALL, **overrides})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 1
+    assert f"config error at {key}: must be a nonnegative integer" in capsys.readouterr().err
+
+
 @st.composite
 def bounded_runs(draw):
     """A subcommand and a config of small size: grids <= 32^2, <= 2 calibration
@@ -650,7 +666,7 @@ def bounded_runs(draw):
         "params": {"alpha": draw(unit), "beta": draw(unit), "mu": draw(st.floats(0.1, 3.0)),
                    "nu": draw(st.floats(0.1, 3.0)), "s": draw(st.floats(-1.0, 3.0))},
         "init": {"kind": draw(st.sampled_from(["random", "modes"])),
-                 "seed": draw(st.integers(0, 9)), "kmax": draw(st.integers(1, 2)),
+                 "seed": draw(st.integers(-9, 9)), "kmax": draw(st.integers(1, 2)),
                  "spectrum_slope": draw(st.floats(-1.0, 4.0)),
                  "amplitude": draw(st.floats(-3.0, 3.0)),
                  "normalize": draw(st.sampled_from([None, "hs", "l2"])),
@@ -667,7 +683,7 @@ def bounded_runs(draw):
                   "betas": draw(st.lists(unit, min_size=1, max_size=2)),
                   "T_short": draw(small_t)},
     }
-    seed = draw(st.none() | st.integers(0, 9)) if command in ("simulate", "picard",
+    seed = draw(st.none() | st.integers(-9, 9)) if command in ("simulate", "picard",
                                                                "sweep") else None
     return command, doc, seed
 
@@ -713,6 +729,26 @@ def test_gevrey_postprocess(tmp_path):
     assert len(rows) >= 3
     times = [float(r.split(",")[0]) for r in rows[1:]]
     assert times == sorted(times)
+
+
+def test_gevrey_saturated_column_marks_inf(tmp_path):
+    from aqgsim.checkpoint import write_checkpoint
+    from aqgsim.grid import GridSpec, sine_field
+    from aqgsim.operators import DissipParams
+
+    cfg = write_config(tmp_path, {"grid": {"n1": 64, "n2": 64}})
+    f = sine_field(GridSpec(64, 64), (20, 0))
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    # at t = 100 the weight exponent 0.5 * 100 * 2 * 20^0.75 ~ 946 passes WEIGHT_CAP
+    for i, t in enumerate((0.1, 100.0)):
+        write_checkpoint(traj / f"state_{i:04d}.aqgs", f, DissipParams(0.75, 0.75), t)
+    out = tmp_path / "gev"
+    assert main(["gevrey", "--config", str(cfg), "--out", str(out), "--traj", str(traj)]) == 0
+    rows = (out / "gevrey_report.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("0.1,36.45755591749564,false,")
+    assert rows[2].startswith("100.0,inf,true,")
 
 
 def test_gevrey_missing_dir_exit_3(tmp_path, capsys):

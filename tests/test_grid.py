@@ -1,5 +1,7 @@
 """Field representation: Hermitian validation, round trips, arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,15 @@ def test_field_from_modes_fills_conjugate(grid32):
     f = field_from_modes(grid32, {(3, 2): 1.0 + 2.0j})
     assert f.coeffs[-3 % 32, -2 % 32] == 1.0 - 2.0j
     assert hermitian_defect(f.coeffs) == 0.0
+
+
+@pytest.mark.parametrize("modes, named", [
+    ({(1, 0): 1.0, (-1, 0): 2.0}, "(1, 0) and (-1, 0)"),
+    ({(8, 3): 1.0j, (8, -3): 2.0j}, "(8, 3) and (8, -3)"),  # (8, -3) aliases -(8, 3)
+])
+def test_field_from_modes_rejects_a_conjugate_pair(modes, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        field_from_modes(GridSpec(16, 16), modes)
 
 
 def test_mode_outside_grid_rejected(grid32):
