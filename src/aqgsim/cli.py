@@ -23,7 +23,8 @@ from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
 from .norms import sobolev_norm
 from .operators import DissipParams, RegimeWarning
 from .solver import (ConstantsTable, PicardConfig, calibrate_constants, evolve,
-                     existence_time, picard_solve, weighted_picard_solve)
+                     existence_time, picard_solve, weight_domination_slack,
+                     weighted_picard_solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -124,7 +125,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("picard.T", f"{_fmt(pc['T'])} exceeds the existence time "
                                       f"T0 = {_fmt(T0)}")
 
-    def horizon(H):  # picard.T caps a block's existence time H; zero data (H = inf) takes 1.0
+    def horizon(H):  # picard.T caps a block's existence time H; an unbounded H = inf takes 1.0
         T = H if pc["T"] is None else min(pc["T"], H)
         return 1.0 if math.isinf(T) else T
 
@@ -156,9 +157,9 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         f"iterations = {rep.iterations}",
         "distances = " + ", ".join(repr(d) for d in rep.distances),
         "contraction_ratios = " + ", ".join(repr(r) for r in rep.contraction_ratios),
-        f"ball_sup_hs = {_fmt(rep.ball_radius_check.sup_hs)}",
-        f"ball_bound = {_fmt(rep.ball_radius_check.bound)}",
-        f"ball_within = {_fmt(rep.ball_radius_check.within)}",
+        f"ball_sup_hs = {_fmt(rep.sup_hs)}",
+        f"ball_bound = {_fmt(rep.bound)}",
+        f"ball_within = {_fmt(rep.within)}",
     ]
     if rep.note:
         lines.append(f"note = {rep.note}")
@@ -172,9 +173,9 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
             f"weighted_T = {_fmt(T_w)}",
             f"weighted_converged = {_fmt(wrep.converged)}",
             f"weighted_iterations = {wrep.iterations}",
-            f"weighted_sup = {_fmt(wrep.ball_radius_check.weighted_sup)}",
-            f"weighted_within = {_fmt(wrep.ball_radius_check.weighted_within)}",
-            f"weight_domination_slack = {_fmt(wrep.weight_domination_slack)}",
+            f"weighted_sup = {_fmt(wrep.weighted_sup)}",
+            f"weighted_within = {_fmt(wrep.weighted_within)}",
+            f"weight_domination_slack = {_fmt(weight_domination_slack(p, T_w, grid))}",
         ]
     for name in ("C1", "C2", "C3", "C4"):
         lines.append(f"constants_{name} = {_fmt(getattr(table, name))}")

@@ -68,9 +68,13 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:  # JSON true and false are Python ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_seed(seed, path: str) -> None:
     """numpy's generators take only nonnegative integer seeds."""
-    _require(isinstance(seed, int) and seed >= 0, path, "must be a nonnegative integer")
+    _require(_is_int(seed) and seed >= 0, path, "must be a nonnegative integer")
 
 
 def _require_finite(value, path: str) -> None:
@@ -111,7 +115,7 @@ def validate_config(data: dict) -> RunConfig:
 
     g = merged["grid"]
     for key in ("n1", "n2"):
-        _require(isinstance(g[key], int) and g[key] >= 8 and g[key] % 2 == 0,
+        _require(_is_int(g[key]) and g[key] >= 8 and g[key] % 2 == 0,
                  f"grid.{key}", "must be an even integer >= 8")
 
     q = merged["params"]
@@ -140,7 +144,7 @@ def validate_config(data: dict) -> RunConfig:
              "must be one of random|modes|file")
     _require_seed(init["seed"], "init.seed")
     band = min(g["n1"] // 3, g["n2"] // 3)
-    _require(isinstance(init["kmax"], int) and 1 <= init["kmax"] <= band,
+    _require(_is_int(init["kmax"]) and 1 <= init["kmax"] <= band,
              "init.kmax", f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(init["spectrum_slope"]), "init.spectrum_slope", "must be a number")
     _require_band_amplitudes(init["kmax"], init["spectrum_slope"], "init.spectrum_slope")
@@ -155,7 +159,7 @@ def validate_config(data: dict) -> RunConfig:
             _require(isinstance(m, dict), path, "must be an object")
             k = m.get("k")
             _require(isinstance(k, list) and len(k) == 2
-                     and all(isinstance(v, int) for v in k), f"{path}.k",
+                     and all(_is_int(v) for v in k), f"{path}.k",
                      "must be a pair of integers")
             halves = (g["n1"] // 2, g["n2"] // 2)
             _require(all(abs(v) <= h for v, h in zip(k, halves)), f"{path}.k",
@@ -173,7 +177,7 @@ def validate_config(data: dict) -> RunConfig:
 
     t = merged["time"]
     _require(_is_num(t["T"]) and t["T"] > 0.0, "time.T", "must be positive")
-    _require(isinstance(t["trace_stride"], int) and t["trace_stride"] >= 1,
+    _require(_is_int(t["trace_stride"]) and t["trace_stride"] >= 1,
              "time.trace_stride", "must be a positive integer")
     _require(_is_num(t["rtol"]) and t["rtol"] > 0.0, "time.rtol", "must be positive")
     _require(_is_num(t["atol"]) and t["atol"] >= 0.0, "time.atol", "must be nonnegative")
@@ -187,9 +191,9 @@ def validate_config(data: dict) -> RunConfig:
              "time.checkpoint_times", "must be distinct times in (0, T]")
 
     pc = merged["picard"]
-    _require(isinstance(pc["n_nodes"], int) and pc["n_nodes"] >= 2, "picard.n_nodes",
+    _require(_is_int(pc["n_nodes"]) and pc["n_nodes"] >= 2, "picard.n_nodes",
              "must be an integer >= 2")
-    _require(isinstance(pc["max_iter"], int) and pc["max_iter"] >= 1, "picard.max_iter",
+    _require(_is_int(pc["max_iter"]) and pc["max_iter"] >= 1, "picard.max_iter",
              "must be a positive integer")
     _require(_is_num(pc["tol"]) and pc["tol"] > 0.0, "picard.tol", "must be positive")
     _require(isinstance(pc["weighted"], bool), "picard.weighted", "must be a boolean")
@@ -199,7 +203,7 @@ def validate_config(data: dict) -> RunConfig:
     cs = merged["constants"]
     _require(cs["mode"] in ("calibrate", "explicit"), "constants.mode",
              "must be calibrate|explicit")
-    _require(isinstance(cs["samples"], int) and cs["samples"] >= 1, "constants.samples",
+    _require(_is_int(cs["samples"]) and cs["samples"] >= 1, "constants.samples",
              "must be a positive integer")
     _require_seed(cs["seed"], "constants.seed")
     if cs["mode"] == "explicit":
@@ -213,13 +217,13 @@ def validate_config(data: dict) -> RunConfig:
 
     lm = merged["lemmas"]
     _require_seed(lm["seed"], "lemmas.seed")
-    _require(isinstance(lm["count"], int) and lm["count"] >= 1, "lemmas.count",
+    _require(_is_int(lm["count"]) and lm["count"] >= 1, "lemmas.count",
              "must be a positive integer")
-    _require(isinstance(lm["kmax"], int) and 1 <= lm["kmax"] <= band, "lemmas.kmax",
+    _require(_is_int(lm["kmax"]) and 1 <= lm["kmax"] <= band, "lemmas.kmax",
              f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(lm["spectrum_slope"]), "lemmas.spectrum_slope", "must be a number")
     _require_band_amplitudes(lm["kmax"], lm["spectrum_slope"], "lemmas.spectrum_slope")
-    _require(isinstance(lm["grid_density"], int) and lm["grid_density"] >= 10,
+    _require(_is_int(lm["grid_density"]) and lm["grid_density"] >= 10,
              "lemmas.grid_density", "must be an integer >= 10")
 
     sw = merged["sweep"]

@@ -1,5 +1,6 @@
 """Norms as exact coefficient sums (Sobolev, directional, Gevrey-weighted) or
-grid quadratures (Lp), in the normalized measure dx/(4 pi^2).
+grid quadratures (Lp, scaled by the largest value so that any finite p stays in
+range), in the normalized measure dx/(4 pi^2).
 
 `_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
 and applies its overflow policy: a saturated norm reads as inf. Every weighted
@@ -37,18 +38,21 @@ def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm by grid quadrature of |f|^p in the normalized measure."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
-    v = np.abs(f.values())
-    return float(np.mean(v**p) ** (1.0 / p))
+    return _lp(np.abs(f.values()), p)
 
 
 def vector_lp_norm(f1: SpectralField, f2: SpectralField, p: float) -> float:
     """L^p norm of the pointwise magnitude of the vector field (f1, f2)."""
+    return _lp(np.sqrt(f1.values() ** 2 + f2.values() ** 2), p)
+
+
+def _lp(v: np.ndarray, p: float) -> float:
+    """mean(v^p)^(1/p) of values v >= 0 for finite p > 1, as m mean((v/m)^p)^(1/p)
+    with m = max(v) so that no power over- or underflows; 0 when v vanishes."""
     if not 1.0 < p < math.inf:
         raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
-    mag = np.sqrt(f1.values() ** 2 + f2.values() ** 2)
-    return float(np.mean(mag**p) ** (1.0 / p))
+    m = float(np.max(v))
+    return 0.0 if m == 0.0 else m * float(np.mean((v / m) ** p) ** (1.0 / p))
 
 
 def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float) -> float:

@@ -44,7 +44,7 @@ def solve_time_condition(exponents, bound: float, with_exp_factor: bool = False)
     Bisection on the left side to relative precision 1e-12. With a nonpositive
     exponent (outside the guaranteed regime) the left side is not monotone; the
     admissible set is then located from its interior minimum, and 0 is returned
-    when it is empty.
+    when it is empty, inf when it is unbounded (T doubles past the float range).
     """
     exponents = [float(a) for a in exponents]
     if not exponents:
@@ -72,12 +72,10 @@ def solve_time_condition(exponents, bound: float, with_exp_factor: bool = False)
             return 0.0
         lo = float(ts[i_min])
         hi = lo * 2.0
-    for _ in range(200):
-        if g(hi) > bound:
-            break
+    while g(hi) <= bound:
         hi *= 2.0
-    else:
-        return hi
+        if math.isinf(hi):
+            return math.inf
     for _ in range(200):
         if hi - lo <= 1e-12 * max(hi, 1e-300):
             break
@@ -264,24 +262,22 @@ class PicardConfig:
 
 
 @dataclass(frozen=True)
-class BallCheck:
-    sup_hs: float
-    bound: float
-    within: bool
-    weighted_sup: float | None = None
-    weighted_within: bool | None = None
-
-
-@dataclass(frozen=True)
 class PicardReport:
+    """What one run measured: H^s sup distances of successive iterates and their
+    ratios; `sup_hs`, the largest node norm of any iterate (L0 included), against
+    the ball radius `bound` = 2||theta0||_{H^s}; on a weighted run (else None) the
+    same sup of the Gevrey-weighted norm, inf if saturated; the last iterate."""
+
     converged: bool
     iterations: int
     distances: list[float]
     contraction_ratios: list[float]
-    ball_radius_check: BallCheck
+    sup_hs: float
+    bound: float
+    within: bool
     trajectory: Trajectory
-    weighted_trace: np.ndarray | None = None
-    weight_domination_slack: float | None = None
+    weighted_sup: float | None = None
+    weighted_within: bool | None = None
     note: str = ""
 
 
@@ -304,16 +300,17 @@ def picard_solve(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
 
 def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                           c: ConstantsTable) -> PicardReport:
-    """Same iteration, additionally tracking the Gevrey-weighted norm and the
-    Step-2 ball membership of every node of the converged trajectory."""
+    """Same iteration, additionally tracking the Gevrey-weighted sup of every
+    iterate and its Step-2 ball membership."""
     return _picard_engine(theta0, cfg, p, c, weighted=True)
 
 
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    c: ConstantsTable, weighted: bool) -> PicardReport:
-    """Raises ValueError for a cfg.T beyond the existence time (relative slack
-    1e-12). Three distance growths in a row end the run as "diverging distances";
-    zero data is its own fixed point, converged with no iterations."""
+    """Each iterate's sups enter the report once, as it is formed, and no iterate
+    is written in place. Raises ValueError for a cfg.T beyond the existence time
+    (relative slack 1e-12). Three distance growths in a row end the run as
+    "diverging distances"; zero data is its own fixed point, converged with no iterations."""
     if not theta0.is_mean_zero:
         raise ValueError("picard_solve requires mean-zero initial data")
     grid = theta0.grid
@@ -326,7 +323,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
 
     times = time_grid(cfg.T, cfg.n_nodes)
     L0 = semigroup_trajectory(theta0, times, p)
-    current = L0.coeffs.copy()
+    current = L0.coeffs
     sup_hs_all = float(np.max(_hs_norms(current, grid, s)))
     weighted_sup_all = _weighted_sup(grid, times, current, p, s) if weighted else None
 
@@ -342,31 +339,22 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         current = new
         sup_hs_all = max(sup_hs_all, float(np.max(_hs_norms(current, grid, s))))
         if weighted:
-            weighted_sup_all = max(weighted_sup_all,
-                                   _weighted_sup(grid, times, current, p, s))
+            weighted_sup_all = max(weighted_sup_all, _weighted_sup(grid, times, current, p, s))
         if d < cfg.tol:
             converged = True
             break
-        if len(distances) >= 2 and d > distances[-2]:
-            growth_streak += 1
-            if growth_streak >= 3:
-                note = "diverging distances"
-                break
-        else:
-            growth_streak = 0
+        growth_streak = growth_streak + 1 if len(distances) >= 2 and d > distances[-2] else 0
+        if growth_streak >= 3:
+            note = "diverging distances"
+            break
 
     ratios = [distances[i + 1] / distances[i]
               for i in range(len(distances) - 1) if distances[i] > 0.0]
     bound = 2.0 * norm0
-    traj = Trajectory(grid, times, current)
-    wtrace = _gevrey_norms(current, grid, times, s, p) if weighted else None
-    wslack = weight_domination_slack(p, cfg.T, grid) if weighted else None
-    ball = BallCheck(sup_hs_all, bound, sup_hs_all <= bound * (1.0 + 1e-9),
-                     weighted_sup=weighted_sup_all,
-                     weighted_within=(weighted_sup_all <= bound * (1.0 + 1e-9))
-                     if weighted else None)
-    return PicardReport(converged, len(distances), distances, ratios, ball, traj,
-                        weighted_trace=wtrace, weight_domination_slack=wslack, note=note)
+    weighted_within = weighted_sup_all <= bound * (1.0 + 1e-9) if weighted else None
+    return PicardReport(converged, len(distances), distances, ratios, sup_hs_all, bound,
+                        sup_hs_all <= bound * (1.0 + 1e-9), Trajectory(grid, times, current),
+                        weighted_sup_all, weighted_within, note)
 
 
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from aqgsim.checkpoint import read_checkpoint, write_checkpoint
-from aqgsim.diagnostics import Region, analyticity_radius_fit, region_classify
+from aqgsim.diagnostics import (Region, analyticity_radius_fit, region_classify,
+                               weighted_norm_trace)
 from aqgsim.grid import GridSpec
 from aqgsim.lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                            random_band_limited_field, scalar_inequality_suite,
@@ -110,11 +111,11 @@ def test_criterion_4_picard_contraction():
     rep = picard_solve(theta0, cfg, p, table)
     elapsed = time.perf_counter() - start
     assert rep.converged
-    assert rep.ball_radius_check.sup_hs <= 2.0 + 1e-6
+    assert rep.sup_hs <= 2.0 + 1e-6
     # ratios from iteration 2 onward (d2/d1 is the first recorded ratio)
     assert all(r <= 0.5 for r in rep.contraction_ratios)
     assert elapsed < 30.0
-    _passline(4, f"T0={T0:.3e}, ball sup {rep.ball_radius_check.sup_hs:.6f} <= 2+1e-6, "
+    _passline(4, f"T0={T0:.3e}, ball sup {rep.sup_hs:.6f} <= 2+1e-6, "
                  f"max ratio {max(rep.contraction_ratios):.3f} <= 0.5 "
                  f"({elapsed:.1f}s < 30s)")
 
@@ -126,7 +127,7 @@ def test_criterion_5_gevrey_weighted_ball():
     cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10)
     rep = weighted_picard_solve(theta0, cfg, p, table)
     assert rep.converged
-    values = rep.weighted_trace
+    values = weighted_norm_trace(rep.trajectory, p, p.s)
     assert all(math.isfinite(v) for v in values)
     assert max(values) <= 2.0 * (1.0 + 1e-6)
     _passline(5, f"T1={T1:.3e} < ln(3/2), weighted norm sup "

@@ -59,6 +59,16 @@ def test_validate_reports_key_path():
         validate_config({"time": {"T": 1.0, "checkpoint_times": [2.0]}})
 
 
+@pytest.mark.parametrize("key", ["init.seed", "constants.seed", "lemmas.seed", "init.kmax",
+                                 "time.trace_stride", "picard.max_iter", "constants.samples",
+                                 "lemmas.count", "lemmas.kmax"])
+def test_json_true_is_not_a_config_integer(key):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError) as err:
+        validate_config({section: {name: True}})
+    assert err.value.path == key
+
+
 def test_validate_rejects_non_finite_numbers():
     with pytest.raises(ConfigError) as err:
         validate_config({"time": {"T": 1.0, "checkpoint_times": [0.5, -math.inf]}})
@@ -178,16 +188,20 @@ def test_simulate_writes_outputs(tmp_path):
     assert json.loads((out / "config.json").read_text())["grid"]["n1"] == 32
 
 
-def test_simulate_rerun_bit_identical(tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "picard", "lemmas", "sweep", "gevrey"])
+def test_rerun_bit_identical(tmp_path, command):
     cfg = write_config(tmp_path)
+    extra = []
+    if command == "gevrey":  # both runs read one trajectory directory
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+        extra = ["--traj", str(sim)]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    states = sorted(p.name for p in out1.glob("state_*.aqgs"))
-    assert states == ["state_0000.aqgs", "state_final.aqgs"]
-    assert states == sorted(p.name for p in out2.glob("state_*.aqgs"))
-    for name in states:
+    for out in (out1, out2):
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert len(names) >= 2 and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -357,7 +371,8 @@ def test_picard_shared_run_matches_separate_solves(tmp_path):
     from aqgsim.cli import _fmt
     from aqgsim.config import load_config
     from aqgsim.norms import sobolev_norm
-    from aqgsim.solver import PicardConfig, picard_solve, weighted_picard_solve
+    from aqgsim.solver import (PicardConfig, picard_solve, weight_domination_slack,
+                               weighted_picard_solve)
 
     cfg_path = write_config(tmp_path, {"picard": {"weighted": True, "n_nodes": 9}})
     out = tmp_path / "shared"
@@ -382,16 +397,16 @@ def test_picard_shared_run_matches_separate_solves(tmp_path):
         f"iterations = {plain.iterations}",
         "distances = " + ", ".join(repr(d) for d in plain.distances),
         "contraction_ratios = " + ", ".join(repr(r) for r in plain.contraction_ratios),
-        f"ball_sup_hs = {_fmt(plain.ball_radius_check.sup_hs)}",
-        f"ball_bound = {_fmt(plain.ball_radius_check.bound)}",
-        f"ball_within = {_fmt(plain.ball_radius_check.within)}",
+        f"ball_sup_hs = {_fmt(plain.sup_hs)}",
+        f"ball_bound = {_fmt(plain.bound)}",
+        f"ball_within = {_fmt(plain.within)}",
         *([f"note = {plain.note}"] if plain.note else []),
         f"weighted_T = {_fmt(T)}",
         f"weighted_converged = {_fmt(wrep.converged)}",
         f"weighted_iterations = {wrep.iterations}",
-        f"weighted_sup = {_fmt(wrep.ball_radius_check.weighted_sup)}",
-        f"weighted_within = {_fmt(wrep.ball_radius_check.weighted_within)}",
-        f"weight_domination_slack = {_fmt(wrep.weight_domination_slack)}",
+        f"weighted_sup = {_fmt(wrep.weighted_sup)}",
+        f"weighted_within = {_fmt(wrep.weighted_within)}",
+        f"weight_domination_slack = {_fmt(weight_domination_slack(p, T, cfg.grid_spec()))}",
     ]
     start = lines.index(expected[0])
     assert lines[start:start + len(expected)] == expected
@@ -461,15 +476,6 @@ def test_picard_zero_data_is_its_own_fixed_point(tmp_path):
     assert rep["distances"] == ""
     assert rep["weighted_sup"] == "0.0"
     assert math.isfinite(float(rep["weight_domination_slack"]))
-
-
-def test_picard_rerun_bit_identical(tmp_path):
-    cfg = write_config(tmp_path)
-    out1, out2 = tmp_path / "p1", tmp_path / "p2"
-    assert main(["picard", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["picard", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "picard_report.txt").read_bytes() == \
-        (out2 / "picard_report.txt").read_bytes()
 
 
 def test_lemmas_clean_exit_0(tmp_path):

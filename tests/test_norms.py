@@ -65,6 +65,14 @@ def test_lp_norm_closed_forms(grid32):
     assert lp_norm(f, 4.0) == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-12)
 
 
+def test_lp_norm_large_finite_exponent(grid32):
+    # mean(v**p)**(1/p) overflows to inf for max|v| = 2 and underflows to 0 for 0.5
+    f = sine_field(grid32, (1, 0))
+    assert lp_norm(2.0 * f, 1500.0) == pytest.approx(1.99631, rel=1e-5)
+    assert lp_norm(0.5 * f, 1500.0) == pytest.approx(0.49908, rel=1e-5)
+    assert vector_lp_norm(2.0 * f, 2.0 * f, 1500.0) == pytest.approx(2.82320, rel=1e-5)
+
+
 def test_lp_rejects_bad_exponent(grid32):
     f = sine_field(grid32, (1, 0))
     for p in (1.0, math.inf):  # at p = inf the quadrature mean(v**p)**(1/p) reads 1.0

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from aqgsim.diagnostics import weighted_norm_trace
 from aqgsim.grid import GridSpec, SpectralField, field_from_modes, sine_field, zero_field
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
@@ -63,6 +64,16 @@ def test_time_condition_exp_factor_is_smaller():
     plain = solve_time_condition([0.5, 0.5], 1.0)
     damped = solve_time_condition([0.5, 0.5], 1.0, with_exp_factor=True)
     assert damped < plain
+
+
+@pytest.mark.parametrize("exponents, bound, expected", [
+    ([-0.5, -0.2], 1.0, math.inf),  # nonincreasing: every large T is admissible
+    ([0.01], 1e3, 1e300),  # T^0.01 <= 1e3 holds far beyond 2^200
+    # step 1 at alpha = beta = 0.75, s = 0.51, C1 = 0.02, unit data: 2 T^(1/150) <= 6.25
+    ([0.01 / 1.5] * 2, 6.25, 3.125**150),
+], ids=["nonincreasing", "small_exponent", "s_near_lower_end"])
+def test_time_condition_beyond_any_doubling_cap(exponents, bound, expected):
+    assert solve_time_condition(exponents, bound) == pytest.approx(expected, rel=1e-10)
 
 
 def test_existence_time_zero_data(params_sym):
@@ -213,7 +224,7 @@ def test_picard_random_data_contracts(grid64, params_sym):
     cfg = PicardConfig(T=T, n_nodes=17, tol=1e-11)
     rep = picard_solve(theta0, cfg, params_sym, table)
     assert rep.converged
-    assert rep.ball_radius_check.within
+    assert rep.within
     assert all(r <= 0.5 for r in rep.contraction_ratios)
     # distances strictly decreasing once the iteration starts contracting
     ds = rep.distances
@@ -261,8 +272,9 @@ def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
     cfg = PicardConfig(T=T1, n_nodes=9)
     rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
     assert rep.converged
-    assert all(v == pytest.approx(norm0, rel=1e-12) for v in rep.weighted_trace)
-    assert rep.ball_radius_check.weighted_within
+    assert all(v == pytest.approx(norm0, rel=1e-12)
+               for v in weighted_norm_trace(rep.trajectory, params_sym, params_sym.s))
+    assert rep.weighted_within
 
 
 def test_weighted_picard_random_data_ball(grid64, params_sym):
@@ -273,8 +285,28 @@ def test_weighted_picard_random_data_ball(grid64, params_sym):
     cfg = PicardConfig(T=T1, n_nodes=17)
     rep = weighted_picard_solve(theta0, cfg, params_sym, table)
     assert rep.converged
-    assert rep.ball_radius_check.weighted_sup <= 2.0 * (1.0 + 1e-6)
-    assert rep.weight_domination_slack <= 1e-12
+    assert rep.weighted_sup <= 2.0 * (1.0 + 1e-6)
+    assert weight_domination_slack(params_sym, T1, grid64) <= 1e-12
+
+
+def test_weighted_picard_forms_each_gevrey_norm_once(grid32, params_sym, monkeypatch):
+    """A weighted solve weighs every node of L0 and of each iterate once."""
+    import aqgsim.norms as norms
+
+    calls = []
+    gevrey_norm = norms._gevrey_norm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gevrey_norm(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_gevrey_norm", counting)
+    theta0 = unit_random_field(grid32, 4, params_sym.s)
+    T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
+    cfg = PicardConfig(T=T1, n_nodes=9, tol=1e-12)
+    rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
+    assert rep.converged and rep.iterations >= 2
+    assert len(calls) == cfg.n_nodes * (rep.iterations + 1)
 
 
 def test_weight_domination_scalar_scan():
