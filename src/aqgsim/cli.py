@@ -22,8 +22,8 @@ from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      total_violations)
 from .norms import sobolev_norm
 from .operators import DissipParams, RegimeWarning
-from .solver import (ConstantsTable, PicardConfig, calibrate_constants, evolve,
-                     existence_time, picard_solve, weight_domination_slack,
+from .solver import (ConstantsTable, PicardConfig, admits_horizon, calibrate_constants,
+                     evolve, existence_time, picard_solve, weight_domination_slack,
                      weighted_picard_solve)
 
 EXIT_OK = 0
@@ -117,25 +117,25 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     theta0 = build_initial_field(cfg, grid)
     table = resolve_constants(cfg, p)
     norm0 = sobolev_norm(theta0, p.s)
-    T0 = existence_time(norm0, p, table)
-    T1 = existence_time(norm0, p, table, weighted=True)
+    T0_lo, T0 = existence_time(norm0, p, table)
+    T1_lo, T1 = existence_time(norm0, p, table, weighted=True)
     pc = cfg.picard
     weighted = pc["weighted"]
-    if pc["T"] is not None and pc["T"] > T0 * (1.0 + 1e-12):
-        raise ConfigError("picard.T", f"{_fmt(pc['T'])} exceeds the existence time "
-                                      f"T0 = {_fmt(T0)}")
+    if pc["T"] is not None and not admits_horizon(pc["T"], T0_lo, T0):
+        raise ConfigError("picard.T", f"{_fmt(pc['T'])} lies outside the existence interval "
+                                      f"from T0_lo = {_fmt(T0_lo)} to T0 = {_fmt(T0)}")
 
-    def horizon(H):  # picard.T caps a block's existence time H; an unbounded H = inf takes 1.0
-        T = H if pc["T"] is None else min(pc["T"], H)
-        return 1.0 if math.isinf(T) else T
+    def horizon(lo, hi):  # picard.T caps a block's upper end; an unbounded one takes 1.0 or lo
+        T = hi if pc["T"] is None else min(pc["T"], hi)
+        return max(1.0, lo) if math.isinf(T) else T
 
     def solve_config(T):
         return PicardConfig(T=T, n_nodes=pc["n_nodes"], max_iter=pc["max_iter"], tol=pc["tol"])
 
-    T_plain = horizon(T0)
-    T_w = horizon(T1)
-    # an empty smallness-condition set (possible off the symmetric axis when
-    # s >= 1, or from the weighted e^T factor) is a finding, not a crash
+    T_plain = horizon(T0_lo, T0)
+    T_w = horizon(T1_lo, T1)
+    # an empty smallness-condition set (possible off the symmetric axis when s >= 1,
+    # or from the weighted e^T factor) or a capped horizon below it is a finding
     no_horizon = "existence conditions admit no positive horizon"
     lines = [f"regime = {p.regime}", f"theta0_hs = {_fmt(norm0)}", f"T0 = {_fmt(T0)}",
              f"T1 = {_fmt(T1)}"]
@@ -143,13 +143,12 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
         lines += ["converged = false", f"note = {no_horizon}"]
         (out_dir / "picard_report.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
+    weighted_runs = weighted and admits_horizon(T_w, T1_lo, T1)
     # the Gevrey weight is a norm measured on the iterates, not a part of the
     # map, so on a shared horizon the weighted run's iteration is the plain one
-    shared = weighted and T_w == T_plain
-    if shared:
-        rep = weighted_picard_solve(theta0, solve_config(T_w), p, table)
-    else:
-        rep = picard_solve(theta0, solve_config(T_plain), p, table)
+    shared = weighted_runs and T_w == T_plain
+    solve = weighted_picard_solve if shared else picard_solve
+    rep = solve(theta0, solve_config(T_plain), p, table)
     lines += [
         f"T = {_fmt(T_plain)}",
         f"weighted = {_fmt(weighted)}",
@@ -163,12 +162,8 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     ]
     if rep.note:
         lines.append(f"note = {rep.note}")
-    if weighted and T_w <= 0.0:
-        lines += [f"weighted_T = {_fmt(T_w)}", "weighted_converged = false",
-                  f"weighted_note = {no_horizon}"]
-    elif weighted:
-        wrep = rep if shared else weighted_picard_solve(
-            theta0, solve_config(T_w), p, table)
+    if weighted_runs:
+        wrep = rep if shared else weighted_picard_solve(theta0, solve_config(T_w), p, table)
         lines += [
             f"weighted_T = {_fmt(T_w)}",
             f"weighted_converged = {_fmt(wrep.converged)}",
@@ -177,6 +172,9 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
             f"weighted_within = {_fmt(wrep.weighted_within)}",
             f"weight_domination_slack = {_fmt(weight_domination_slack(p, T_w, grid))}",
         ]
+    elif weighted:
+        lines += [f"weighted_T = {_fmt(T_w)}", "weighted_converged = false",
+                  f"weighted_note = {no_horizon}"]
     for name in ("C1", "C2", "C3", "C4"):
         lines.append(f"constants_{name} = {_fmt(getattr(table, name))}")
     (out_dir / "picard_report.txt").write_text("\n".join(lines) + "\n")
@@ -219,7 +217,7 @@ def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float)
     try:
         p = DissipParams(alpha, beta, cfg.params["mu"], cfg.params["nu"], cfg.params["s"])
         table = resolve_constants(cfg, p)
-        T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
+        _, T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
         sw = cfg.sweep
         res = evolve(theta0, sw["T_short"], p, rtol=cfg.time["rtol"], atol=cfg.time["atol"],
                      trace_stride=10**9)

@@ -30,61 +30,59 @@ LOG_3_2 = math.log(1.5)
 
 
 def _power_sum(t: float, exponents) -> float:
-    """sum_i t^{a_i}; a term beyond the float range reads as inf, so the smallness
-    condition it enters is unmet rather than an error."""
+    """sum_i t^{a_i}, the left side of a smallness condition at a calibration
+    horizon; a term beyond the float range reads as inf."""
     try:
         return sum(t**a for a in exponents)
     except OverflowError:
         return math.inf
 
 
-def solve_time_condition(exponents, bound: float, with_exp_factor: bool = False) -> float:
-    """Largest T >= 0 with sum_i T^{a_i} (optionally times e^T) <= bound.
+_U_MIN, _U_MAX = math.log(5e-324), math.log(1.7e308)  # u = log T over the positive floats
 
-    Bisection on the left side to relative precision 1e-12. With a nonpositive
-    exponent (outside the guaranteed regime) the left side is not monotone; the
-    admissible set is then located from its interior minimum, and 0 is returned
-    when it is empty, inf when it is unbounded (T doubles past the float range).
+
+def solve_time_condition(exponents, bound: float,
+                         with_exp_factor: bool = False) -> tuple[float, float]:
+    """The interval (T_lo, T_hi) of T > 0 with sum_i T^{a_i} (optionally times e^T) <= bound.
+
+    The log of the left side at T = e^u, a log-sum-exp of the lines a_i u (plus
+    e^u), is convex in u for exponents of any sign. Its minimiser is found by
+    bisection on the sign of its slope, then each end of the interval by bisection
+    in u to 1e-12 relative in T, on the admissible side. T_lo = 0.0 when every small
+    T is admissible, T_hi = inf when every large one is; (0.0, 0.0) is the empty set.
     """
     exponents = [float(a) for a in exponents]
     if not exponents:
         raise ValueError("need at least one exponent")
-    if bound <= 0.0:
-        return 0.0
-    if math.isinf(bound):
-        return math.inf
+    log_bound = math.log(bound) if bound > 0.0 else -math.inf
 
-    def g(t: float) -> float:
-        total = _power_sum(t, exponents)
-        if with_exp_factor:
-            return math.inf if t > 700.0 else total * math.exp(t)
-        return total
-
-    if min(exponents) > 0.0:
-        lo = 0.0
-        hi = 1.0
-    else:
-        # locate the interior minimum of g on a log grid, then walk right
-        ts = np.logspace(-16, 16, 2000)
-        vals = np.array([g(float(t)) for t in ts])
-        i_min = int(np.argmin(vals))
-        if vals[i_min] > bound:
-            return 0.0
-        lo = float(ts[i_min])
-        hi = lo * 2.0
-    while g(hi) <= bound:
-        hi *= 2.0
-        if math.isinf(hi):
-            return math.inf
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= bound:
-            lo = mid
+    def h(u):  # (h, slope); an infinite a_i u makes h infinite, not NaN, and T = 1 gives T^a = 1
+        terms = [a * u if u else 0.0 for a in exponents]
+        top = max(terms)
+        if math.isinf(top):  # h moves with the sign of top * u
+            value, slope = top, top * u
         else:
-            hi = mid
-    return lo
+            w = [math.exp(t - top) for t in terms]
+            value = top + math.log(sum(w))
+            slope = sum(a * x for a, x in zip(exponents, w) if x) / sum(w)
+        e = math.exp(u) if with_exp_factor else 0.0
+        return value + e, slope + e
+
+    def bisect(yes, no, test):  # width 2.5e-13 > 2 ulps of |u| <= 745, so mid is strictly inside
+        while abs(yes - no) > 2.5e-13:
+            mid = 0.5 * (yes + no)
+            yes, no = (mid, no) if test(mid) else (yes, mid)
+        return yes
+
+    def admissible(u):
+        return h(u)[0] <= log_bound
+
+    u_min = bisect(_U_MAX, _U_MIN, lambda u: h(u)[1] >= 0.0)
+    if not admissible(u_min):
+        return 0.0, 0.0
+    T_lo = 0.0 if admissible(_U_MIN) else math.exp(bisect(u_min, _U_MIN, admissible))
+    T_hi = math.inf if admissible(_U_MAX) else math.exp(bisect(u_min, _U_MAX, admissible))
+    return T_lo, T_hi
 
 
 @dataclass(frozen=True)
@@ -115,31 +113,31 @@ def _step2_exponents(p: DissipParams) -> list[float]:
 
 
 def existence_time(theta0_norm: float, p: DissipParams, c: ConstantsTable,
-                   weighted: bool = False) -> float:
-    """Largest horizon satisfying every applicable smallness condition.
-
-    Plain mode intersects the low-regularity condition with (for s >= 1) the
-    four-term condition. Weighted mode additionally multiplies the left sides
-    by e^T, requires e^T < 3/2, and caps the result by the plain horizon.
-    """
+                   weighted: bool = False) -> tuple[float, float]:
+    """The interval (T_lo, T_hi) meeting the low-regularity condition and, for s >= 1,
+    the four-term one; weighted mode intersects it with the same conditions times
+    e^T and with e^T < 3/2. (0.0, 0.0) when none does; zero data gives (0.0, inf)."""
     if not theta0_norm >= 0.0:
         raise ValueError("theta0_norm must be nonnegative")
     if theta0_norm == 0.0:
-        return math.inf
+        return 0.0, math.inf
     p.warn_if_unguaranteed()
 
-    def candidates(C_low, C_four, with_exp_factor=False):
-        out = [solve_time_condition(_step1_exponents(p), 1.0 / (8.0 * C_low * theta0_norm),
-                                    with_exp_factor)]
-        if p.s >= 1.0:
-            out.append(solve_time_condition(_step2_exponents(p),
-                                            1.0 / (8.0 * C_four * theta0_norm), with_exp_factor))
-        return out
+    def intervals(C_low, C_four, with_exp_factor=False):  # the four-term one for s >= 1
+        conditions = [(_step1_exponents(p), C_low), (_step2_exponents(p), C_four)]
+        return [solve_time_condition(a, 1.0 / (8.0 * C * theta0_norm), with_exp_factor)
+                for a, C in conditions[:2 if p.s >= 1.0 else 1]]
 
-    t_plain = min(candidates(c.C1, c.C2))
-    if not weighted:
-        return t_plain
-    return min(t_plain, LOG_3_2 * (1.0 - 1e-12), *candidates(c.C3, c.C4, True))
+    found = intervals(c.C1, c.C2)
+    if weighted:
+        found += [(0.0, LOG_3_2 * (1.0 - 1e-12)), *intervals(c.C3, c.C4, True)]
+    T_lo, T_hi = max(lo for lo, _ in found), min(hi for _, hi in found)
+    return (T_lo, T_hi) if T_lo <= T_hi else (0.0, 0.0)
+
+
+def admits_horizon(T: float, T_lo: float, T_hi: float) -> bool:
+    """T > 0 lies in [T_lo, T_hi] up to the precision of the ends, 1e-12 relative."""
+    return T > 0.0 and T_lo * (1.0 - 1e-12) <= T <= T_hi * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +242,8 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """One solve's horizon T (positive; the solve rejects one beyond the existence
-    time), time nodes, iteration cap and H^s distance tolerance."""
+    """One solve's horizon T (positive; the solve rejects one outside the existence
+    time interval), time nodes, iteration cap and H^s distance tolerance."""
 
     T: float
     n_nodes: int = 64
@@ -308,18 +306,19 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig, p: DissipPar
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    c: ConstantsTable, weighted: bool) -> PicardReport:
     """Each iterate's sups enter the report once, as it is formed, and no iterate
-    is written in place. Raises ValueError for a cfg.T beyond the existence time
-    (relative slack 1e-12). Three distance growths in a row end the run as
-    "diverging distances"; zero data is its own fixed point, converged with no iterations."""
+    is written in place. Raises ValueError for a cfg.T outside the existence
+    interval [T_lo, T_hi] (relative slack 1e-12 at each end). Three distance
+    growths in a row end the run as "diverging distances"; zero data is its own
+    fixed point, converged with no iterations."""
     if not theta0.is_mean_zero:
         raise ValueError("picard_solve requires mean-zero initial data")
     grid = theta0.grid
     s = p.s
     norm0 = sobolev_norm(theta0, s)
-    horizon = existence_time(norm0, p, c, weighted=weighted)
-    if cfg.T > horizon * (1.0 + 1e-12):
-        raise ValueError(f"requested horizon T={cfg.T} exceeds guaranteed existence time "
-                         f"{horizon:.6g}")
+    T_lo, T_hi = existence_time(norm0, p, c, weighted=weighted)
+    if not admits_horizon(cfg.T, T_lo, T_hi):
+        raise ValueError(f"requested horizon T={cfg.T} lies outside the guaranteed existence "
+                         f"time interval [{T_lo:.6g}, {T_hi:.6g}]")
 
     times = time_grid(cfg.T, cfg.n_nodes)
     L0 = semigroup_trajectory(theta0, times, p)

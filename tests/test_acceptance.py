@@ -106,7 +106,7 @@ def test_criterion_3_calderon_zygmund_isometry():
 def test_criterion_4_picard_contraction():
     start = time.perf_counter()
     p, grid, theta0, table = picard_setup()
-    T0 = existence_time(1.0, p, table)
+    _, T0 = existence_time(1.0, p, table)
     cfg = PicardConfig(T=T0, n_nodes=32, max_iter=40, tol=1e-10)
     rep = picard_solve(theta0, cfg, p, table)
     elapsed = time.perf_counter() - start
@@ -122,7 +122,7 @@ def test_criterion_4_picard_contraction():
 
 def test_criterion_5_gevrey_weighted_ball():
     p, grid, theta0, table = picard_setup()
-    T1 = existence_time(1.0, p, table, weighted=True)
+    _, T1 = existence_time(1.0, p, table, weighted=True)
     assert T1 < LOG_3_2
     cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10)
     rep = weighted_picard_solve(theta0, cfg, p, table)

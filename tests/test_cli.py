@@ -254,8 +254,10 @@ def test_simulate_large_adaptive_start_aborts_at_once(tmp_path, capsys):
     ("picard", {"params": {"s": 10**400}}, 1, "params.s"),
     ("picard", {"params": {"s": -50.0}}, 0, None),
     ("picard", {"params": {"alpha": 1e-300}}, 0, None),
+    ("picard", {"params": {"alpha": 5e-324}}, 0, None),
     ("simulate", {"init": {"spectrum_slope": -1e6}}, 1, "init.spectrum_slope"),
-], ids=["s=400", "s=-5000", "s=1e400", "s=-50", "alpha=1e-300", "spectrum_slope=-1e6"])
+], ids=["s=400", "s=-5000", "s=1e400", "s=-50", "alpha=1e-300", "alpha=5e-324",
+        "spectrum_slope=-1e6"])
 def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, overrides,
                                                      rc, key):
     # a scalar power of each input leaves the float range; that must end in an exit
@@ -444,18 +446,61 @@ def _small_picard(tmp_path, constants, overrides):
 
 def test_picard_empty_weighted_horizon_is_a_finding(tmp_path):
     # at s = 0 and alpha = beta = 0.3 the conditions have negative exponents:
-    # the plain one holds for every large T, the weighted one (times e^T < 3/2)
-    # for none, so T1 = 0 while picard.T = 0.001 lies below T0
+    # the plain one holds for every T >= 4.8^(3/7) = 1.96, the weighted one
+    # (times e^T < 3/2) for none, so T1 = 0 while picard.T = 8.0 lies in the plain interval
     rc, report = _small_picard(tmp_path, (1.0,) * 4, {
         "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
-        "picard": {"T": 0.001, "weighted": True}})
+        "picard": {"T": 8.0, "weighted": True}})
     assert rc == 0
     rep = parse_report(report)
     assert float(rep["T1"]) == 0.0 and float(rep["T0"]) > 1.0
-    assert rep["T"] == "0.001" and rep["converged"] in ("true", "false")
+    assert rep["T"] == "8.0" and rep["converged"] in ("true", "false")
     assert rep["weighted_T"] == "0.0"
     assert rep["weighted_converged"] == "false"
     assert rep["weighted_note"] == "existence conditions admit no positive horizon"
+
+
+def test_picard_unbounded_horizon_runs_from_its_lower_end(tmp_path):
+    # data norm 0.3 at s = 0: the plain condition 2 T^(-7/3) <= 1 / (8 * 0.3) holds
+    # for every T >= 4.8^(3/7) = 1.9587, so a null picard.T runs there, not at 1.0
+    rc, report = _small_picard(tmp_path, (1.0,) * 4, {
+        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0}, "picard": {"weighted": True}})
+    assert rc == 0
+    rep = parse_report(report)
+    assert rep["T0"] == "inf"
+    assert float(rep["T"]) == pytest.approx(4.8 ** (3.0 / 7.0), rel=1e-12)
+    assert rep["weighted_note"] == "existence conditions admit no positive horizon"
+
+
+def test_picard_weighted_horizon_below_its_interval_is_a_finding(tmp_path):
+    # the plain interval is [0.00525, inf) and the weighted one [0.01418, 0.405]:
+    # picard.T = 0.01 runs the plain block and leaves the weighted one without a horizon
+    rc, report = _small_picard(tmp_path, (1e-6, 1e-6, 1e-5, 1e-5), {
+        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
+        "picard": {"T": 0.01, "weighted": True}})
+    assert rc == 0
+    rep = parse_report(report)
+    assert rep["T0"] == "inf" and 0.4 < float(rep["T1"]) < 0.41
+    assert rep["T"] == "0.01" and "iterations" in rep
+    assert rep["weighted_T"] == "0.01"
+    assert rep["weighted_converged"] == "false"
+    assert rep["weighted_note"] == "existence conditions admit no positive horizon"
+    assert "weighted_iterations" not in rep
+
+
+def test_picard_T_below_existence_interval_names_the_key(tmp_path, capsys):
+    # in the guaranteed regime at alpha = 0.95, beta = 0.55, s = 1.2 the four-term
+    # exponent (4 beta - 2 alpha - 1) / (4 beta) = -0.32 is negative: for H^s norm 0.1
+    # and these calibrated constants the plain interval is [1.81e-4, 15.14]
+    rc, report = _small_picard(tmp_path, (1.0,) * 4, {
+        "params": {"alpha": 0.95, "beta": 0.55, "s": 1.2},
+        "init": {"normalize": "hs", "amplitude": 0.1},
+        "constants": {"mode": "calibrate", "samples": 8, "seed": 0},
+        "picard": {"T": 1e-5}})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error at picard.T" in err and "T0_lo = 0.00018" in err and "T0 = " in err
+    assert not report.exists()
 
 
 def test_picard_T_beyond_existence_time_names_the_key(tmp_path, capsys):

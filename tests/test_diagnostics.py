@@ -208,7 +208,7 @@ def test_rates_grow_on_weighted_picard_solution(grid64):
     theta0 = band_field(grid64, 31, 10, slope=2.0)
     theta0 = theta0 * (1.0 / sobolev_norm(theta0, p.s))
     table = calibrate_constants(p, n_samples=4, seed=3)
-    T1 = existence_time(1.0, p, table, weighted=True)
+    _, T1 = existence_time(1.0, p, table, weighted=True)
     rep = weighted_picard_solve(theta0, PicardConfig(T=T1, n_nodes=9),
                                 p, table)
     assert rep.converged

@@ -50,19 +50,19 @@ def kernel_calls(monkeypatch):
 
 def test_time_condition_symmetric_closed_form():
     # 2 sqrt(T) <= 1  =>  T = 1/4
-    assert solve_time_condition([0.5, 0.5], 1.0) == pytest.approx(0.25, rel=1e-10)
+    assert solve_time_condition([0.5, 0.5], 1.0)[1] == pytest.approx(0.25, rel=1e-10)
 
 
 def test_time_condition_golden_ratio_case():
     # sqrt(T) + T^(1/4) = 1 with y = T^(1/4): y^2 + y = 1
     expected = ((math.sqrt(5.0) - 1.0) / 2.0) ** 4
-    assert solve_time_condition([0.5, 0.25], 1.0) == pytest.approx(expected, rel=1e-10)
+    assert solve_time_condition([0.5, 0.25], 1.0)[1] == pytest.approx(expected, rel=1e-10)
     assert expected == pytest.approx(0.14589803375031546, rel=1e-12)
 
 
 def test_time_condition_exp_factor_is_smaller():
-    plain = solve_time_condition([0.5, 0.5], 1.0)
-    damped = solve_time_condition([0.5, 0.5], 1.0, with_exp_factor=True)
+    _, plain = solve_time_condition([0.5, 0.5], 1.0)
+    _, damped = solve_time_condition([0.5, 0.5], 1.0, with_exp_factor=True)
     assert damped < plain
 
 
@@ -73,26 +73,80 @@ def test_time_condition_exp_factor_is_smaller():
     ([0.01 / 1.5] * 2, 6.25, 3.125**150),
 ], ids=["nonincreasing", "small_exponent", "s_near_lower_end"])
 def test_time_condition_beyond_any_doubling_cap(exponents, bound, expected):
-    assert solve_time_condition(exponents, bound) == pytest.approx(expected, rel=1e-10)
+    assert solve_time_condition(exponents, bound)[1] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("exponents, bound, expected", [
+    ([0.01], 0.2, (0.0, 0.2**100)),  # 1.3e-70
+    ([0.5], 1e-40, (0.0, 1e-80)),
+    # alpha = beta = 0.3, s = 0: 2 T^(-7/3) <= 1/8 holds for T >= 16^(3/7) only
+    ([-7.0 / 3.0, -7.0 / 3.0], 0.125, (16.0 ** (3.0 / 7.0), math.inf)),
+], ids=["tiny_upper_end", "upper_end_1e-80", "lower_end"])
+def test_time_condition_interval_closed_form(exponents, bound, expected):
+    assert solve_time_condition(exponents, bound) == pytest.approx(expected, rel=1e-12)
+
+
+def test_time_condition_decreasing_left_side_has_a_lower_end():
+    T_lo, T_hi = solve_time_condition([-0.5, -0.2], 1.0)
+    assert T_hi == math.inf
+    assert T_lo == pytest.approx(8.3553, rel=1e-4)
+    assert T_lo**-0.5 + T_lo**-0.2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_existence_time_just_above_s_lower():
+    # step 1 at s = 0.51: 2 T^(1/150) <= 1 / (8 * 0.25 * 10), so T0 = 0.025^150
+    p = DissipParams(0.75, 0.75, s=0.51)
+    _, T0 = existence_time(10.0, p, ConstantsTable(0.25, 0.25, 0.25, 0.25))
+    assert T0 == pytest.approx(0.025**150, rel=1e-10)
+
+
+def test_time_condition_ends_are_tight():
+    """Each finite end is admissible, and a point 1e-9 relative outside it is not."""
+    rng = np.random.default_rng(16)
+
+    def log_lhs(exponents, T, with_exp_factor):
+        logs = [a * math.log(T) for a in exponents]
+        return float(np.logaddexp.reduce(logs)) + (T if with_exp_factor else 0.0)
+
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        exponents = list(rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 3.0, n))
+        bound = 10.0 ** rng.uniform(-3.0, 3.0)
+        with_exp_factor = bool(rng.integers(2))
+        T_lo, T_hi = solve_time_condition(exponents, bound, with_exp_factor)
+        log_bound = math.log(bound)
+        if T_hi == 0.0:  # empty: no T on a log grid is admissible
+            assert T_lo == 0.0
+            assert all(log_lhs(exponents, T, with_exp_factor) > log_bound
+                       for T in np.logspace(-300, 300, 601))
+            continue
+        for end, outside in ((T_lo, T_lo * (1.0 - 1e-9)), (T_hi, T_hi * (1.0 + 1e-9))):
+            if 0.0 < end < math.inf:
+                assert log_lhs(exponents, end, with_exp_factor) <= log_bound
+                assert log_lhs(exponents, outside, with_exp_factor) > log_bound
+        if T_lo == 0.0:
+            assert log_lhs(exponents, 1e-300, with_exp_factor) <= log_bound
+        if T_hi == math.inf:
+            assert log_lhs(exponents, 1e300, with_exp_factor) <= log_bound
 
 
 def test_existence_time_zero_data(params_sym):
-    assert existence_time(0.0, params_sym, TABLE) == math.inf
+    assert existence_time(0.0, params_sym, TABLE)[1] == math.inf
 
 
 def test_existence_time_monotone_in_norm(params_sym):
-    t_small = existence_time(0.5, params_sym, TABLE)
-    t_large = existence_time(2.0, params_sym, TABLE)
+    _, t_small = existence_time(0.5, params_sym, TABLE)
+    _, t_large = existence_time(2.0, params_sym, TABLE)
     assert t_large < t_small
 
 
 def test_existence_time_weighted_cap(params_sym):
-    t0 = existence_time(1.0, params_sym, TABLE)
-    t1 = existence_time(1.0, params_sym, TABLE, weighted=True)
+    _, t0 = existence_time(1.0, params_sym, TABLE)
+    _, t1 = existence_time(1.0, params_sym, TABLE, weighted=True)
     assert t1 <= t0
     assert t1 < LOG_3_2
     # weighted cap binds even for tiny data
-    assert existence_time(1e-9, params_sym, TABLE, weighted=True) < LOG_3_2
+    assert existence_time(1e-9, params_sym, TABLE, weighted=True)[1] < LOG_3_2
 
 
 def test_existence_time_warns_outside_regime():
@@ -106,7 +160,7 @@ def test_low_s_uses_single_condition():
     # four-term condition would be far more restrictive
     p_low = DissipParams(0.9, 0.9, s=0.5)
     c = ConstantsTable(0.1, 1e6, 0.1, 1e6)
-    t_low = existence_time(1.0, p_low, c)
+    _, t_low = existence_time(1.0, p_low, c)
     assert t_low > 1e-3
 
 
@@ -207,7 +261,7 @@ def test_picard_zero_data(grid32, params_sym):
 
 def test_picard_single_mode_is_semigroup(grid32, params_sym):
     theta0 = sine_field(grid32, (1, 0))
-    T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
+    _, T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
     cfg = PicardConfig(T=T, n_nodes=9, tol=1e-12)
     rep = picard_solve(theta0, cfg, params_sym, TABLE)
     assert rep.converged
@@ -220,7 +274,7 @@ def test_picard_single_mode_is_semigroup(grid32, params_sym):
 def test_picard_random_data_contracts(grid64, params_sym):
     theta0 = unit_random_field(grid64, 7, params_sym.s)
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
-    T = existence_time(1.0, params_sym, table)
+    _, T = existence_time(1.0, params_sym, table)
     cfg = PicardConfig(T=T, n_nodes=17, tol=1e-11)
     rep = picard_solve(theta0, cfg, params_sym, table)
     assert rep.converged
@@ -234,7 +288,7 @@ def test_picard_random_data_contracts(grid64, params_sym):
 def test_picard_limit_is_discrete_mild_solution(grid64, params_sym):
     theta0 = unit_random_field(grid64, 8, params_sym.s)
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
-    T = existence_time(1.0, params_sym, table)
+    _, T = existence_time(1.0, params_sym, table)
     cfg = PicardConfig(T=T, n_nodes=17, tol=1e-11)
     rep = picard_solve(theta0, cfg, params_sym, table)
     L0 = semigroup_trajectory(theta0.dealiased(), rep.trajectory.times, params_sym)
@@ -247,7 +301,7 @@ def test_picard_limit_is_discrete_mild_solution(grid64, params_sym):
 
 def test_picard_horizon_guard(grid32, params_sym):
     theta0 = sine_field(grid32, (1, 0))
-    T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
+    _, T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
     with pytest.raises(ValueError, match="existence time"):
         picard_solve(theta0, PicardConfig(T=3.0 * T, n_nodes=5), params_sym, TABLE)
 
@@ -268,7 +322,7 @@ def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
     """On sin(x1) the weight exp(t) exactly cancels the decay exp(-t)."""
     theta0 = sine_field(grid32, (1, 0))
     norm0 = sobolev_norm(theta0, params_sym.s)
-    T1 = existence_time(norm0, params_sym, TABLE, weighted=True)
+    _, T1 = existence_time(norm0, params_sym, TABLE, weighted=True)
     cfg = PicardConfig(T=T1, n_nodes=9)
     rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
     assert rep.converged
@@ -280,7 +334,7 @@ def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
 def test_weighted_picard_random_data_ball(grid64, params_sym):
     theta0 = unit_random_field(grid64, 9, params_sym.s)
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
-    T1 = existence_time(1.0, params_sym, table, weighted=True)
+    _, T1 = existence_time(1.0, params_sym, table, weighted=True)
     assert T1 < LOG_3_2
     cfg = PicardConfig(T=T1, n_nodes=17)
     rep = weighted_picard_solve(theta0, cfg, params_sym, table)
@@ -302,7 +356,7 @@ def test_weighted_picard_forms_each_gevrey_norm_once(grid32, params_sym, monkeyp
 
     monkeypatch.setattr(norms, "_gevrey_norm", counting)
     theta0 = unit_random_field(grid32, 4, params_sym.s)
-    T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
+    _, T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
     cfg = PicardConfig(T=T1, n_nodes=9, tol=1e-12)
     rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
     assert rep.converged and rep.iterations >= 2
