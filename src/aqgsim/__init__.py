@@ -10,10 +10,8 @@ from .solver import (ConstantsTable, DiagnosticsTrace, EvolveResult, PicardConfi
                      duhamel_bilinear, evolve, existence_time, glue_continue,
                      picard_solve, semigroup_trajectory, solve_time_condition,
                      time_grid, weighted_picard_solve)
-from .diagnostics import (GevreyReport, RateFit, Region, RemarkChainReport,
-                          SmoothingReport, analyticity_radius_fit, build_gevrey_report,
-                          h2_smoothing_check, region_classify, remark_chain_check,
-                          weighted_norm_trace)
+from .diagnostics import (GevreyReport, RateFit, Region, analyticity_radius_fit,
+                          build_gevrey_report, region_classify, weighted_norm_trace)
 from .lemmas import (FieldEnsembleSpec, InequalityReport, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite)
 from .checkpoint import (Checkpoint, CheckpointError, CheckpointFormatError,

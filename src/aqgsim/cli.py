@@ -187,8 +187,9 @@ def cmd_lemmas(cfg: RunConfig, out_dir: Path) -> int:
     lm = cfg.lemmas
     spec = FieldEnsembleSpec(grid, seed=lm["seed"], count=lm["count"],
                              kmax=lm["kmax"], spectrum_slope=lm["spectrum_slope"])
-    reports = scalar_inequality_suite(p, lm["grid_density"])
-    reports += functional_inequality_suite(spec, p)
+    scalar = scalar_inequality_suite(p, lm["grid_density"])
+    # the two lattice checks, last in the scalar suite, are written last
+    reports = scalar[:-2] + functional_inequality_suite(spec, p) + scalar[-2:]
     lines = []
     for r in reports:
         lines.append(f"[{r.inequality}]")

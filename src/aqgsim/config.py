@@ -157,6 +157,8 @@ def validate_config(data: dict) -> RunConfig:
         for i, m in enumerate(init["modes"]):
             path = f"init.modes[{i}]"
             _require(isinstance(m, dict), path, "must be an object")
+            for key in m:
+                _require(key in ("k", "amplitude", "phase"), f"{path}.{key}", "unknown key")
             k = m.get("k")
             _require(isinstance(k, list) and len(k) == 2
                      and all(_is_int(v) for v in k), f"{path}.k",

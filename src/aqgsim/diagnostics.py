@@ -1,6 +1,8 @@
 """Measurable forms of the regularity statements: weighted-norm traces, fitted
-analyticity rates, the H^2 smoothing check, the remark inequality chain, and the
-parameter-plane classifier for the global-regularity condition."""
+analyticity rates, the Gevrey report of a run, and the parameter-plane
+classifier for the global-regularity condition. The scalar claims behind the
+smoothing step (the weight comparison and the H^2 weight bound) are checked in
+`lemmas.scalar_inequality_suite`."""
 
 from __future__ import annotations
 
@@ -10,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralField, sobolev_weight
+from .grid import SpectralField
 from .norms import _gevrey_norms, gevrey_weighted_norm, sobolev_norm
-from .operators import DissipParams, gevrey_multiplier
+from .operators import DissipParams
 from .solver import Trajectory
 
 NOISE_FLOOR = 1e-14
@@ -96,98 +98,6 @@ def analyticity_radius_fit(f_t: SpectralField, f_0: SpectralField,
     r1, res1, n1 = fit_axis(1)
     r2, res2, n2 = fit_axis(2)
     return RateFit(r1, r2, res1, res2, n1, n2)
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    t0: float
-    epsilon: float
-    h2_at_t0: float
-    weight_sup: float
-    weight_bound_constant: float
-    continuity_modulus: float
-    node_spacing: float
-
-
-def h2_smoothing_check(traj: Trajectory, t0: float, p: DissipParams, s: float) -> SmoothingReport:
-    """H^2 norm at an interior time plus the per-mode weight bound behind it.
-
-    Verifies sup_k (1+|k|^2)^{4-2s} exp(-(t0-eps) B(k)) is finite, reporting the
-    observed supremum and its ratio to 1 + (t0-eps)^{-(8-4s)/a} + (t0-eps)^{-(8-4s)/b};
-    the continuity modulus is measured against the neighboring nodes.
-    """
-    times = traj.times
-    if not (times[0] < t0 < times[-1]):
-        raise ValueError(f"t0={t0} must be interior to the trajectory span "
-                         f"[{times[0]}, {times[-1]}]")
-    i0 = int(np.argmin(np.abs(times - t0)))
-    i0 = min(max(i0, 1), traj.n_nodes - 2)
-    t_node = float(times[i0])
-    eps = 0.5 * t_node
-    grid = traj.grid
-    B = gevrey_multiplier(grid, p)
-    weight = sobolev_weight(grid, 4.0 - 2.0 * s) * np.exp(-(t_node - eps) * B)
-    weight_sup = float(np.max(weight))
-    margin = t_node - eps
-    comparison = 1.0 + margin ** (-(8.0 - 4.0 * s) / p.alpha) \
-        + margin ** (-(8.0 - 4.0 * s) / p.beta)
-    f0 = traj.field(i0)
-    modulus = max(sobolev_norm(traj.field(i0 - 1) - f0, 2.0),
-                  sobolev_norm(traj.field(i0 + 1) - f0, 2.0))
-    return SmoothingReport(t_node, eps, sobolev_norm(f0, 2.0), weight_sup,
-                           weight_sup / comparison, modulus, traj.dt)
-
-
-@dataclass(frozen=True)
-class RemarkChainReport:
-    prerequisite_ok: bool
-    min_log_slack_lower: float
-    max_log_slack_lower: float
-    min_log_slack_upper: float
-    max_log_slack_upper: float
-    violations_lower: int
-    violations_upper: int
-    samples: int
-    t_max: float
-
-    @property
-    def violations(self) -> int:
-        return self.violations_lower + self.violations_upper
-
-
-def remark_chain_check(p: DissipParams, T0: float, t_samples: int = 16,
-                       T1: float | None = None, kmax: int = 128) -> RemarkChainReport:
-    """Scan the two-sided weight comparison over a wavenumber lattice and
-    sampled times t in [0, min(T0, T1)].
-
-    In log space the claims are t(|k1|^a + |k2|^b) - t|k|^a + T0 >= 0 and
-    T0 + 2t|k|^b - t(|k1|^a + |k2|^b) >= 0; violations are findings, not errors.
-    """
-    if T0 <= 0.0:
-        raise ValueError("T0 must be positive")
-    t_hi = min(T0, T1) if T1 is not None else T0
-    kk = np.arange(-kmax, kmax + 1, dtype=float)
-    k1 = kk[:, None]
-    k2 = kk[None, :]
-    mixed = np.abs(k1) ** p.alpha + np.abs(k2) ** p.beta
-    iso_a = (k1**2 + k2**2) ** (0.5 * p.alpha)
-    iso_b = (k1**2 + k2**2) ** (0.5 * p.beta)
-    lo_min, lo_max = math.inf, -math.inf
-    up_min, up_max = math.inf, -math.inf
-    viol_lo = viol_up = 0
-    samples = 0
-    for t in np.linspace(0.0, t_hi, t_samples):
-        slack_lo = t * mixed - t * iso_a + T0
-        slack_up = T0 + 2.0 * t * iso_b - t * mixed
-        lo_min = min(lo_min, float(np.min(slack_lo)))
-        lo_max = max(lo_max, float(np.max(slack_lo)))
-        up_min = min(up_min, float(np.min(slack_up)))
-        up_max = max(up_max, float(np.max(slack_up)))
-        viol_lo += int(np.count_nonzero(slack_lo < -1e-12))
-        viol_up += int(np.count_nonzero(slack_up < -1e-12))
-        samples += slack_lo.size
-    return RemarkChainReport(p.alpha <= p.beta, lo_min, lo_max, up_min, up_max,
-                             viol_lo, viol_up, samples, float(t_hi))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Property checks for the functional/scalar inequalities the construction relies on.
 
-Each suite scans deterministic ensembles (seeded random band-limited fields, or
-dense scalar grids) and reports worst ratios, empirical constants, and any
-violations with reproduction data. Theorem-backed inequalities must come back
-with zero violations; constant-bearing ones only need bounded, stable ratios.
+Each suite scans deterministic ensembles (seeded random band-limited fields,
+dense scalar grids, or the wavenumber lattice |k1|, |k2| <= 128) and reports
+worst ratios, empirical constants, and any violations with reproduction data.
+Every scalar claim of the construction is one `InequalityReport`, including the
+two behind the smoothing step: the two-sided weight comparison and the H^2
+weight bound. Theorem-backed inequalities must come back with zero violations;
+constant-bearing ones only need bounded, stable ratios.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import numpy as np
 
 from .grid import GridSpec, SpectralField, from_physical, sobolev_weight, to_physical
 from .norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
-from .operators import DissipParams, riesz_velocity
+from .operators import DissipParams, gevrey_symbol, riesz_velocity
 
 REL_SLACK = 1e-12  # rounding slack for exact (constant-free) inequalities
+LATTICE_KMAX = 128  # the integer lattice |k1|, |k2| <= LATTICE_KMAX of the wavenumber scans
+H2_WEIGHT_TIMES = np.logspace(-3.0, 1.0, 40)  # weight times m of the H^2 weight bound
 
 
 @dataclass(frozen=True)
@@ -124,17 +129,22 @@ class InequalityReport:
 
 
 def scalar_inequality_suite(p: DissipParams, grid_density: int = 1000) -> list[InequalityReport]:
-    """Grid scans of the scalar bounds: fractional subadditivity, the exponential
-    decay bound, the isotropic multiplier equivalence, and the A-B >= -2 gap."""
+    """Scans of the scalar bounds: fractional subadditivity, the exponential
+    decay bound, the isotropic multiplier equivalence, the A-B >= -2 gap, and on
+    the wavenumber lattice the two-sided weight comparison and the H^2 weight
+    bound."""
     if grid_density < 10:
         raise ValueError("grid_density too small for a meaningful scan")
-    reports = [
+    kk = np.arange(-LATTICE_KMAX, LATTICE_KMAX + 1, dtype=float)
+    lattice = (kk[:, None], kk[None, :], kk[:, None] ** 2 + kk[None, :] ** 2)
+    return [
         _check_subadditivity(p, grid_density),
         _check_exp_bound(grid_density),
-        _check_multiplier_equivalence(p, grid_density),
+        _check_multiplier_equivalence(p, lattice),
         _check_weight_gap(p, grid_density),
+        _check_weight_comparison(p, lattice),
+        _check_h2_weight_bound(p, lattice),
     ]
-    return reports
 
 
 def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
@@ -164,7 +174,7 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
         rep.samples += lhs.size
         bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
         if np.any(bad):
-            i = int(np.argwhere(bad)[0])
+            i = int(np.flatnonzero(bad)[0])
             rep.merge_violation({"r": r, "xi": xi2[i].tolist(), "eta": eta2[i].tolist()})
         rep.worst_ratio = max(rep.worst_ratio, float(np.max(lhs / np.maximum(rhs, 1e-300))))
     rep.empirical_constant = rep.worst_ratio
@@ -198,13 +208,10 @@ def _check_exp_bound(gd: int) -> InequalityReport:
     return rep
 
 
-def _check_multiplier_equivalence(p: DissipParams, gd: int) -> InequalityReport:
+def _check_multiplier_equivalence(p: DissipParams, lattice) -> InequalityReport:
     rep = InequalityReport("multiplier_equivalence",
                            note="1 <= (|k1|^2a+|k2|^2a)/|k|^2a <= 2^(1-a) for a=b, mu=nu=1")
-    kk = np.arange(-128, 129, dtype=float)
-    k1 = kk[:, None]
-    k2 = kk[None, :]
-    ksq = k1**2 + k2**2
+    k1, k2, ksq = lattice
     mask = ksq > 0
     worst_hi = 0.0
     worst_lo = np.inf
@@ -246,6 +253,54 @@ def _check_weight_gap(p: DissipParams, gd: int) -> InequalityReport:
             worst_gap = min(worst_gap, float(np.min(gap)))
     rep.worst_ratio = worst_gap / -2.0
     rep.empirical_constant = worst_gap  # approaches -2 at x = y = 1
+    return rep
+
+
+def _check_weight_comparison(p: DissipParams, lattice) -> InequalityReport:
+    """Two-sided comparison of the Gevrey weight with the isotropic ones. With
+    D(k) the exponent gap of one side, the log-space claim t D(k) + T0 >= 0 for
+    t in [0, T0] fails iff D(k) < -1, so one lattice pass decides it for every
+    T0. On integers min D = 0 when a <= b; otherwise violations are findings."""
+    rep = InequalityReport("weight_comparison", exact_bound=p.alpha <= p.beta,
+                           note="|k|^a <= |k1|^a+|k2|^b+1 and |k1|^a+|k2|^b <= 2|k|^b+1 "
+                                "on |k_i| <= 128; exact for a <= b")
+    k1, k2, ksq = lattice
+    kmag = np.sqrt(ksq)  # exact on the axes, where the lower side is tight
+    mixed = np.abs(k1) ** p.alpha + np.abs(k2) ** p.beta
+    min_gap = np.inf
+    for side, gap in (("lower", mixed - kmag**p.alpha), ("upper", 2.0 * kmag**p.beta - mixed)):
+        rep.samples += gap.size
+        min_gap = min(min_gap, float(np.min(gap)))
+        bad = np.count_nonzero(gap < -1.0)
+        if bad:  # every such point counts; the worst one of each side is the example
+            i, j = np.unravel_index(np.argmin(gap), gap.shape)
+            rep.violations += bad
+            rep.violation_examples.append({"side": side, "k": [int(k1[i, 0]), int(k2[0, j])],
+                                           "D": float(gap[i, j])})
+    rep.worst_ratio = max(0.0, -min_gap)
+    rep.empirical_constant = min_gap
+    return rep
+
+
+def _check_h2_weight_bound(p: DissipParams, lattice) -> InequalityReport:
+    """sup_k (1+|k|^2)^{4-2s} e^{-m B(k)} against 1 + m^{-(8-4s)/a} + m^{-(8-4s)/b}
+    at each weight time m of H2_WEIGHT_TIMES, in log space so that no
+    intermediate overflows; a ratio beyond the float range reads inf."""
+    rep = InequalityReport("h2_weight_bound", exact_bound=False,
+                           note="sup_k (1+|k|^2)^(4-2s) e^(-m B(k)) <= C(1 + m^(-(8-4s)/a) "
+                                "+ m^(-(8-4s)/b)), m in [1e-3, 10], |k_i| <= 128")
+    k1, k2, ksq = lattice
+    n = LATTICE_KMAX  # both sides are even in k1 and k2: the quadrant k1, k2 >= 0 holds the sup
+    log_weight = (4.0 - 2.0 * p.s) * np.log1p(ksq[n:, n:].ravel())
+    B = gevrey_symbol((k1[n:], k2[:, n:]), p).ravel()
+    m = H2_WEIGHT_TIMES
+    log_sup = np.max(log_weight[None, :] - m[:, None] * B[None, :], axis=1)
+    power = 8.0 - 4.0 * p.s
+    log_rhs = np.logaddexp(0.0, np.logaddexp(-power / p.alpha * np.log(m),
+                                             -power / p.beta * np.log(m)))
+    rep.samples = m.size * B.size
+    with np.errstate(over="ignore"):
+        rep.worst_ratio = rep.empirical_constant = float(np.exp(np.max(log_sup - log_rhs)))
     return rep
 
 

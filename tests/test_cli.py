@@ -57,6 +57,11 @@ def test_validate_reports_key_path():
         validate_config({"time": {"bogus": 1}})
     with pytest.raises(ConfigError, match="time.checkpoint_times"):
         validate_config({"time": {"T": 1.0, "checkpoint_times": [2.0]}})
+    with pytest.raises(ConfigError) as err:
+        validate_config({"init": {"kind": "modes",
+                                  "modes": [{"k": [1, 0], "amplitud": 5.0}]}})
+    assert err.value.path == "init.modes[0].amplitud"
+    assert "unknown key" in str(err.value)
 
 
 @pytest.mark.parametrize("key", ["init.seed", "constants.seed", "lemmas.seed", "init.kmax",
@@ -523,6 +528,26 @@ def test_picard_zero_data_is_its_own_fixed_point(tmp_path):
     assert math.isfinite(float(rep["weight_domination_slack"]))
 
 
+LEMMA_BLOCKS = [
+    "subadditivity_fractional", "exp_decay_bound", "multiplier_equivalence",
+    "dissipation_minus_weight_gap", "interpolation_homogeneous",
+    "interpolation_inhomogeneous", "sobolev_injection", "product_law_symmetric",
+    "product_law_asymmetric", "calderon_zygmund", "calderon_zygmund_p2",
+    "directional_control", "directional_interpolation", "weight_comparison",
+    "h2_weight_bound",
+]
+
+
+def report_blocks(path):
+    """{block name: {key: value}} of an inequality report, in file order."""
+    blocks = {}
+    for chunk in path.read_text().split("\n\n"):
+        lines = chunk.splitlines()
+        if lines:
+            blocks[lines[0][1:-1]] = dict(line.split(" = ", 1) for line in lines[1:])
+    return blocks
+
+
 def test_lemmas_clean_exit_0(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "lem"
@@ -532,6 +557,31 @@ def test_lemmas_clean_exit_0(tmp_path):
     for line in report.splitlines():
         if line.startswith("violations"):
             assert line == "violations = 0"
+    assert list(report_blocks(out / "inequality_report.txt")) == LEMMA_BLOCKS
+
+
+def test_lemmas_reversed_exponents_are_a_finding(tmp_path):
+    # alpha > beta: the weight comparison fails on the lattice, which is noted
+    # but carries no exact bound, so it does not set exit 4
+    cfg = write_config(tmp_path, {"params": {"alpha": 0.9, "beta": 0.55}})
+    out = tmp_path / "lem"
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 0
+    block = report_blocks(out / "inequality_report.txt")["weight_comparison"]
+    assert block["exact_bound"] == "false"
+    assert int(block["violations"]) > 0
+
+
+def test_lemmas_h2_ratio_beyond_float_range_exit_4(tmp_path, capsys):
+    # s = -90 is a valid index on 64^2, but the lattice weight (1+|k|^2)^184 makes
+    # the H^2 ratio overflow: it reads inf and counts as one violation
+    cfg = write_config(tmp_path, {"grid": {"n1": 64, "n2": 64},
+                                  "params": {"alpha": 0.3, "beta": 0.3, "s": -90.0}})
+    out = tmp_path / "lem"
+    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 4
+    report = out / "inequality_report.txt"
+    assert capsys.readouterr().err == \
+        f"1 theorem-backed inequality violation(s); see {report}\n"
+    assert report_blocks(report)["h2_weight_bound"]["worst_ratio"] == "inf"
 
 
 def test_lemmas_fault_injection_exit_4(tmp_path, capsys, monkeypatch):

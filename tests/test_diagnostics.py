@@ -1,4 +1,5 @@
-"""Region classifier, rate fits, smoothing check, remark chain, Gevrey report."""
+"""Region classifier, rate fits, Gevrey report, and the scalar-suite blocks of the
+smoothing step (the weight comparison and the H^2 weight bound)."""
 
 import math
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from aqgsim.diagnostics import (Region, analyticity_radius_fit, build_gevrey_report,
-                                h2_smoothing_check, region_classify, remark_chain_check,
-                                weighted_norm_trace)
+                                region_classify, weighted_norm_trace)
 from aqgsim.grid import GridSpec
-from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
+from aqgsim.lemmas import (FieldEnsembleSpec, random_band_limited_field,
+                           scalar_inequality_suite, total_violations)
 from aqgsim.norms import gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import DissipParams, apply_semigroup
 from aqgsim.solver import semigroup_trajectory
@@ -112,85 +113,46 @@ def test_rate_fit_unfit_without_modes():
 
 
 # ---------------------------------------------------------------------------
-# H^2 smoothing
+# the scalar claims of the smoothing step, as blocks of the scalar suite
 # ---------------------------------------------------------------------------
 
 
-def test_h2_smoothing_band_limited(grid64, params):
-    f0 = band_field(grid64, 7, 12)
-    times = np.linspace(0.0, 0.4, 41)
-    traj = semigroup_trajectory(f0, times, params)
-    rep = h2_smoothing_check(traj, 0.2, params, params.s)
-    assert math.isfinite(rep.h2_at_t0)
-    assert rep.h2_at_t0 > 0.0
-    assert math.isfinite(rep.weight_sup)
-    # finer node spacing shrinks the continuity modulus roughly linearly
-    fine = semigroup_trajectory(f0, np.linspace(0.0, 0.4, 81), params)
-    rep_fine = h2_smoothing_check(fine, 0.2, params, params.s)
-    assert rep_fine.continuity_modulus < 0.6 * rep.continuity_modulus
+def scalar_block(p, name):
+    reports = scalar_inequality_suite(p, grid_density=10)
+    return next(r for r in reports if r.inequality == name), reports
 
 
-def test_h2_weight_sup_decreases_with_t0(grid64, params):
-    f0 = band_field(grid64, 7, 12)
-    times = np.linspace(0.0, 0.4, 41)
-    traj = semigroup_trajectory(f0, times, params)
-    sups = [h2_smoothing_check(traj, t0, params, params.s).weight_sup
-            for t0 in (0.1, 0.2, 0.3)]
-    assert sups[0] > sups[1] > sups[2]
-
-
-def test_h2_smoothing_rejects_boundary(grid64, params):
-    f0 = band_field(grid64, 7, 12)
-    traj = semigroup_trajectory(f0, np.linspace(0.0, 0.4, 11), params)
-    with pytest.raises(ValueError, match="interior"):
-        h2_smoothing_check(traj, 0.0, params, params.s)
-    with pytest.raises(ValueError, match="interior"):
-        h2_smoothing_check(traj, 0.4, params, params.s)
-
-
-# ---------------------------------------------------------------------------
-# remark chain
-# ---------------------------------------------------------------------------
+def test_h2_weight_bound_ratio_at_diagonal():
+    rep, _ = scalar_block(DissipParams(0.75, 0.75, s=1.0), "h2_weight_bound")
+    assert not rep.exact_bound
+    assert math.isfinite(rep.worst_ratio)
+    # the sup is 1, at k = 0 and the largest weight time m = 10, against 1 + 2 m^(-16/3)
+    assert rep.worst_ratio == pytest.approx(1.0 / (1.0 + 2.0 * 10.0 ** (-16.0 / 3.0)),
+                                            rel=1e-12)
+    assert rep.worst_ratio == pytest.approx(0.99999, abs=1e-5)
 
 
 def test_remark_chain_no_violations_when_ordered():
-    p = DissipParams(0.75, 0.8, s=1.2)
-    rep = remark_chain_check(p, T0=0.3, t_samples=9, kmax=128)
-    assert rep.prerequisite_ok
+    rep, _ = scalar_block(DissipParams(0.75, 0.8, s=1.2), "weight_comparison")
+    assert rep.exact_bound
     assert rep.violations == 0
-    # slack e^{+-T0} at t = 0: both log-slacks start at exactly T0
-    assert rep.min_log_slack_lower >= 0.0
-    assert rep.min_log_slack_upper >= 0.0
+    # min D over both sides; D = 0 at k = 0
+    assert rep.empirical_constant >= 0.0
 
 
 def test_remark_chain_diagonal_alpha_eq_beta():
-    p = DissipParams(0.75, 0.75)
-    rep = remark_chain_check(p, T0=0.2, t_samples=9, kmax=64)
+    rep, _ = scalar_block(DissipParams(0.75, 0.75), "weight_comparison")
+    assert rep.exact_bound
     assert rep.violations == 0
-
-
-def test_remark_chain_diagonal_scalar_identity():
-    # on k1 = k2 with alpha = beta the middle exponent is 2 t |k1|^a and the
-    # isotropic one is t 2^{a/2} |k1|^a; the two-sided comparison is direct
-    a, t, T0 = 0.75, 0.15, 0.3
-    for k in (1.0, 4.0, 37.0, 128.0):
-        mixed = 2.0 * t * k**a
-        iso = t * (2.0 ** (a / 2.0)) * k**a
-        assert iso <= mixed + T0
-        assert mixed <= 2.0 * iso + T0
+    assert rep.empirical_constant >= 0.0
 
 
 def test_remark_chain_flags_reversed_order():
-    p = DissipParams(0.9, 0.55, s=1.0)
-    rep = remark_chain_check(p, T0=0.05, t_samples=9, kmax=64)
-    assert not rep.prerequisite_ok
-    assert rep.violations > 0  # findings, not an exception
-
-
-def test_remark_chain_respects_t1_cap():
-    p = DissipParams(0.75, 0.8, s=1.2)
-    rep = remark_chain_check(p, T0=0.5, t_samples=5, T1=0.1, kmax=32)
-    assert rep.t_max == pytest.approx(0.1)
+    rep, reports = scalar_block(DissipParams(0.9, 0.55, s=1.0), "weight_comparison")
+    assert not rep.exact_bound
+    assert rep.violations > 0  # findings, not release-blocking
+    assert total_violations(reports) == 0
+    assert {ex["side"] for ex in rep.violation_examples} == {"lower", "upper"}
 
 
 # ---------------------------------------------------------------------------

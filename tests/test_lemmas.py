@@ -131,6 +131,29 @@ def test_scalar_suite_no_violations(params):
         -2.0, abs=1e-12)
 
 
+def test_subadditivity_violations_are_reported(params, monkeypatch):
+    import aqgsim.lemmas as lemmas
+
+    # a negative slack turns every sample with lhs > rhs/2 into a violation, on
+    # the 1-D grid and on the 2-D random pairs alike
+    monkeypatch.setattr(lemmas, "REL_SLACK", -0.5)
+    rep = lemmas._check_subadditivity(params, 10)
+    assert rep.violations > 0
+    assert rep.violation_examples
+    assert any(isinstance(ex["xi"], list) for ex in rep.violation_examples)
+
+
+def test_remark_chain_diagonal_scalar_identity():
+    # on k1 = k2 with alpha = beta the middle exponent is 2 t |k1|^a and the
+    # isotropic one is t 2^{a/2} |k1|^a; the two-sided comparison is direct
+    a, t, T0 = 0.75, 0.15, 0.3
+    for k in (1.0, 4.0, 37.0, 128.0):
+        mixed = 2.0 * t * k**a
+        iso = t * (2.0 ** (a / 2.0)) * k**a
+        assert iso <= mixed + T0
+        assert mixed <= 2.0 * iso + T0
+
+
 def test_functional_suite_no_violations(grid64, params):
     spec = FieldEnsembleSpec(grid64, seed=21, count=30, kmax=10, spectrum_slope=2.0)
     reports = functional_inequality_suite(spec, params)
