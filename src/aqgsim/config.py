@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -97,6 +98,19 @@ def _require_band_amplitudes(kmax: int, slope: float, path: str) -> None:
     except OverflowError:
         raise ConfigError(path, f"gives amplitudes |k|^-slope beyond the float range "
                                 f"for kmax = {kmax}") from None
+
+
+def _require_suite_range(kmax: int, slope: float) -> None:
+    """The lemma suite squares the product fg of two ensemble samples and weighs
+    powers |c|^2 by at most (1+|k|^2)^2, with |k|^2 <= 8 kmax^2 on the band of fg.
+    By Parseval the largest such sum is at most (N A)^4 (1 + 8 kmax^2)^2, with
+    N = (2 kmax + 1)^2 - 1 modes and A the largest amplitude; it must be a float."""
+    log_amp = -slope * math.log(math.hypot(kmax, kmax)) if slope < 0 else 0.0
+    log_sum = math.log((2 * kmax + 1) ** 2 - 1) + log_amp
+    if 4.0 * log_sum + 2.0 * math.log1p(8 * kmax**2) > math.log(sys.float_info.max):
+        raise ConfigError("lemmas.spectrum_slope",
+                          f"lets the squared product of two ensemble samples exceed the "
+                          f"float range for kmax = {kmax}")
 
 
 def validate_config(data: dict) -> RunConfig:
@@ -224,7 +238,7 @@ def validate_config(data: dict) -> RunConfig:
     _require(_is_int(lm["kmax"]) and 1 <= lm["kmax"] <= band, "lemmas.kmax",
              f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(lm["spectrum_slope"]), "lemmas.spectrum_slope", "must be a number")
-    _require_band_amplitudes(lm["kmax"], lm["spectrum_slope"], "lemmas.spectrum_slope")
+    _require_suite_range(lm["kmax"], lm["spectrum_slope"])  # bounds the amplitudes too
     _require(_is_int(lm["grid_density"]) and lm["grid_density"] >= 10,
              "lemmas.grid_density", "must be an integer >= 10")
 

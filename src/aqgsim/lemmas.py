@@ -6,19 +6,25 @@ worst ratios, empirical constants, and any violations with reproduction data.
 Every scalar claim of the construction is one `InequalityReport`, including the
 two behind the smoothing step: the two-sided weight comparison and the H^2
 weight bound. Theorem-backed inequalities must come back with zero violations;
-constant-bearing ones only need bounded, stable ratios.
+constant-bearing ones only need bounded, stable ratios. A NaN ratio is recorded,
+never dropped.
+
+Each ensemble sample is evaluated in one pass: every field's power |c|^2 and
+grid values are formed once and read by all the checks, with the reductions of
+`norms`, so the reports are bit-identical to those of the per-call norms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, SpectralField, from_physical, sobolev_weight, to_physical
-from .norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
-from .operators import DissipParams, gevrey_symbol, riesz_velocity
+from .norms import _hs_from_power, _lp
+from .operators import DissipParams, gevrey_symbol, riesz_multipliers
 
 REL_SLACK = 1e-12  # rounding slack for exact (constant-free) inequalities
 LATTICE_KMAX = 128  # the integer lattice |k1|, |k2| <= LATTICE_KMAX of the wavenumber scans
@@ -86,7 +92,12 @@ def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product fg on a 2x finer grid; exact for band-limited factors."""
     if f.grid != g.grid:
         raise ValueError("product factors must share a grid")
-    coarse = f.grid
+    fine = GridSpec(2 * f.grid.n1, 2 * f.grid.n2)
+    return SpectralField(fine, _product_coeffs(f.coeffs, g.coeffs, f.grid))
+
+
+def _product_coeffs(f: np.ndarray, g: np.ndarray, coarse: GridSpec) -> np.ndarray:
+    """Coefficients of fg on the grid of twice the mode counts of `coarse`."""
     fine = GridSpec(2 * coarse.n1, 2 * coarse.n2)
 
     def pad(c: np.ndarray) -> np.ndarray:
@@ -96,8 +107,7 @@ def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
         out[np.ix_(i1, i2)] = np.where(coarse.nyquist_mask, 0.0, c)
         return out
 
-    prod = to_physical(pad(f.coeffs), fine) * to_physical(pad(g.coeffs), fine)
-    return SpectralField(fine, from_physical(prod, fine))
+    return from_physical(to_physical(pad(f), fine) * to_physical(pad(g), fine), fine)
 
 
 @dataclass
@@ -153,24 +163,26 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
     xi = np.linspace(-50.0, 50.0, gd)[:, None]
     eta = np.linspace(-50.0, 50.0, gd)[None, :]
     r_values = sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta})
+    dist = np.abs(xi - eta)
     for r in r_values:
         lhs = np.abs(xi) ** r
-        rhs = np.abs(xi - eta) ** r + np.abs(eta) ** r
+        rhs = dist ** r + np.abs(eta) ** r
         rep.samples += rhs.size
         bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             rep.merge_violation({"r": r, "xi": float(xi[i, 0]), "eta": float(eta[0, j])})
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
-        rep.worst_ratio = max(rep.worst_ratio, float(np.max(ratio)))
+        with np.errstate(invalid="ignore", divide="ignore"):  # no ratio array outlives r
+            worst = float(np.max(np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)))
+        rep.worst_ratio = max(rep.worst_ratio, worst)
     # 2-D version on seeded random pairs
     rng = np.random.default_rng(20240501)
     xi2 = rng.uniform(-50, 50, size=(100_000, 2))
     eta2 = rng.uniform(-50, 50, size=(100_000, 2))
+    len_xi, len_dist, len_eta = (np.linalg.norm(v, axis=1) for v in (xi2, xi2 - eta2, eta2))
     for r in (p.alpha, p.beta):
-        lhs = np.linalg.norm(xi2, axis=1) ** r
-        rhs = np.linalg.norm(xi2 - eta2, axis=1) ** r + np.linalg.norm(eta2, axis=1) ** r
+        lhs = len_xi ** r
+        rhs = len_dist ** r + len_eta ** r
         rep.samples += lhs.size
         bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
         if np.any(bad):
@@ -317,7 +329,14 @@ CZ_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
 
 def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> list[InequalityReport]:
     """Evaluate the Sobolev-injection, product-law, Riesz-Lp, directional-control,
-    and interpolation inequalities on every ensemble sample."""
+    and interpolation inequalities on every ensemble sample.
+
+    Each sample pair (f, g) is evaluated in one pass. The power |c|^2 of each
+    field the checks read (f, g, fg, |grad|^a f and each directional power of f)
+    is formed once, and so are the grid values |f| and |u| = |R^perp f|. Every
+    norm is then taken from them with the reductions of `norms`, so each ratio is
+    bit-identical to the one the public per-call norms give.
+    """
     reps = {r.inequality: r for r in (
         InequalityReport("interpolation_homogeneous",
                          note="||f||_{ts1+(1-t)s2} <= ||f||_{s1}^t ||f||_{s2}^(1-t), homogeneous"),
@@ -337,17 +356,33 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
                          note="|||d2|^a f|| <= ||f||^(1-z) |||d2|^b f||^z, z = a/b"),
     )}
     a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
-    swap_axes = p.alpha > p.beta
+    grid = spec.grid
+    m1, m2 = riesz_multipliers(grid)
+    grad_a = sobolev_weight(grid, a / 2.0, True)
+    # |k1| and |k2|, with the axes swapped when alpha > beta
+    k_ax1, k_ax2 = (np.abs(grid.k2), np.abs(grid.k1)) if p.alpha > p.beta else \
+        (np.abs(grid.k1), np.abs(grid.k2))
+    d1a, d2a, d2b = k_ax1**a, k_ax2**a, k_ax2**b
 
     for i in range(spec.count):
-        f = random_band_limited_field(spec, 2 * i)
-        g = random_band_limited_field(spec, 2 * i + 1)
-        _interpolation_checks(reps, f, i)
-        _sobolev_injection_check(reps["sobolev_injection"], f, i)
-        _product_law_checks(reps, f, g, i)
-        _calderon_zygmund_checks(reps, f, i)
-        _directional_checks(reps, f, p, a, b, swap_axes, i)
+        f = random_band_limited_field(spec, 2 * i).coeffs
+        g = random_band_limited_field(spec, 2 * i + 1).coeffs
+        pf = np.abs(f) ** 2
+        abs_f = np.abs(to_physical(f, grid))
+        abs_u = np.sqrt(to_physical(m1 * f, grid) ** 2 + to_physical(m2 * f, grid) ** 2)
+        _interpolation_checks(reps, pf, grid, i)
+        _sobolev_injection_check(reps["sobolev_injection"], pf, abs_f, grid, i)
+        _product_law_checks(reps, pf, np.abs(g) ** 2,
+                            np.abs(_product_coeffs(f, g, grid)) ** 2, grid, i)
+        _calderon_zygmund_checks(reps, abs_f, abs_u, i)
+        _directional_checks(reps, pf, np.abs(grad_a * f) ** 2, np.abs(d1a * f) ** 2,
+                            np.abs(d2a * f) ** 2, np.abs(d2b * f) ** 2, grid, p, a, b, i)
     return list(reps.values())
+
+
+def _worse(old: float, new: float) -> float:
+    """max(old, new), except that a NaN is kept rather than dropped."""
+    return new if new > old or math.isnan(new) else old
 
 
 def _ratio_update(rep: InequalityReport, lhs: float, rhs: float, repro) -> None:
@@ -356,45 +391,51 @@ def _ratio_update(rep: InequalityReport, lhs: float, rhs: float, repro) -> None:
         rep.skipped += 1
         return
     ratio = lhs / rhs
-    rep.worst_ratio = max(rep.worst_ratio, ratio)
-    rep.empirical_constant = max(rep.empirical_constant, ratio)
-    if rep.exact_bound and ratio > 1.0 + REL_SLACK:
+    rep.worst_ratio = _worse(rep.worst_ratio, ratio)
+    rep.empirical_constant = _worse(rep.empirical_constant, ratio)
+    if rep.exact_bound and not ratio <= 1.0 + REL_SLACK:  # a NaN ratio is a violation
         rep.merge_violation(repro)
 
 
-def _interpolation_checks(reps, f: SpectralField, i: int) -> None:
+def _hs(power: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = False) -> float:
+    """sobolev_norm of the field whose power |c|^2 is given."""
+    return float(_hs_from_power(power, grid, s, homogeneous))
+
+
+def _interpolation_checks(reps, pf: np.ndarray, grid: GridSpec, i: int) -> None:
     for s1, s2 in INTERPOLATION_PAIRS:
-        n1h = sobolev_norm(f, s1, homogeneous=True)
-        n2h = sobolev_norm(f, s2, homogeneous=True)
-        n1i = sobolev_norm(f, s1)
-        n2i = sobolev_norm(f, s2)
+        n1h = _hs(pf, grid, s1, True)
+        n2h = _hs(pf, grid, s2, True)
+        n1i = _hs(pf, grid, s1)
+        n2i = _hs(pf, grid, s2)
         for t in INTERPOLATION_THETAS:
             s_mid = t * s1 + (1 - t) * s2
             _ratio_update(reps["interpolation_homogeneous"],
-                          sobolev_norm(f, s_mid, homogeneous=True), n1h**t * n2h ** (1 - t),
+                          _hs(pf, grid, s_mid, True), n1h**t * n2h ** (1 - t),
                           {"sample": i, "s1": s1, "s2": s2, "t": t})
             _ratio_update(reps["interpolation_inhomogeneous"],
-                          sobolev_norm(f, s_mid), n1i**t * n2i ** (1 - t),
+                          _hs(pf, grid, s_mid), n1i**t * n2i ** (1 - t),
                           {"sample": i, "s1": s1, "s2": s2, "t": t})
 
 
-def _sobolev_injection_check(rep: InequalityReport, f: SpectralField, i: int) -> None:
+def _sobolev_injection_check(rep: InequalityReport, pf: np.ndarray, abs_f: np.ndarray,
+                             grid: GridSpec, i: int) -> None:
     for sigma in SOBOLEV_SIGMAS:
         p_exp = 2.0 / (1.0 - sigma)
-        lhs = lp_norm(f, p_exp)
-        rhs = sobolev_norm(f, sigma, homogeneous=True)
-        _ratio_update(rep, lhs, rhs, {"sample": i, "sigma": sigma})
+        _ratio_update(rep, _lp(abs_f, p_exp), _hs(pf, grid, sigma, True),
+                      {"sample": i, "sigma": sigma})
 
 
-def _product_law_checks(reps, f: SpectralField, g: SpectralField, i: int) -> None:
-    fg = oversampled_product(f, g)
+def _product_law_checks(reps, pf: np.ndarray, pg: np.ndarray, pfg: np.ndarray,
+                        grid: GridSpec, i: int) -> None:
+    fine = GridSpec(2 * grid.n1, 2 * grid.n2)
     for s1, s2 in PRODUCT_PAIRS:
         if not (s1 < 1.0 and s1 + s2 > 0.0):
             reps["product_law_symmetric"].skipped += 1
             continue
-        lhs = sobolev_norm(fg, s1 + s2 - 1.0, homogeneous=True)
-        f1, f2 = sobolev_norm(f, s1, True), sobolev_norm(f, s2, True)
-        g1, g2 = sobolev_norm(g, s1, True), sobolev_norm(g, s2, True)
+        lhs = _hs(pfg, fine, s1 + s2 - 1.0, True)
+        f1, f2 = _hs(pf, grid, s1, True), _hs(pf, grid, s2, True)
+        g1, g2 = _hs(pg, grid, s1, True), _hs(pg, grid, s2, True)
         _ratio_update(reps["product_law_symmetric"], lhs, f1 * g2 + f2 * g1,
                       {"sample": i, "s1": s1, "s2": s2})
         if s2 < 1.0:
@@ -404,33 +445,36 @@ def _product_law_checks(reps, f: SpectralField, g: SpectralField, i: int) -> Non
             reps["product_law_asymmetric"].skipped += 1
 
 
-def _calderon_zygmund_checks(reps, f: SpectralField, i: int) -> None:
-    u1, u2 = riesz_velocity(f)
+def _calderon_zygmund_checks(reps, abs_f: np.ndarray, abs_u: np.ndarray, i: int) -> None:
     for q in CZ_EXPONENTS:
-        lhs = vector_lp_norm(u1, u2, q)
-        rhs = lp_norm(f, q)
+        lhs = _lp(abs_u, q)
+        rhs = _lp(abs_f, q)
         _ratio_update(reps["calderon_zygmund"], lhs, rhs, {"sample": i, "p": q})
         if q == 2.0:
             rep = reps["calderon_zygmund_p2"]
             rep.samples += 1
-            ratio = lhs / rhs if rhs > 0 else float("nan")
-            rep.worst_ratio = max(rep.worst_ratio, abs(ratio - 1.0))
-            rep.empirical_constant = max(rep.empirical_constant, ratio)
-            if abs(ratio - 1.0) > 1e-12:
+            if rhs <= 0.0:
+                rep.skipped += 1
+                continue
+            ratio = lhs / rhs
+            rep.worst_ratio = _worse(rep.worst_ratio, abs(ratio - 1.0))
+            rep.empirical_constant = _worse(rep.empirical_constant, ratio)
+            if not abs(ratio - 1.0) <= 1e-12:  # a NaN ratio is a violation
                 rep.merge_violation({"sample": i, "ratio": ratio})
 
 
-def _directional_checks(reps, f: SpectralField, p: DissipParams, a: float, b: float,
-                        swap_axes: bool, i: int) -> None:
-    ax1, ax2 = (2, 1) if swap_axes else (1, 2)
-    grad_a = SpectralField(f.grid, sobolev_weight(f.grid, a / 2.0, True) * f.coeffs)
+def _directional_checks(reps, pf: np.ndarray, p_grad: np.ndarray, p1a: np.ndarray,
+                        p2a: np.ndarray, p2b: np.ndarray, grid: GridSpec, p: DissipParams,
+                        a: float, b: float, i: int) -> None:
+    """pf, p_grad, p1a, p2a and p2b are the powers of f, |grad|^a f, |d1|^a f,
+    |d2|^a f and |d2|^b f, with d1, d2 swapped when alpha > beta."""
     for s in (0.0, p.s, 1.0):
-        norm_s, seminorm_b = sobolev_norm(f, s, True), directional_seminorm(f, ax2, b, s)
-        lhs = sobolev_norm(grad_a, s, homogeneous=True)
-        rhs = norm_s + directional_seminorm(f, ax1, a, s) + seminorm_b
+        norm_s, seminorm_b = _hs(pf, grid, s, True), _hs(p2b, grid, s, True)
+        lhs = _hs(p_grad, grid, s, True)
+        rhs = norm_s + _hs(p1a, grid, s, True) + seminorm_b
         _ratio_update(reps["directional_control"], lhs, rhs, {"sample": i, "s": s})
         z = a / b
-        lhs2 = directional_seminorm(f, ax2, a, s)
+        lhs2 = _hs(p2a, grid, s, True)
         rhs2 = norm_s ** (1 - z) * seminorm_b ** z
         _ratio_update(reps["directional_interpolation"], lhs2, rhs2,
                       {"sample": i, "s": s, "z": z})

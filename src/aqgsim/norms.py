@@ -32,8 +32,15 @@ def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = F
 def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
               homogeneous: bool = False) -> np.ndarray:
     """H^s norms over the last two axes: of one field, or of each node of a stack."""
+    return _hs_from_power(np.abs(coeffs) ** 2, grid, s, homogeneous)
+
+
+def _hs_from_power(power: np.ndarray, grid: GridSpec, s: float,
+                   homogeneous: bool = False) -> np.ndarray:
+    """_hs_norms from the power |c|^2, so that a caller taking many norms of one
+    field forms it once."""
     w = sobolev_weight(grid, s, homogeneous)
-    return np.sqrt((w * np.abs(coeffs) ** 2).sum(axis=(-2, -1)))
+    return np.sqrt((w * power).sum(axis=(-2, -1)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -261,8 +261,14 @@ def test_simulate_large_adaptive_start_aborts_at_once(tmp_path, capsys):
     ("picard", {"params": {"alpha": 1e-300}}, 0, None),
     ("picard", {"params": {"alpha": 5e-324}}, 0, None),
     ("simulate", {"init": {"spectrum_slope": -1e6}}, 1, "init.spectrum_slope"),
+    # the squared product of two lemma samples, bounded by (N A)^4 (1 + 8 kmax^2)^2
+    # with N = 120 modes and A = (5 sqrt 2)^-slope at kmax 5, leaves the float
+    # range below slope -86.9; above it the run exits 0, so no ratio is NaN
+    ("lemmas", {"lemmas": {"kmax": 5, "spectrum_slope": -150.0}}, 1, "lemmas.spectrum_slope"),
+    ("lemmas", {"lemmas": {"kmax": 5, "spectrum_slope": -87.0}}, 1, "lemmas.spectrum_slope"),
+    ("lemmas", {"lemmas": {"kmax": 5, "spectrum_slope": -86.0}}, 0, None),
 ], ids=["s=400", "s=-5000", "s=1e400", "s=-50", "alpha=1e-300", "alpha=5e-324",
-        "spectrum_slope=-1e6"])
+        "spectrum_slope=-1e6", "lemmas_slope=-150", "lemmas_slope=-87", "lemmas_slope=-86"])
 def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, overrides,
                                                      rc, key):
     # a scalar power of each input leaves the float range; that must end in an exit

@@ -1,16 +1,18 @@
 """Ensemble generator and the inequality suites."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from aqgsim.grid import GridSpec, sine_field
+import aqgsim.lemmas as lemmas
+from aqgsim.grid import GridSpec, SpectralField, sine_field, sobolev_weight
 from aqgsim.lemmas import (FieldEnsembleSpec, InequalityReport, oversampled_product,
                            random_band_limited_field, scalar_inequality_suite,
                            functional_inequality_suite, total_violations)
-from aqgsim.norms import sobolev_norm
-from aqgsim.operators import DissipParams
+from aqgsim.norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
+from aqgsim.operators import DissipParams, riesz_velocity
 
 
 def test_ensemble_determinism(grid64):
@@ -132,8 +134,6 @@ def test_scalar_suite_no_violations(params):
 
 
 def test_subadditivity_violations_are_reported(params, monkeypatch):
-    import aqgsim.lemmas as lemmas
-
     # a negative slack turns every sample with lhs > rhs/2 into a violation, on
     # the 1-D grid and on the 2-D random pairs alike
     monkeypatch.setattr(lemmas, "REL_SLACK", -0.5)
@@ -195,3 +195,141 @@ def test_violation_reporting_machinery():
         rep.merge_violation({"sample": i})
     assert rep.violations == 15
     assert len(rep.violation_examples) == 10
+
+
+def _per_call_suite(spec, p, blocks):
+    """The functional suite with every norm taken by one call of the public
+    per-call functions, on SpectralField intermediates: the reference for the
+    one-pass suite. `blocks` gives the names, bound kinds and notes."""
+    reps = {r.inequality: InequalityReport(r.inequality, exact_bound=r.exact_bound, note=r.note)
+            for r in blocks}
+    update = lemmas._ratio_update
+    a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
+    ax1, ax2 = (2, 1) if p.alpha > p.beta else (1, 2)
+    for i in range(spec.count):
+        f = random_band_limited_field(spec, 2 * i)
+        g = random_band_limited_field(spec, 2 * i + 1)
+        for s1, s2 in lemmas.INTERPOLATION_PAIRS:
+            n1h, n2h = sobolev_norm(f, s1, True), sobolev_norm(f, s2, True)
+            n1i, n2i = sobolev_norm(f, s1), sobolev_norm(f, s2)
+            for t in lemmas.INTERPOLATION_THETAS:
+                s_mid = t * s1 + (1 - t) * s2
+                repro = {"sample": i, "s1": s1, "s2": s2, "t": t}
+                update(reps["interpolation_homogeneous"], sobolev_norm(f, s_mid, True),
+                       n1h**t * n2h ** (1 - t), repro)
+                update(reps["interpolation_inhomogeneous"], sobolev_norm(f, s_mid),
+                       n1i**t * n2i ** (1 - t), repro)
+        for sigma in lemmas.SOBOLEV_SIGMAS:
+            update(reps["sobolev_injection"], lp_norm(f, 2.0 / (1.0 - sigma)),
+                   sobolev_norm(f, sigma, True), {"sample": i, "sigma": sigma})
+        fg = oversampled_product(f, g)
+        for s1, s2 in lemmas.PRODUCT_PAIRS:
+            if not (s1 < 1.0 and s1 + s2 > 0.0):
+                reps["product_law_symmetric"].skipped += 1
+                continue
+            lhs = sobolev_norm(fg, s1 + s2 - 1.0, True)
+            f1, f2 = sobolev_norm(f, s1, True), sobolev_norm(f, s2, True)
+            g1, g2 = sobolev_norm(g, s1, True), sobolev_norm(g, s2, True)
+            repro = {"sample": i, "s1": s1, "s2": s2}
+            update(reps["product_law_symmetric"], lhs, f1 * g2 + f2 * g1, repro)
+            if s2 < 1.0:
+                update(reps["product_law_asymmetric"], lhs, f1 * g2, repro)
+            else:
+                reps["product_law_asymmetric"].skipped += 1
+        u1, u2 = riesz_velocity(f)
+        for q in lemmas.CZ_EXPONENTS:
+            lhs, rhs = vector_lp_norm(u1, u2, q), lp_norm(f, q)
+            update(reps["calderon_zygmund"], lhs, rhs, {"sample": i, "p": q})
+            if q == 2.0:
+                rep = reps["calderon_zygmund_p2"]
+                rep.samples += 1
+                rep.worst_ratio = max(rep.worst_ratio, abs(lhs / rhs - 1.0))
+                rep.empirical_constant = max(rep.empirical_constant, lhs / rhs)
+        grad_a = SpectralField(f.grid, sobolev_weight(f.grid, a / 2.0, True) * f.coeffs)
+        for s in (0.0, p.s, 1.0):
+            norm_s, seminorm_b = sobolev_norm(f, s, True), directional_seminorm(f, ax2, b, s)
+            rhs = norm_s + directional_seminorm(f, ax1, a, s) + seminorm_b
+            update(reps["directional_control"], sobolev_norm(grad_a, s, True), rhs,
+                   {"sample": i, "s": s})
+            z = a / b
+            update(reps["directional_interpolation"], directional_seminorm(f, ax2, a, s),
+                   norm_s ** (1 - z) * seminorm_b ** z, {"sample": i, "s": s, "z": z})
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("alpha, beta, n1, n2", [
+    (0.75, 0.8, 64, 64), (0.9, 0.55, 64, 64), (0.75, 0.8, 32, 48),
+])
+def test_one_pass_suite_equals_per_call_norms(alpha, beta, n1, n2, monkeypatch):
+    # every (lhs, rhs) pair is recorded, so that a change below the worst ratio shows
+    calls = []
+    update = lemmas._ratio_update
+
+    def recording(rep, lhs, rhs, repro):
+        calls.append((rep.inequality, lhs, rhs, repro))
+        update(rep, lhs, rhs, repro)
+
+    monkeypatch.setattr(lemmas, "_ratio_update", recording)
+    p = DissipParams(alpha, beta, s=1.2)
+    spec = FieldEnsembleSpec(GridSpec(n1, n2), seed=55, count=3, kmax=8, spectrum_slope=2.0)
+    got = functional_inequality_suite(spec, p)
+    got_calls, calls[:] = calls[:], []
+    want = _per_call_suite(spec, p, got)
+    assert got_calls == calls
+    assert [r.inequality for r in got] == [r.inequality for r in want]
+    for g, w in zip(got, want):
+        assert g.samples > 0
+        assert vars(g) == vars(w), g.inequality
+
+
+def test_suite_forms_each_field_once_per_sample(grid64, params, monkeypatch):
+    transforms = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn"):
+        def counting(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            transforms[_name, np.shape(a)] += 1
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    fields = Counter()
+    post_init = SpectralField.__post_init__
+
+    def counting_init(self):
+        fields["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counting_init)
+    samples = 2
+    spec = FieldEnsembleSpec(grid64, seed=3, count=samples, kmax=10, spectrum_slope=2.0)
+    functional_inequality_suite(spec, params)
+    # |f| and |u| = |(u1, u2)| at n; the two padded factors and the product at 2n
+    assert transforms == {("ifft2", (64, 64)): 3 * samples, ("ifft2", (128, 128)): 2 * samples,
+                          ("rfft2", (128, 128)): samples}
+    # the ensemble draws f and g; every intermediate is a bare coefficient array
+    assert fields["built"] == 2 * samples
+
+
+def test_nan_ratios_are_recorded_not_dropped():
+    exact = InequalityReport("exact")
+    for i, lhs in enumerate((0.5, math.nan, 0.75)):
+        lemmas._ratio_update(exact, lhs, 1.0, {"sample": i})
+    assert math.isnan(exact.worst_ratio) and math.isnan(exact.empirical_constant)
+    assert exact.violations == 1 and exact.violation_examples == [{"sample": 1}]
+    loose = InequalityReport("loose", exact_bound=False)
+    lemmas._ratio_update(loose, math.inf, math.inf, {"sample": 0})
+    assert math.isnan(loose.worst_ratio) and loose.violations == 0
+    assert total_violations([exact, loose]) == 2
+    # finite ratios keep their exact bits
+    finite = InequalityReport("finite", exact_bound=False)
+    for lhs in (0.3, 0.7, 0.1):
+        lemmas._ratio_update(finite, lhs, 0.9, {})
+    assert finite.worst_ratio == finite.empirical_constant == 0.7 / 0.9
+    # the p = 2 isometry block records a NaN velocity norm as a violation
+    reps = {name: InequalityReport(name, exact_bound=name.endswith("p2"))
+            for name in ("calderon_zygmund", "calderon_zygmund_p2")}
+    abs_u = np.ones((8, 8))
+    abs_u[3, 4] = math.nan
+    lemmas._calderon_zygmund_checks(reps, np.ones((8, 8)), abs_u, 0)
+    cz, p2 = reps["calderon_zygmund"], reps["calderon_zygmund_p2"]
+    assert math.isnan(cz.worst_ratio) and total_violations([cz]) == 1
+    assert math.isnan(p2.worst_ratio) and math.isnan(p2.empirical_constant)
+    assert p2.violations == 1
