@@ -40,8 +40,8 @@ def _fmt(v) -> str:
         return "nan"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 too, written as the plain float
+        return repr(float(v))
     return str(v)
 
 

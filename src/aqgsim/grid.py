@@ -5,10 +5,12 @@ the normalized measure dx/(4 pi^2), so every norm is a plain coefficient sum.
 Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 along
 axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
 
-This module is the package's only spectral workspace: `from_physical` and
-`to_physical` are the sole transforms, and `sobolev_weight`, cached read-only per
-(grid, s, homogeneous), the sole builder of the (1+|k|^2)^s and |k|^{2s} weights
-(the dissipation and Gevrey symbols are cached in `operators.symbol_multipliers`).
+This module is the package's spectral workspace: `from_physical` and
+`to_physical` transform fields, and `sobolev_weight`, cached read-only per
+(grid, s, homogeneous), is the sole builder of the (1+|k|^2)^s and |k|^{2s}
+weights (the dissipation and Gevrey symbols are cached in
+`operators.symbol_multipliers`). The nonlinear kernel in `operators` is the other
+transform site: irfft2 of the half spectrum to the grid, rfft2 of the fluxes back.
 The forward transform is the rfft2 half spectrum (k2 >= 0) plus one Hermitian
 fill, `full_spectrum`, which the nonlinear kernel also calls on its half-spectrum
 result: the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0

@@ -198,14 +198,14 @@ def _check_exp_bound(gd: int) -> InequalityReport:
                            note="x^a exp(-rx) <= a^a / r^a; sharp value (a/e r)^a")
     x = np.logspace(-4.0, 4.0, gd)
     for a in (0.3, 0.5, 0.75, 1.0, 2.0):
-        for r in np.logspace(-2.0, 2.0, 40):
+        for r in map(float, np.logspace(-2.0, 2.0, 40)):
             lhs = x**a * np.exp(-r * x)
             bound = a**a / r**a
             rep.samples += x.size
             worst = float(np.max(lhs)) / bound
             rep.worst_ratio = max(rep.worst_ratio, worst)
             if worst > 1.0 + REL_SLACK:
-                rep.merge_violation({"a": a, "r": float(r), "x": float(x[np.argmax(lhs)])})
+                rep.merge_violation({"a": a, "r": r, "x": float(x[np.argmax(lhs)])})
     # golden-section refinement of sup_x x exp(-x) against the a=r=1 bound
     lo, hi = 0.1, 10.0
     phi = (np.sqrt(5.0) - 1.0) / 2.0

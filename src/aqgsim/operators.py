@@ -2,11 +2,13 @@
 
 The linear part acts mode-wise through A(k) = mu|k1|^{2 alpha} + nu|k2|^{2 beta};
 the velocity is the perpendicular Riesz transform of the scalar; the nonlinear
-term is div(theta u) computed pseudospectrally under the 2/3 rule, with the mask
-folded into derivative multipliers on the rfft2 half spectrum of the fluxes.
-Grid multipliers are built once and cached read-only: `symbol_multipliers` per
-(grid, params), read by `dissipation_multiplier` and `gevrey_multiplier`, and
-`riesz_multipliers` and `_kernel_multipliers` per grid.
+term is div(theta u) computed pseudospectrally under the 2/3 rule on the half
+spectrum (columns k2 = 0 .. n2/2): theta and u come to the grid by irfft2 of
+those columns, and the mask is folded into derivative multipliers on the rfft2
+half spectrum of the fluxes. Grid multipliers are built once and cached
+read-only: `symbol_multipliers` per (grid, params), read by
+`dissipation_multiplier` and `gevrey_multiplier`, and `riesz_multipliers` and
+`_kernel_multipliers` per grid.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum, to_physical
+from .grid import GridSpec, SpectralField, full_spectrum
 
 
 class RegimeWarning(UserWarning):
@@ -132,21 +134,31 @@ def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 @lru_cache(maxsize=8)
 def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Read-only (m1, m2, d1, d2) for the kernel, built once per grid: the Riesz
-    multipliers and, on the rfft2 half spectrum (columns k2 = 0 .. n2/2), the
-    dealiased derivatives d_j = i k_j / (n1 n2), zero outside the 2/3 band."""
+    """Read-only (m1, m2, d1, d2) for the kernel, built once per grid, all on the
+    half spectrum (columns k2 = 0 .. n2/2) that irfft2 and rfft2 read and write:
+    the Riesz multipliers and the dealiased derivatives d_j = i k_j / (n1 n2),
+    zero outside the 2/3 band."""
     h = grid.n2 // 2 + 1
+    m1, m2 = (np.ascontiguousarray(m[:, :h]) for m in riesz_multipliers(grid))
     mask = grid.dealias_mask[:, :h]
     d1, d2 = (np.zeros(mask.shape, dtype=np.complex128) for _ in range(2))
     d1.imag, d2.imag = (np.where(mask, k / (grid.n1 * grid.n2), 0.0)
                         for k in (grid.k1, grid.k2[:, :h]))
-    d1.flags.writeable = d2.flags.writeable = False
-    return (*riesz_multipliers(grid), d1, d2)
+    for m in (m1, m2, d1, d2):
+        m.flags.writeable = False
+    return m1, m2, d1, d2
+
+
+def _grid_values(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real grid samples of the field whose columns k2 = 0 .. n2/2 are `half`."""
+    return np.fft.irfft2(half, s=grid.shape, norm="forward")
 
 
 def _velocity(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid samples of the velocity u = R^perp theta, plus max |u|."""
-    u1, u2 = (to_physical(m * coeffs, grid) for m in _kernel_multipliers(grid)[:2])
+    """Grid samples of the velocity u = R^perp theta, plus max |u|; reads only
+    the columns k2 = 0 .. n2/2 of `coeffs`."""
+    half = coeffs[:, :grid.n2 // 2 + 1]
+    u1, u2 = (_grid_values(m * half, grid) for m in _kernel_multipliers(grid)[:2])
     return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
 
@@ -155,10 +167,11 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
     """div(theta u) coefficients (dealiased) plus max |u| on the grid.
 
     The velocity derives from `velocity_coeffs` when given (bilinear form),
-    else from `coeffs` itself.
+    else from `coeffs` itself. Only the columns k2 = 0 .. n2/2 of either input
+    are read; the result is Hermitian by construction.
     """
     d1, d2 = _kernel_multipliers(grid)[2:]
-    theta_phys = to_physical(coeffs, grid)
+    theta_phys = _grid_values(coeffs[:, :grid.n2 // 2 + 1], grid)
     u1_phys, u2_phys, max_u = _velocity(coeffs if velocity_coeffs is None
                                         else velocity_coeffs, grid)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)

@@ -206,12 +206,19 @@ def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> n
     """Trapezoid Duhamel sum out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] over nodes 0..i.
 
     Evaluated by the exact recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i])
-    with E = exp(-dt A), in time linear in the number of nodes.
+    with E = exp(-dt A), in time linear in the number of nodes. It runs in place,
+    with the operations of that formula in its order, so the bits are its bits.
     """
     E = np.exp(-dt * dissipation_multiplier(grid, p))
     out = np.zeros(N.shape, dtype=np.complex128)
+    tmp = np.empty(grid.shape, dtype=np.complex128)
+    half_dt = 0.5 * dt
     for i in range(1, N.shape[0]):
-        out[i] = E * out[i - 1] + 0.5 * dt * (E * N[i - 1] + N[i])
+        np.multiply(E, N[i - 1], out=tmp)
+        tmp += N[i]
+        tmp *= half_dt
+        np.multiply(E, out[i - 1], out=out[i])
+        out[i] += tmp
     return out
 
 

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -611,6 +612,35 @@ def test_lemmas_fault_injection_exit_4(tmp_path, capsys, monkeypatch):
     assert first_block[0] == "[subadditivity_fractional]"
     assert "violations = 1" in first_block
     assert "violation_example = {'xi': 1.0, 'eta': 2.0}" in first_block
+
+
+REPORT_TEXT_KEYS = {"regime", "note", "weighted_note", "violation_example"}
+
+
+def _is_report_value(value):
+    """true/false, or one or more comma-separated floats (ints, nan and inf too)."""
+    if value in ("true", "false"):
+        return True
+    try:
+        [float(v) for v in value.split(", ")]
+    except ValueError:
+        return False
+    return True
+
+
+def test_report_values_parse_as_numbers_or_flags(tmp_path):
+    import aqgsim.cli as cli
+
+    assert cli._fmt(np.float64(0.1)) == "0.1"
+    cfg = write_config(tmp_path, {"picard": {"weighted": True}})
+    for command, name in (("lemmas", "inequality_report.txt"), ("picard", "picard_report.txt")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        pairs = [line.split(" = ", 1) for line in (out / name).read_text().splitlines()
+                 if " = " in line]
+        assert len(pairs) > 20
+        bad = [(k, v) for k, v in pairs if k not in REPORT_TEXT_KEYS and not _is_report_value(v)]
+        assert bad == []
 
 
 # ---------------------------------------------------------------------------

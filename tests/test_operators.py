@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                        from_physical, sine_field, to_physical)
+                        from_physical, hermitian_defect, sine_field, to_physical)
 from aqgsim.norms import sobolev_norm
 from aqgsim.operators import (DissipParams, _nonlinear_raw, _velocity, apply_semigroup,
                               dissipation_multiplier, dissipation_symbol, gevrey_multiplier,
@@ -84,8 +84,9 @@ def test_velocity_is_riesz_velocity_with_its_max_magnitude(shape):
     spec = FieldEnsembleSpec(grid, seed=12, count=1, kmax=min(shape) // 3, spectrum_slope=1.0)
     theta = random_band_limited_field(spec, 0)
     u1, u2, max_u = _velocity(theta.coeffs, grid)
-    v1, v2 = riesz_velocity(theta)
-    assert u1.tobytes() == v1.values().tobytes() and u2.tobytes() == v2.values().tobytes()
+    for u, v in zip((u1, u2), riesz_velocity(theta)):
+        ref = v.values()
+        assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
     # sqrt is monotone and correctly rounded: the max of the pointwise magnitude
     assert max_u == float(np.max(np.sqrt(u1**2 + u2**2)))
     assert type(max_u) is float
@@ -174,25 +175,34 @@ def test_nonlinear_term_matches_oversampled_oracle(grid64):
     assert np.max(np.abs(out.coeffs - oracle)) < 1e-12 * scale
 
 
-def _former_kernel(coeffs, grid, velocity_coeffs=None):
-    """Reference: both fluxes through the full forward transform, then
-    i(k1 f1 + k2 f2) under the 2/3 mask."""
+def _irfft2_values(coeffs, grid):
+    return np.fft.irfft2(coeffs[:, :grid.n2 // 2 + 1], s=grid.shape, norm="forward")
+
+
+def _former_kernel(coeffs, grid, velocity_coeffs=None, to_grid=_irfft2_values):
+    """Reference: theta and u to the grid by `to_grid` (the kernel's irfft2
+    inverses, or the complex ifft2 of `to_physical`), then both fluxes through
+    the full forward transform and i(k1 f1 + k2 f2) under the 2/3 mask."""
     cv = coeffs if velocity_coeffs is None else velocity_coeffs
     m1, m2 = riesz_multipliers(grid)
-    theta = to_physical(coeffs, grid)
-    u1, u2 = to_physical(m1 * cv, grid), to_physical(m2 * cv, grid)
+    theta, u1, u2 = (to_grid(c, grid) for c in (coeffs, m1 * cv, m2 * cv))
     f1 = from_physical(theta * u1, grid)
     f2 = from_physical(theta * u2, grid)
     out = np.where(grid.dealias_mask, 1j * (grid.k1 * f1 + grid.k2 * f2), 0.0)
     return out, float(np.max(np.sqrt(u1**2 + u2**2)))
 
 
+def _kernel_inputs(shape, seed):
+    grid = GridSpec(*shape)
+    spec = FieldEnsembleSpec(grid, seed=seed, count=2, kmax=min(shape) // 3, spectrum_slope=1.0)
+    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    return grid, theta, other
+
+
 @pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64)])
 @pytest.mark.parametrize("bilinear", [False, True])
 def test_kernel_matches_former_formula(shape, bilinear):
-    grid = GridSpec(*shape)
-    spec = FieldEnsembleSpec(grid, seed=13, count=2, kmax=min(shape) // 3, spectrum_slope=1.0)
-    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    grid, theta, other = _kernel_inputs(shape, 13)
     cv = other if bilinear else None
     out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
     ref, ref_max_u = _former_kernel(theta, grid, cv)
@@ -207,6 +217,38 @@ def test_kernel_matches_former_formula(shape, bilinear):
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64), (128, 128)])
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_kernel_matches_complex_transform_oracle(shape, bilinear):
+    grid, theta, other = _kernel_inputs(shape, 15)
+    cv = other if bilinear else None
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    ref, ref_max_u = _former_kernel(theta, grid, cv, to_grid=to_physical)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert abs(max_u - ref_max_u) <= 1e-14 * ref_max_u
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_kernel_reads_only_the_half_spectrum(shape, bilinear):
+    grid, theta, other = _kernel_inputs(shape, 16)
+
+    def spoiled(c):
+        c = c.copy()
+        c[:, grid.n2 // 2 + 1:] = np.nan  # the columns k2 < 0
+        return c
+
+    cv = other if bilinear else None
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out_s, max_u_s = _nonlinear_raw(spoiled(theta), grid,
+                                    velocity_coeffs=None if cv is None else spoiled(cv))
+    assert out_s.tobytes() == out.tobytes() and max_u_s == max_u
+    assert hermitian_defect(out_s) == 0.0
+    u = _velocity(theta if cv is None else cv, grid)
+    u_s = _velocity(spoiled(theta if cv is None else cv), grid)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(u_s[:2], u[:2])) and u_s[2] == u[2]
+
+
 def test_kernel_makes_three_inverse_and_two_real_transforms(grid64, monkeypatch):
     spec = FieldEnsembleSpec(grid64, seed=14, count=2, kmax=12, spectrum_slope=1.0)
     theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
@@ -219,7 +261,7 @@ def test_kernel_makes_three_inverse_and_two_real_transforms(grid64, monkeypatch)
         monkeypatch.setattr(np.fft, name, counting)
     _nonlinear_raw(theta, grid64)
     _nonlinear_raw(theta, grid64, velocity_coeffs=other)
-    assert calls == {"ifft2": 6, "rfft2": 4}
+    assert calls == {"irfft2": 6, "rfft2": 4}
 
 
 def test_semigroup_identity_and_decay(grid32):

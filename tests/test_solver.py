@@ -226,6 +226,26 @@ def test_duhamel_matches_quadratic_trapezoid_sum(grid64, params):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("stack", ["random", "ones"])
+def test_duhamel_sum_in_place_matches_recursion_formula_bitwise(grid64, params, stack):
+    """The in-place recursion gives the bits of the one-line formula
+    out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]), on a complex stack and on
+    calibration's broadcast all-ones input."""
+    import aqgsim.solver as solver
+
+    n, dt = 17, 0.37 / 16
+    if stack == "random":
+        rng = np.random.default_rng(7)
+        N = rng.standard_normal((n, *grid64.shape)) + 1j * rng.standard_normal((n, *grid64.shape))
+    else:
+        N = np.broadcast_to(1.0, (n, *grid64.shape))
+    E = np.exp(-dt * dissipation_symbol((grid64.k1, grid64.k2), params))
+    ref = np.zeros(N.shape, dtype=np.complex128)
+    for i in range(1, n):
+        ref[i] = E * ref[i - 1] + 0.5 * dt * (E * N[i - 1] + N[i])
+    assert solver._duhamel_sum(N, dt, grid64, params).tobytes() == ref.tobytes()
+
+
 def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
     """Successive node doublings shrink the quadrature error like n^-2."""
     f = unit_random_field(grid64, 3, 1.0)
