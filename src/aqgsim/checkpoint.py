@@ -59,6 +59,11 @@ class Checkpoint:
             if getattr(self.params, name) != getattr(p, name):
                 raise CheckpointMismatchError(name)
 
+    def require_grid(self, grid: GridSpec) -> None:
+        """Raise CheckpointMismatchError at the first of (n1, n2) unlike grid's."""
+        if self.grid != grid:
+            raise CheckpointMismatchError("n1" if self.grid.n1 != grid.n1 else "n2")
+
 
 def write_checkpoint(path, field: SpectralField, p: DissipParams, t: float) -> None:
     grid = field.grid

@@ -59,9 +59,10 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
                                m.get("phase", 0.0))
     else:
         cp = ckpt.read_checkpoint(init["path"])
-        if cp.grid != grid:
-            raise ckpt.CheckpointMismatchError("n1" if cp.grid.n1 != grid.n1 else "n2")
+        cp.require_grid(grid)
         f = cp.field
+        if not f.is_mean_zero:
+            raise ConfigError("init.path", "checkpoint field has a nonzero mean")
     if init["normalize"] is not None:
         s = cfg.params["s"] if init["normalize"] == "hs" else 0.0
         n = sobolev_norm(f, s)
@@ -148,7 +149,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     # map, so on a shared horizon the weighted run's iteration is the plain one
     shared = weighted_runs and T_w == T_plain
     solve = weighted_picard_solve if shared else picard_solve
-    rep = solve(theta0, solve_config(T_plain), p, table)
+    rep = solve(theta0, solve_config(T_plain), p)
     lines += [
         f"T = {_fmt(T_plain)}",
         f"weighted = {_fmt(weighted)}",
@@ -163,7 +164,7 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     if rep.note:
         lines.append(f"note = {rep.note}")
     if weighted_runs:
-        wrep = rep if shared else weighted_picard_solve(theta0, solve_config(T_w), p, table)
+        wrep = rep if shared else weighted_picard_solve(theta0, solve_config(T_w), p)
         lines += [
             f"weighted_T = {_fmt(T_w)}",
             f"weighted_converged = {_fmt(wrep.converged)}",
@@ -262,6 +263,7 @@ def cmd_gevrey(cfg: RunConfig, out_dir: Path, traj_dir: str) -> int:
     states = [ckpt.read_checkpoint(path) for path in paths]
     for cp in states:
         cp.require_params(p)
+        cp.require_grid(states[0].grid)
     states.sort(key=lambda cp: cp.t)
     rep = build_gevrey_report([cp.t for cp in states], [cp.field for cp in states], p, p.s)
     lines = ["t,gevrey_hs,saturated,h2,rate1,rate2,fit_residual1,fit_residual2"]

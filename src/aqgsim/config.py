@@ -255,12 +255,10 @@ def validate_config(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return validate_config(data)
 

@@ -108,7 +108,7 @@ def test_criterion_4_picard_contraction():
     p, grid, theta0, table = picard_setup()
     _, T0 = existence_time(1.0, p, table)
     cfg = PicardConfig(T=T0, n_nodes=32, max_iter=40, tol=1e-10)
-    rep = picard_solve(theta0, cfg, p, table)
+    rep = picard_solve(theta0, cfg, p)
     elapsed = time.perf_counter() - start
     assert rep.converged
     assert rep.sup_hs <= 2.0 + 1e-6
@@ -125,7 +125,7 @@ def test_criterion_5_gevrey_weighted_ball():
     _, T1 = existence_time(1.0, p, table, weighted=True)
     assert T1 < LOG_3_2
     cfg = PicardConfig(T=T1, n_nodes=32, max_iter=40, tol=1e-10)
-    rep = weighted_picard_solve(theta0, cfg, p, table)
+    rep = weighted_picard_solve(theta0, cfg, p)
     assert rep.converged
     values = weighted_norm_trace(rep.trajectory, p, p.s)
     assert all(math.isfinite(v) for v in values)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqgsim.cli import main
-from aqgsim.config import DEFAULTS, ConfigError, RunConfig, validate_config
+from aqgsim.config import DEFAULTS, ConfigError, RunConfig, load_config, validate_config
 
 BASE = {
     "grid": {"n1": 32, "n2": 32},
@@ -108,6 +108,27 @@ def test_any_json_document_is_a_config_or_a_config_error(doc):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.binary())
+def test_any_bytes_load_as_config_or_config_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_bytes(raw)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@pytest.mark.parametrize("raw", [b'\xff\xfe{"grid": {}}', b"[" * 100_000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_unparsable_config_bytes_exit_1(tmp_path, capsys, raw):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(raw)
+    assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert f"config error at {cfg}: invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, overrides, key", [
@@ -310,6 +331,26 @@ def test_simulate_from_checkpoint_file(tmp_path):
     assert main(["simulate", "--config", str(cfg2), "--out", str(tmp_path / "resumed")]) == 0
 
 
+@pytest.mark.parametrize("command, output", [
+    ("simulate", "trace.csv"), ("picard", "picard_report.txt"), ("sweep", "sweep.csv")])
+def test_nonzero_mean_checkpoint_names_init_path(tmp_path, capsys, command, output):
+    from aqgsim.checkpoint import write_checkpoint
+    from aqgsim.grid import GridSpec, SpectralField, sine_field
+    from aqgsim.operators import DissipParams
+
+    coeffs = sine_field(GridSpec(16, 16), (1, 0)).coeffs.copy()
+    coeffs[0, 0] = 0.3
+    state = tmp_path / "mean.aqgs"
+    write_checkpoint(state, SpectralField(GridSpec(16, 16), coeffs), DissipParams(0.75, 0.75), 0.0)
+    cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16},
+                                  "init": {"kind": "file", "path": str(state), "kmax": 5},
+                                  "lemmas": {"kmax": 5}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error at init.path" in capsys.readouterr().err
+    assert not (out / output).exists()
+
+
 # ---------------------------------------------------------------------------
 # picard
 # ---------------------------------------------------------------------------
@@ -380,6 +421,26 @@ def test_picard_one_run_per_distinct_horizon(tmp_path, monkeypatch, overrides, e
     assert runs == expected
 
 
+def test_picard_solves_the_smallness_conditions_only_in_the_cli(tmp_path, monkeypatch):
+    """cmd_picard solves the plain (2) and weighted (4) conditions at s = 1; the
+    shared iteration itself solves none."""
+    import aqgsim.solver as solver
+
+    calls = []
+    solve = solver.solve_time_condition
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_time_condition", counting)
+    runs = _count_picard_runs(monkeypatch)
+    cfg = write_config(tmp_path, {"picard": {"weighted": True, "n_nodes": 9}})
+    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "calls")]) == 0
+    assert runs == ["weighted_picard_solve"]
+    assert len(calls) == 6
+
+
 def test_picard_shared_run_matches_separate_solves(tmp_path):
     import aqgsim.cli as cli
     from aqgsim.cli import _fmt
@@ -398,11 +459,10 @@ def test_picard_shared_run_matches_separate_solves(tmp_path):
     cfg = load_config(str(cfg_path))
     p = cfg.dissip_params()
     theta0 = cli.build_initial_field(cfg, cfg.grid_spec())
-    table = cli.resolve_constants(cfg, p)
     T = float(rep["T"])
     pc = dict(n_nodes=9, max_iter=cfg.picard["max_iter"], tol=cfg.picard["tol"])
-    plain = picard_solve(theta0, PicardConfig(T=T, **pc), p, table)
-    wrep = weighted_picard_solve(theta0, PicardConfig(T=T, **pc), p, table)
+    plain = picard_solve(theta0, PicardConfig(T=T, **pc), p)
+    wrep = weighted_picard_solve(theta0, PicardConfig(T=T, **pc), p)
     assert rep["theta0_hs"] == _fmt(sobolev_norm(theta0, p.s))
     expected = [
         f"T = {_fmt(T)}",
@@ -915,6 +975,23 @@ def test_gevrey_checkpoint_of_other_params_exit_1(tmp_path, capsys):
     out = tmp_path / "gev"
     assert main(["gevrey", "--config", str(other), "--out", str(out), "--traj", str(sim)]) == 1
     assert "checkpoint mismatch in field 'alpha'" in capsys.readouterr().err
+    assert not (out / "gevrey_report.csv").exists()
+
+
+def test_gevrey_checkpoints_of_two_grids_exit_1(tmp_path, capsys):
+    from aqgsim.checkpoint import write_checkpoint
+    from aqgsim.grid import GridSpec, sine_field
+    from aqgsim.operators import DissipParams
+
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    for i, n in enumerate((16, 32)):
+        write_checkpoint(traj / f"state_{i:04d}.aqgs", sine_field(GridSpec(n, n), (1, 0)),
+                         DissipParams(0.75, 0.75), 0.1 * i)
+    out = tmp_path / "gev"
+    assert main(["gevrey", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--traj", str(traj)]) == 1
+    assert "checkpoint mismatch in field 'n1'" in capsys.readouterr().err
     assert not (out / "gevrey_report.csv").exists()
 
 

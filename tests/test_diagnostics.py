@@ -171,8 +171,7 @@ def test_rates_grow_on_weighted_picard_solution(grid64):
     theta0 = theta0 * (1.0 / sobolev_norm(theta0, p.s))
     table = calibrate_constants(p, n_samples=4, seed=3)
     _, T1 = existence_time(1.0, p, table, weighted=True)
-    rep = weighted_picard_solve(theta0, PicardConfig(T=T1, n_nodes=9),
-                                p, table)
+    rep = weighted_picard_solve(theta0, PicardConfig(T=T1, n_nodes=9), p)
     assert rep.converged
     traj = rep.trajectory
     f0 = traj.field(0)

@@ -200,6 +200,23 @@ def test_duhamel_bilinearity(grid64, params_sym):
     assert np.allclose(a.coeffs, 3.0 * b.coeffs, rtol=1e-12, atol=1e-15)
 
 
+def test_duhamel_output_is_mean_free_for_inputs_with_means(grid64, params_sym):
+    """The divergence multipliers vanish at k = 0: B of fields with means 0.7 and
+    -2.5 has exactly zero k = 0 entries and otherwise matches the mean-free B."""
+    times = time_grid(0.5, 9)
+    spec = FieldEnsembleSpec(grid64, seed=11, count=2, kmax=10, spectrum_slope=2.0)
+    f, g = (constant_trajectory(random_band_limited_field(spec, i), times) for i in range(2))
+    shifted = []
+    for traj, mean in ((f, 0.7), (g, -2.5)):
+        coeffs = traj.coeffs.copy()
+        coeffs[:, 0, 0] += mean
+        shifted.append(Trajectory(grid64, times, coeffs))
+    got = duhamel_bilinear(*shifted, params_sym).coeffs
+    ref = duhamel_bilinear(f, g, params_sym).coeffs
+    assert np.all(got[:, 0, 0] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_duhamel_mismatched_grids(grid32, params_sym):
     times = time_grid(0.5, 5)
     f = constant_trajectory(sine_field(grid32, (1, 0)), times)
@@ -273,7 +290,7 @@ def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
 
 def test_picard_zero_data(grid32, params_sym):
     cfg = PicardConfig(T=0.5, n_nodes=5)
-    rep = picard_solve(zero_field(grid32), cfg, params_sym, TABLE)
+    rep = picard_solve(zero_field(grid32), cfg, params_sym)
     assert rep.converged
     assert rep.iterations == 0
     assert np.max(np.abs(rep.trajectory.coeffs)) == 0.0
@@ -283,7 +300,7 @@ def test_picard_single_mode_is_semigroup(grid32, params_sym):
     theta0 = sine_field(grid32, (1, 0))
     _, T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
     cfg = PicardConfig(T=T, n_nodes=9, tol=1e-12)
-    rep = picard_solve(theta0, cfg, params_sym, TABLE)
+    rep = picard_solve(theta0, cfg, params_sym)
     assert rep.converged
     assert rep.iterations == 1
     assert rep.distances[0] < 1e-14
@@ -296,7 +313,7 @@ def test_picard_random_data_contracts(grid64, params_sym):
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
     _, T = existence_time(1.0, params_sym, table)
     cfg = PicardConfig(T=T, n_nodes=17, tol=1e-11)
-    rep = picard_solve(theta0, cfg, params_sym, table)
+    rep = picard_solve(theta0, cfg, params_sym)
     assert rep.converged
     assert rep.within
     assert all(r <= 0.5 for r in rep.contraction_ratios)
@@ -310,7 +327,7 @@ def test_picard_limit_is_discrete_mild_solution(grid64, params_sym):
     table = calibrate_constants(params_sym, n_samples=6, seed=2)
     _, T = existence_time(1.0, params_sym, table)
     cfg = PicardConfig(T=T, n_nodes=17, tol=1e-11)
-    rep = picard_solve(theta0, cfg, params_sym, table)
+    rep = picard_solve(theta0, cfg, params_sym)
     L0 = semigroup_trajectory(theta0.dealiased(), rep.trajectory.times, params_sym)
     B = duhamel_bilinear(rep.trajectory, rep.trajectory, params_sym)
     resid = L0.coeffs - B.coeffs - rep.trajectory.coeffs
@@ -319,20 +336,23 @@ def test_picard_limit_is_discrete_mild_solution(grid64, params_sym):
     assert worst < 10 * cfg.tol
 
 
-def test_picard_horizon_guard(grid32, params_sym):
-    theta0 = sine_field(grid32, (1, 0))
-    _, T = existence_time(sobolev_norm(theta0, 1.0), params_sym, TABLE)
-    with pytest.raises(ValueError, match="existence time"):
-        picard_solve(theta0, PicardConfig(T=3.0 * T, n_nodes=5), params_sym, TABLE)
+def test_picard_iterates_beyond_the_existence_time(grid32, params_sym):
+    """A horizon outside the existence interval is iterated, not refused: the
+    report covers [0, cfg.T] and says whether the map contracted there."""
+    theta0 = unit_random_field(grid32, 6, params_sym.s)
+    _, T0 = existence_time(1.0, params_sym, TABLE)
+    cfg = PicardConfig(T=3.0 * T0, n_nodes=9, max_iter=20)
+    rep = picard_solve(theta0, cfg, params_sym)
+    assert rep.trajectory.times[-1] == cfg.T
+    assert rep.converged or rep.note == "diverging distances"
 
 
 def test_picard_divergence_reported_not_raised(grid32, params_sym):
-    # tiny constants put T = 5 inside the existence time, but with large data
-    # the discrete map expands there; three consecutive distance growths end
-    # the run as a finding
+    # with large data the discrete map expands at T = 5; three consecutive
+    # distance growths end the run as a finding
     theta0 = unit_random_field(grid32, 1, 1.0) * 5.0
     cfg = PicardConfig(T=5.0, n_nodes=9, max_iter=15)
-    rep = picard_solve(theta0, cfg, params_sym, ConstantsTable(1e-9, 1e-9, 1e-9, 1e-9))
+    rep = picard_solve(theta0, cfg, params_sym)
     assert not rep.converged
     assert "diverging distances" in rep.note
     assert rep.iterations < cfg.max_iter
@@ -344,7 +364,7 @@ def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
     norm0 = sobolev_norm(theta0, params_sym.s)
     _, T1 = existence_time(norm0, params_sym, TABLE, weighted=True)
     cfg = PicardConfig(T=T1, n_nodes=9)
-    rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
+    rep = weighted_picard_solve(theta0, cfg, params_sym)
     assert rep.converged
     assert all(v == pytest.approx(norm0, rel=1e-12)
                for v in weighted_norm_trace(rep.trajectory, params_sym, params_sym.s))
@@ -357,7 +377,7 @@ def test_weighted_picard_random_data_ball(grid64, params_sym):
     _, T1 = existence_time(1.0, params_sym, table, weighted=True)
     assert T1 < LOG_3_2
     cfg = PicardConfig(T=T1, n_nodes=17)
-    rep = weighted_picard_solve(theta0, cfg, params_sym, table)
+    rep = weighted_picard_solve(theta0, cfg, params_sym)
     assert rep.converged
     assert rep.weighted_sup <= 2.0 * (1.0 + 1e-6)
     assert weight_domination_slack(params_sym, T1, grid64) <= 1e-12
@@ -378,7 +398,7 @@ def test_weighted_picard_forms_each_gevrey_norm_once(grid32, params_sym, monkeyp
     theta0 = unit_random_field(grid32, 4, params_sym.s)
     _, T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
     cfg = PicardConfig(T=T1, n_nodes=9, tol=1e-12)
-    rep = weighted_picard_solve(theta0, cfg, params_sym, TABLE)
+    rep = weighted_picard_solve(theta0, cfg, params_sym)
     assert rep.converged and rep.iterations >= 2
     assert len(calls) == cfg.n_nodes * (rep.iterations + 1)
 
