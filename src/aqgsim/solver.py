@@ -4,8 +4,11 @@ march with step-doubling error control, and checkpoint-based continuation.
 
 The fixed-point map is psi(theta) = L0 - B(theta, theta) on a uniform time grid,
 with L0 the semigroup trajectory of the initial data and B the Duhamel integral
-of the dealiased nonlinearity, discretized by the trapezoid rule in
-`_duhamel_sum`, which calibration also runs, once per horizon, on all-ones input.
+of the dealiased nonlinearity, discretized by the trapezoid rule. Its one
+recursion, `_duhamel_nodes`, yields B node by node from kernels drawn node by
+node: `duhamel_bilinear` stacks it, `_duhamel_sum` (which calibration runs, once
+per horizon, on all-ones input) too, and the Picard engine overwrites its
+iterate with L0 - B row by row, so an iteration holds one (n_nodes, n1, n2) stack.
 """
 
 from __future__ import annotations
@@ -198,33 +201,59 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
                          p: DissipParams) -> Trajectory:
     """L0: exact linear evolution of theta0 sampled on the time grid."""
     A = dissipation_multiplier(theta0.grid, p)
-    stack = np.exp(-np.asarray(times)[:, None, None] * A) * theta0.coeffs
-    return Trajectory(theta0.grid, np.asarray(times, dtype=float), stack)
+    times = np.asarray(times, dtype=float)
+    stack = np.empty((times.size, *theta0.grid.shape), dtype=np.complex128)
+    for j, t in enumerate(times):
+        stack[j] = _semigroup_node(theta0.coeffs, t, A)
+    return Trajectory(theta0.grid, times, stack)
 
 
-def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> np.ndarray:
-    """Trapezoid Duhamel sum out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] over nodes 0..i.
+def _semigroup_node(coeffs: np.ndarray, t: float, A: np.ndarray) -> np.ndarray:
+    """exp(-t A) coeffs: the node of L0 at time t."""
+    return np.exp(-t * A) * coeffs
+
+
+def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams):
+    """Trapezoid Duhamel sum out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] over nodes 0..i,
+    yielded node by node from the node kernels N[0], N[1], ... in order.
 
     Evaluated by the exact recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i])
     with E = exp(-dt A), in time linear in the number of nodes. It runs in place,
     with the operations of that formula in its order, so the bits are its bits.
+    N is drawn lazily: N[i] only after out[i-1] was yielded, and only N[i-1] is
+    kept. Every node is yielded as the same array, updated in place by the next
+    step, so a caller that keeps a node copies it.
     """
     E = np.exp(-dt * dissipation_multiplier(grid, p))
-    out = np.zeros(N.shape, dtype=np.complex128)
+    N = iter(N)
+    prev = next(N)
+    acc = np.zeros(grid.shape, dtype=np.complex128)
     tmp = np.empty(grid.shape, dtype=np.complex128)
     half_dt = 0.5 * dt
-    for i in range(1, N.shape[0]):
-        np.multiply(E, N[i - 1], out=tmp)
-        tmp += N[i]
+    yield acc
+    for N_i in N:
+        np.multiply(E, prev, out=tmp)
+        tmp += N_i
         tmp *= half_dt
-        np.multiply(E, out[i - 1], out=out[i])
-        out[i] += tmp
+        np.multiply(E, acc, out=acc)
+        acc += tmp
+        prev = N_i
+        yield acc
+
+
+def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> np.ndarray:
+    """The `_duhamel_nodes` sum of a node stack N, as one stack."""
+    out = np.empty(N.shape, dtype=np.complex128)
+    for i, acc in enumerate(_duhamel_nodes(N, dt, grid, p)):
+        out[i] = acc
     return out
 
 
 def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> Trajectory:
     """B(theta1, theta2): trapezoid-in-time Duhamel integral of the nonlinearity.
 
+    The kernel div(theta1(tau) u_{theta2(tau)}) is taken node by node as the
+    recursion draws it, so the output is the only (n_nodes, n1, n2) stack formed.
     B has mean zero for any input: the divergence multipliers vanish at k = 0,
     so its k = 0 entries are exactly 0 whatever the means of theta1 and theta2."""
     if traj1.grid != traj2.grid:
@@ -232,11 +261,12 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     if traj1.n_nodes != traj2.n_nodes or not np.array_equal(traj1.times, traj2.times):
         raise ValueError("mismatched time grids in duhamel_bilinear")
     grid = traj1.grid
-    # div(theta1(tau) u_{theta2(tau)}) per node
-    N = np.empty_like(traj1.coeffs)
-    for j in range(traj1.n_nodes):
-        N[j], _ = _nonlinear_raw(traj1.coeffs[j], grid, velocity_coeffs=traj2.coeffs[j])
-    return Trajectory(grid, traj1.times, _duhamel_sum(N, traj1.dt, grid, p))
+    kernels = (_nonlinear_raw(a, grid, velocity_coeffs=b)[0]
+               for a, b in zip(traj1.coeffs, traj2.coeffs))
+    out = np.empty_like(traj1.coeffs)
+    for j, acc in enumerate(_duhamel_nodes(kernels, traj1.dt, grid, p)):
+        out[j] = acc
+    return Trajectory(grid, traj1.times, out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +339,27 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig,
 
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    weighted: bool) -> PicardReport:
-    """Each iterate's sups enter the report once, as it is formed, and no iterate
-    is written in place. The horizon cfg.T is iterated as given; whether it lies
-    in the existence interval is the caller's question. Three distance growths in
-    a row end the run as "diverging distances"; zero data is its own fixed point,
-    converged with no iterations."""
+    """Each iterate's sups enter the report once, as it is formed. The iterate is
+    one (n_nodes, n1, n2) stack, swept node by node: the kernel of row j is
+    taken, the Duhamel recursion advanced, the new row L0_j - B_j formed and its
+    H^s distance and norm recorded, and then row j is overwritten, since the
+    sweep no longer reads it. The horizon cfg.T is iterated as given; whether it
+    lies in the existence interval is the caller's question. A non-finite
+    distance ends the run as "non-finite distances", three distance growths in a
+    row as "diverging distances"; zero data is its own fixed point, converged
+    with no iterations."""
     if not theta0.is_mean_zero:
         raise ValueError("picard_solve requires mean-zero initial data")
     grid = theta0.grid
     s = p.s
     norm0 = sobolev_norm(theta0, s)
     times = time_grid(cfg.T, cfg.n_nodes)
-    L0 = semigroup_trajectory(theta0, times, p)
-    current = L0.coeffs
-    sup_hs_all = float(np.max(_hs_norms(current, grid, s)))
+    dt = float(times[1] - times[0])
+    A = dissipation_multiplier(grid, p)
+    current = semigroup_trajectory(theta0, times, p).coeffs  # the iterate, overwritten row by row
+    node_hs = np.array([_hs_norm(c, grid, s) for c in current])
+    node_dist = np.empty_like(node_hs)
+    sup_hs_all = float(np.max(node_hs))
     weighted_sup_all = _weighted_sup(grid, times, current, p, s) if weighted else None
 
     distances: list[float] = []
@@ -330,16 +367,22 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     note = ""
     growth_streak = 0
     for _ in range(0 if converged else cfg.max_iter):
-        traj = Trajectory(grid, times, current)
-        new = L0.coeffs - duhamel_bilinear(traj, traj, p).coeffs
-        d = float(np.max(_hs_norms(new - current, grid, s)))
+        kernels = (_nonlinear_raw(row, grid)[0] for row in current)
+        for j, B_j in enumerate(_duhamel_nodes(kernels, dt, grid, p)):
+            new = _semigroup_node(theta0.coeffs, times[j], A) - B_j
+            node_dist[j] = _hs_norm(new - current[j], grid, s)
+            node_hs[j] = _hs_norm(new, grid, s)
+            current[j] = new
+        d = float(np.max(node_dist))
         distances.append(d)
-        current = new
-        sup_hs_all = max(sup_hs_all, float(np.max(_hs_norms(current, grid, s))))
+        sup_hs_all = max(sup_hs_all, float(np.max(node_hs)))
         if weighted:
             weighted_sup_all = max(weighted_sup_all, _weighted_sup(grid, times, current, p, s))
         if d < cfg.tol:
             converged = True
+            break
+        if not math.isfinite(d):
+            note = "non-finite distances"
             break
         growth_streak = growth_streak + 1 if len(distances) >= 2 and d > distances[-2] else 0
         if growth_streak >= 3:

@@ -263,6 +263,45 @@ def test_duhamel_sum_in_place_matches_recursion_formula_bitwise(grid64, params, 
     assert solver._duhamel_sum(N, dt, grid64, params).tobytes() == ref.tobytes()
 
 
+def test_duhamel_bilinear_is_duhamel_sum_of_kernel_stack_bitwise(grid64, params):
+    """The node-by-node operator gives the bits of `_duhamel_sum` over the
+    explicit stack of kernels div(theta1 u_theta2), for two distinct inputs."""
+    import aqgsim.solver as solver
+
+    times = time_grid(0.3, 17)
+    traj1, traj2 = (semigroup_trajectory(unit_random_field(grid64, seed, params.s), times, params)
+                    for seed in (5, 6))
+    N = np.array([solver._nonlinear_raw(a, grid64, velocity_coeffs=b)[0]
+                  for a, b in zip(traj1.coeffs, traj2.coeffs)])
+    got = duhamel_bilinear(traj1, traj2, params).coeffs
+    assert got.tobytes() == solver._duhamel_sum(N, traj1.dt, grid64, params).tobytes()
+
+
+def test_node_stacks_held_by_picard_and_duhamel(params_sym):
+    """At 64^2 with 64 nodes the traced peak of a Picard solve, plain or
+    weighted, stays under 1.5 (n_nodes, n1, n2) complex stacks: the iterate and
+    per-node temporaries, no L0, kernel or Duhamel stack. `duhamel_bilinear`
+    holds its output stack only."""
+    import tracemalloc
+
+    grid = GridSpec(64, 64)
+    stack_bytes = 64 * grid.n1 * grid.n2 * 16
+    theta0 = unit_random_field(grid, 4, params_sym.s)
+    cfg = PicardConfig(T=0.1, n_nodes=64, max_iter=3)
+    L0 = semigroup_trajectory(theta0, time_grid(cfg.T, cfg.n_nodes), params_sym)
+    runs = {"picard_solve": lambda: picard_solve(theta0, cfg, params_sym),
+            "weighted_picard_solve": lambda: weighted_picard_solve(theta0, cfg, params_sym),
+            "duhamel_bilinear": lambda: duhamel_bilinear(L0, L0, params_sym)}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack_bytes, (name, peak / stack_bytes)
+
+
 def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
     """Successive node doublings shrink the quadrature error like n^-2."""
     f = unit_random_field(grid64, 3, 1.0)
@@ -356,6 +395,34 @@ def test_picard_divergence_reported_not_raised(grid32, params_sym):
     assert not rep.converged
     assert "diverging distances" in rep.note
     assert rep.iterations < cfg.max_iter
+
+
+@pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
+def test_one_picard_iteration_is_L0_minus_B_bitwise(grid64, params_sym, solve):
+    """The first iterate is L0 - B(L0, L0) byte for byte, with L0 from
+    `semigroup_trajectory` and B from `duhamel_bilinear`, and its distance is
+    the largest node H^s norm of its difference from L0."""
+    theta0 = unit_random_field(grid64, 5, params_sym.s)
+    rep = solve(theta0, PicardConfig(T=0.3, n_nodes=17, max_iter=1), params_sym)
+    L0 = semigroup_trajectory(theta0, rep.trajectory.times, params_sym)
+    first = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
+    assert rep.trajectory.coeffs.tobytes() == first.tobytes()
+    assert rep.distances == [float(np.max(_hs_norms(first - L0.coeffs, grid64, params_sym.s)))]
+
+
+@pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
+@pytest.mark.parametrize("amplitude", [1e120, 1e200])
+def test_picard_non_finite_distance_ends_the_run(grid32, params_sym, solve, amplitude):
+    """Overflowing data ends the run at the first non-finite distance. At 1e120
+    the distances of the first iterate's nodes are 0 (node 0, which is L0) and
+    inf; at 1e200 the kernel overflows and they are 0 and NaN, which a reduction
+    that drops NaN would read as 0, a converged run."""
+    theta0 = unit_random_field(grid32, 1, params_sym.s) * amplitude
+    with np.errstate(all="ignore"):
+        rep = solve(theta0, PicardConfig(T=0.5, n_nodes=9, max_iter=8), params_sym)
+    assert not rep.converged
+    assert rep.iterations == 1 and not math.isfinite(rep.distances[0])
+    assert rep.note == "non-finite distances"
 
 
 def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
