@@ -4,16 +4,18 @@ march with step-doubling error control, and checkpoint-based continuation.
 
 The fixed-point map is psi(theta) = L0 - B(theta, theta) on a uniform time grid,
 with L0 the semigroup trajectory of the initial data and B the Duhamel integral
-of the dealiased nonlinearity, discretized by the trapezoid rule. Its one
-recursion, `_duhamel_nodes`, yields B node by node from kernels drawn node by
-node: `duhamel_bilinear` stacks it, `_duhamel_sum` (which calibration runs, once
-per horizon, on all-ones input) too, and the Picard engine overwrites its
-iterate with L0 - B row by row, so an iteration holds one (n_nodes, n1, n2) stack.
+of the dealiased nonlinearity, discretized by the trapezoid rule. The map is one
+recursion, `_duhamel_nodes`, over kernels drawn node by node: from zero it yields
+B, which `duhamel_bilinear` stacks and calibration runs on all-ones input; from
+-theta0 it yields -(L0 - B), since L0[i] = exp(-dt A) L0[i-1], and the Picard
+engine overwrites its iterate, one (n_nodes, n1, n2) stack, with the negation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -204,30 +206,26 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
     times = np.asarray(times, dtype=float)
     stack = np.empty((times.size, *theta0.grid.shape), dtype=np.complex128)
     for j, t in enumerate(times):
-        stack[j] = _semigroup_node(theta0.coeffs, t, A)
+        stack[j] = np.exp(-t * A) * theta0.coeffs
     return Trajectory(theta0.grid, times, stack)
 
 
-def _semigroup_node(coeffs: np.ndarray, t: float, A: np.ndarray) -> np.ndarray:
-    """exp(-t A) coeffs: the node of L0 at time t."""
-    return np.exp(-t * A) * coeffs
+def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
+    """The recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]), E = exp(-dt A),
+    from out[0] = out0 (zero by default) over the node kernels N[0], N[1], ...,
+    yielded node by node in time linear in the number of nodes.
 
-
-def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams):
-    """Trapezoid Duhamel sum out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] over nodes 0..i,
-    yielded node by node from the node kernels N[0], N[1], ... in order.
-
-    Evaluated by the exact recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i])
-    with E = exp(-dt A), in time linear in the number of nodes. It runs in place,
-    with the operations of that formula in its order, so the bits are its bits.
-    N is drawn lazily: N[i] only after out[i-1] was yielded, and only N[i-1] is
-    kept. Every node is yielded as the same array, updated in place by the next
-    step, so a caller that keeps a node copies it.
+    From zero, out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] is the trapezoid Duhamel
+    sum B; from -theta0 it is -(L0 - B), the negated mild map. It runs in place,
+    with the operations of that formula in its order, so the bits are its bits;
+    out0 must be a fresh writable array. N[i] is drawn only after out[i-1] was
+    yielded, and only N[i-1] is kept. Every node is yielded as the same array,
+    updated in place by the next step, so a caller that keeps a node copies it.
     """
     E = np.exp(-dt * dissipation_multiplier(grid, p))
     N = iter(N)
     prev = next(N)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.shape, dtype=np.complex128) if out0 is None else out0
     tmp = np.empty(grid.shape, dtype=np.complex128)
     half_dt = 0.5 * dt
     yield acc
@@ -239,14 +237,6 @@ def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams):
         acc += tmp
         prev = N_i
         yield acc
-
-
-def _duhamel_sum(N: np.ndarray, dt: float, grid: GridSpec, p: DissipParams) -> np.ndarray:
-    """The `_duhamel_nodes` sum of a node stack N, as one stack."""
-    out = np.empty(N.shape, dtype=np.complex128)
-    for i, acc in enumerate(_duhamel_nodes(N, dt, grid, p)):
-        out[i] = acc
-    return out
 
 
 def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> Trajectory:
@@ -339,15 +329,16 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig,
 
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    weighted: bool) -> PicardReport:
-    """Each iterate's sups enter the report once, as it is formed. The iterate is
-    one (n_nodes, n1, n2) stack, swept node by node: the kernel of row j is
-    taken, the Duhamel recursion advanced, the new row L0_j - B_j formed and its
-    H^s distance and norm recorded, and then row j is overwritten, since the
-    sweep no longer reads it. The horizon cfg.T is iterated as given; whether it
-    lies in the existence interval is the caller's question. A non-finite
-    distance ends the run as "non-finite distances", three distance growths in a
-    row as "diverging distances"; zero data is its own fixed point, converged
-    with no iterations."""
+    """Each iterate's sups enter the report once, as it is formed. The iteration
+    starts from L0 and holds one (n_nodes, n1, n2) stack, swept node by node: the
+    kernel of row j is taken, the recursion from -theta0 advanced to
+    -(L0_j - B_j), the negation's H^s distance and norm recorded, and then row j
+    is overwritten with it, since the sweep no longer reads it. The horizon
+    cfg.T is iterated as given; whether it lies in the existence interval is the
+    caller's question. A non-finite distance ends the run as "non-finite
+    distances", three distance growths in a row as "diverging distances"; zero
+    data is its own fixed point, converged with no iterations. A sup that is not
+    finite is never within its ball."""
     if not theta0.is_mean_zero:
         raise ValueError("picard_solve requires mean-zero initial data")
     grid = theta0.grid
@@ -355,7 +346,6 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     norm0 = sobolev_norm(theta0, s)
     times = time_grid(cfg.T, cfg.n_nodes)
     dt = float(times[1] - times[0])
-    A = dissipation_multiplier(grid, p)
     current = semigroup_trajectory(theta0, times, p).coeffs  # the iterate, overwritten row by row
     node_hs = np.array([_hs_norm(c, grid, s) for c in current])
     node_dist = np.empty_like(node_hs)
@@ -368,8 +358,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     growth_streak = 0
     for _ in range(0 if converged else cfg.max_iter):
         kernels = (_nonlinear_raw(row, grid)[0] for row in current)
-        for j, B_j in enumerate(_duhamel_nodes(kernels, dt, grid, p)):
-            new = _semigroup_node(theta0.coeffs, times[j], A) - B_j
+        for j, negated in enumerate(_duhamel_nodes(kernels, dt, grid, p, -theta0.coeffs)):
+            new = -negated
             node_dist[j] = _hs_norm(new - current[j], grid, s)
             node_hs[j] = _hs_norm(new, grid, s)
             current[j] = new
@@ -392,10 +382,13 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     ratios = [distances[i + 1] / distances[i]
               for i in range(len(distances) - 1) if distances[i] > 0.0]
     bound = 2.0 * norm0
-    weighted_within = weighted_sup_all <= bound * (1.0 + 1e-9) if weighted else None
+
+    def within(sup):
+        return math.isfinite(sup) and sup <= bound * (1.0 + 1e-9)
+
     return PicardReport(converged, len(distances), distances, ratios, sup_hs_all, bound,
-                        sup_hs_all <= bound * (1.0 + 1e-9), Trajectory(grid, times, current),
-                        weighted_sup_all, weighted_within, note)
+                        within(sup_hs_all), Trajectory(grid, times, current),
+                        weighted_sup_all, within(weighted_sup_all) if weighted else None, note)
 
 
 def _weighted_sup(grid: GridSpec, times: np.ndarray, coeffs: np.ndarray,
@@ -419,8 +412,9 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> 
     (on the 64^2 grid, band |k| <= 10, spectrum |k|^-2, 33 time nodes).
 
     f and g are constant in time, so the Duhamel sum of their nonlinearity N is
-    W N, with W the all-ones `_duhamel_sum` at the last node; both that sum and
-    exp((t/2)B) grow with t, so every sup over a horizon is its value at t = T.
+    W N, with W the last node of the Duhamel recursion from zero over all-ones
+    kernels; both that sum and exp((t/2)B) grow with t, so every sup over a
+    horizon is its value at t = T.
 
     Deterministic given the seed; sample k of a larger run reuses sample k of a
     smaller one, so enlarging n_samples can only increase the estimates. A ratio
@@ -432,9 +426,9 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> 
     spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=_CALIBRATION_KMAX,
                              spectrum_slope=_CALIBRATION_SLOPE)
     s = p.s
-    # the last node is copied out so that no (n_nodes, n1, n2) sum outlives its horizon
-    ones = np.broadcast_to(1.0, (n_nodes, *grid.shape))
-    horizons = [(T, _duhamel_sum(ones, T / (n_nodes - 1), grid, p)[-1].copy(),
+    # the recursion holds one node, so its last is W_T with no (n_nodes, n1, n2) stack
+    horizons = [(T, deque(_duhamel_nodes(itertools.repeat(1.0, n_nodes), T / (n_nodes - 1),
+                                         grid, p), maxlen=1)[0],
                  _power_sum(T, _step1_exponents(p)), _power_sum(T, _step2_exponents(p)),
                  math.exp(T))
                 for T in _CALIBRATION_HORIZONS]

@@ -131,6 +131,14 @@ def test_unparsable_config_bytes_exit_1(tmp_path, capsys, raw):
     assert f"config error at {cfg}: invalid JSON" in capsys.readouterr().err
 
 
+def test_unreadable_config_exit_1(tmp_path, capsys):
+    """A config path naming a directory is a config error at that path."""
+    cfg = tmp_path / "d"
+    cfg.mkdir()
+    assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert f"config error at {cfg}: cannot read config: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, overrides, key", [
     ("picard", {"params": {"s": math.nan}}, "params.s"),
     ("simulate", {"time": {"T": math.inf}}, "time.T"),
@@ -503,6 +511,21 @@ def test_picard_empty_horizon_is_a_finding(tmp_path):
     assert float(rep["T0"]) == 0.0
     assert rep["converged"] == "false"
     assert "no positive horizon" in rep["note"]
+
+
+def test_picard_diverging_map_writes_its_note(tmp_path):
+    """Tiny constants admit the horizon T = 5, where the map expands on data of
+    H^1 norm 5: the run is a finding, exit 0, and the report names the cause."""
+    cfg = write_config(tmp_path, {
+        "constants": {"C1": 1e-9, "C2": 1e-9, "C3": 1e-9, "C4": 1e-9},
+        "init": {"normalize": "hs", "amplitude": 5.0},
+        "picard": {"T": 5.0, "n_nodes": 9, "max_iter": 15}})
+    out = tmp_path / "diverging"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = parse_report(out / "picard_report.txt")
+    assert rep["T"] == "5.0"
+    assert rep["converged"] == "false"
+    assert rep["note"] == "diverging distances"
 
 
 def _small_picard(tmp_path, constants, overrides):

@@ -1,5 +1,6 @@
 """Existence-time conditions, Duhamel operator, Picard iterations, the march."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -25,6 +26,13 @@ def unit_random_field(grid, seed, s, kmax=8, slope=2.0):
     spec = FieldEnsembleSpec(grid, seed=seed, count=1, kmax=kmax, spectrum_slope=slope)
     f = random_band_limited_field(spec, 0)
     return f * (1.0 / sobolev_norm(f, s))
+
+
+def recursion_stack(N, dt, grid, p, out0=None):
+    """Every node of the Duhamel recursion over the kernels N, as one stack."""
+    import aqgsim.solver as solver
+
+    return np.array([node.copy() for node in solver._duhamel_nodes(N, dt, grid, p, out0)])
 
 
 @pytest.fixture
@@ -243,29 +251,33 @@ def test_duhamel_matches_quadratic_trapezoid_sum(grid64, params):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("stack", ["random", "ones"])
+@pytest.mark.parametrize("stack", ["random", "ones", "random_from_nonzero"])
 def test_duhamel_sum_in_place_matches_recursion_formula_bitwise(grid64, params, stack):
     """The in-place recursion gives the bits of the one-line formula
-    out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]), on a complex stack and on
-    calibration's broadcast all-ones input."""
-    import aqgsim.solver as solver
-
+    out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]) at every node: from zero on a
+    complex stack and on calibration's all-ones input (the scalar 1.0 at each
+    node), and from a nonzero complex node 0."""
     n, dt = 17, 0.37 / 16
-    if stack == "random":
-        rng = np.random.default_rng(7)
-        N = rng.standard_normal((n, *grid64.shape)) + 1j * rng.standard_normal((n, *grid64.shape))
-    else:
-        N = np.broadcast_to(1.0, (n, *grid64.shape))
+    rng = np.random.default_rng(7)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    N = [1.0] * n if stack == "ones" else complex_normal(n, *grid64.shape)
     E = np.exp(-dt * dissipation_symbol((grid64.k1, grid64.k2), params))
-    ref = np.zeros(N.shape, dtype=np.complex128)
+    ref = np.zeros((n, *grid64.shape), dtype=np.complex128)
+    out0 = None
+    if stack == "random_from_nonzero":
+        ref[0] = out0 = complex_normal(*grid64.shape)
     for i in range(1, n):
         ref[i] = E * ref[i - 1] + 0.5 * dt * (E * N[i - 1] + N[i])
-    assert solver._duhamel_sum(N, dt, grid64, params).tobytes() == ref.tobytes()
+    got = recursion_stack(N, dt, grid64, params, None if out0 is None else out0.copy())
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_duhamel_bilinear_is_duhamel_sum_of_kernel_stack_bitwise(grid64, params):
-    """The node-by-node operator gives the bits of `_duhamel_sum` over the
-    explicit stack of kernels div(theta1 u_theta2), for two distinct inputs."""
+    """The node-by-node operator gives the bits of the recursion from zero over
+    the explicit stack of kernels div(theta1 u_theta2), for two distinct inputs."""
     import aqgsim.solver as solver
 
     times = time_grid(0.3, 17)
@@ -274,7 +286,7 @@ def test_duhamel_bilinear_is_duhamel_sum_of_kernel_stack_bitwise(grid64, params)
     N = np.array([solver._nonlinear_raw(a, grid64, velocity_coeffs=b)[0]
                   for a, b in zip(traj1.coeffs, traj2.coeffs)])
     got = duhamel_bilinear(traj1, traj2, params).coeffs
-    assert got.tobytes() == solver._duhamel_sum(N, traj1.dt, grid64, params).tobytes()
+    assert got.tobytes() == recursion_stack(N, traj1.dt, grid64, params).tobytes()
 
 
 def test_node_stacks_held_by_picard_and_duhamel(params_sym):
@@ -398,16 +410,44 @@ def test_picard_divergence_reported_not_raised(grid32, params_sym):
 
 
 @pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
-def test_one_picard_iteration_is_L0_minus_B_bitwise(grid64, params_sym, solve):
-    """The first iterate is L0 - B(L0, L0) byte for byte, with L0 from
-    `semigroup_trajectory` and B from `duhamel_bilinear`, and its distance is
-    the largest node H^s norm of its difference from L0."""
-    theta0 = unit_random_field(grid64, 5, params_sym.s)
+def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_sym, solve):
+    """The first iterate is byte for byte the negated Duhamel recursion from
+    -theta0 over the kernels of L0, and agrees with L0 - B(L0, L0), L0 from
+    `semigroup_trajectory` and B from `duhamel_bilinear`, within 1e-14 relative
+    H^s at every node. Its distance is the largest node H^s norm of its
+    difference from L0."""
+    import aqgsim.solver as solver
+
+    s = params_sym.s
+    theta0 = unit_random_field(grid64, 5, s)
     rep = solve(theta0, PicardConfig(T=0.3, n_nodes=17, max_iter=1), params_sym)
     L0 = semigroup_trajectory(theta0, rep.trajectory.times, params_sym)
-    first = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
+    kernels = (solver._nonlinear_raw(c, grid64)[0] for c in L0.coeffs)
+    first = -recursion_stack(kernels, L0.dt, grid64, params_sym, -theta0.coeffs)
     assert rep.trajectory.coeffs.tobytes() == first.tobytes()
-    assert rep.distances == [float(np.max(_hs_norms(first - L0.coeffs, grid64, params_sym.s)))]
+    mild = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
+    assert np.all(_hs_norms(first - mild, grid64, s) <= 1e-14 * _hs_norms(mild, grid64, s))
+    assert rep.distances == [float(np.max(_hs_norms(first - L0.coeffs, grid64, s)))]
+
+
+def test_picard_exp_calls_are_nodes_plus_iterations(grid32, params_sym, monkeypatch):
+    """A plain solve with n nodes and k iterations exponentiates a grid array
+    n + k times: the nodes of L0 once, and E = exp(-dt A) once per iteration."""
+    calls = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == grid32.shape:
+            calls.append(1)
+        return exp(x, *args, **kwargs)
+
+    theta0 = unit_random_field(grid32, 4, params_sym.s)
+    cfg = PicardConfig(T=0.2, n_nodes=9, max_iter=8, tol=1e-300)
+    monkeypatch.setattr(np, "exp", counting)
+    rep = picard_solve(theta0, cfg, params_sym)
+    monkeypatch.undo()
+    assert rep.iterations >= 3
+    assert len(calls) == cfg.n_nodes + rep.iterations
 
 
 @pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
@@ -416,13 +456,16 @@ def test_picard_non_finite_distance_ends_the_run(grid32, params_sym, solve, ampl
     """Overflowing data ends the run at the first non-finite distance. At 1e120
     the distances of the first iterate's nodes are 0 (node 0, which is L0) and
     inf; at 1e200 the kernel overflows and they are 0 and NaN, which a reduction
-    that drops NaN would read as 0, a converged run."""
+    that drops NaN would read as 0, a converged run. The sup is infinite, so it
+    is not within the ball, even at 1e200, where the bound is infinite too."""
     theta0 = unit_random_field(grid32, 1, params_sym.s) * amplitude
     with np.errstate(all="ignore"):
         rep = solve(theta0, PicardConfig(T=0.5, n_nodes=9, max_iter=8), params_sym)
     assert not rep.converged
     assert rep.iterations == 1 and not math.isfinite(rep.distances[0])
     assert rep.note == "non-finite distances"
+    assert rep.sup_hs == math.inf and rep.within is False
+    assert rep.weighted_within is (None if solve is picard_solve else False)
 
 
 def test_weighted_picard_single_mode_weight_cancels_decay(grid32, params_sym):
@@ -535,9 +578,9 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
         N = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)[0]
         for T in solver._CALIBRATION_HORIZONS:
             times = time_grid(T, n)
-            W = solver._duhamel_sum(np.ones((n, *grid.shape)), times[1], grid, p)
+            W = recursion_stack(itertools.repeat(1.0, n), times[1], grid, p)
             stack = W * N
-            reference = solver._duhamel_sum(np.broadcast_to(N, stack.shape), times[1], grid, p)
+            reference = recursion_stack(itertools.repeat(N, n), times[1], grid, p)
             assert np.all(np.abs(stack[-1] - reference[-1]) <= 1e-14 * np.abs(reference[-1]))
             plain = _hs_norms(stack, grid, s)
             weighted = [gevrey_weighted_norm(SpectralField(grid, c), t, s, p)
@@ -700,6 +743,14 @@ def test_evolve_aborts_when_the_step_collapses(grid32, params):
     assert res.abort_reason.startswith("step size collapsed (dt=")
     assert res.accepted_steps == 0
     assert res.t_final == 0.0
+
+
+@pytest.mark.parametrize("dt_fixed", [math.nan, -1.0])
+def test_evolve_aborts_on_a_bad_fixed_step(grid32, params, dt_fixed):
+    """A fixed step that is not a positive number ends the march before any step."""
+    res = evolve(unit_random_field(grid32, 3, 0.0), 0.05, params, dt_fixed=dt_fixed)
+    assert res.abort_reason == f"step size collapsed (dt={dt_fixed})"
+    assert res.accepted_steps == 0 and res.t_final == 0.0
 
 
 def test_evolve_rtol_sets_the_step_at_loose_tolerances(grid64, params_sym):
