@@ -1,6 +1,7 @@
 """Batch entry point: simulate | picard | lemmas | sweep | gevrey subcommands.
 
-Exit codes: 0 success, 1 config error, 2 solver abort, 3 I/O failure,
+Exit codes: 0 success, 1 config error, 2 solver abort (including a run that
+runs out of memory, reported as one line "out of memory: ..."), 3 I/O failure,
 4 inequality violation.
 """
 
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, threads=args.threads)
         return cmd_gevrey(cfg, out_dir, args.traj)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except OSError as exc:  # before CheckpointError: an unreadable checkpoint is both
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

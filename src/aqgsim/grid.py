@@ -5,19 +5,27 @@ the normalized measure dx/(4 pi^2), so every norm is a plain coefficient sum.
 Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 along
 axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
 
+Two layouts. The full layout, all n1 x n2 modes, is what a `SpectralField` and a
+solver `Trajectory` hold and what checkpoints store. The half layout is the
+rfft2 half spectrum, the (n1, n2/2 + 1) columns k2 = 0 .. n2/2, and is what the
+solver works on: the k2 < 0 half of a real field is an exact conjugate copy of
+it. A half-layout sum counts each column with its `multiplicity` (1 on the
+self-conjugate columns k2 = 0 and n2/2, 2 elsewhere), so it equals the full sum.
+
 This module is the package's spectral workspace: `from_physical` and
-`to_physical` transform fields, and `sobolev_weight`, cached read-only per
-(grid, s, homogeneous), is the sole builder of the (1+|k|^2)^s and |k|^{2s}
-weights (the dissipation and Gevrey symbols are cached in
+`to_physical` transform fields, and `sobolev_weight` and its half-layout form
+`half_sobolev_weight` (with the multiplicity folded in), each cached read-only
+per (grid, s, homogeneous), are the only builders of the (1+|k|^2)^s and
+|k|^{2s} weights (the dissipation and Gevrey symbols are cached in
 `operators.symbol_multipliers`). The nonlinear kernel in `operators` is the other
 transform site: irfft2 of the half spectrum to the grid, rfft2 of the fluxes back.
-The forward transform is the rfft2 half spectrum (k2 >= 0) plus one Hermitian
-fill, `full_spectrum`, which the nonlinear kernel also calls on its half-spectrum
-result: the k2 < 0 half (and the k1 < 0 half of the self-conjugate columns k2 = 0
-and k2 = -n2/2) is an exact conjugate copy of the other half, and the four
-self-conjugate modes are real. Multipliers even in k keep that symmetry exact,
-so no caller repairs it after an operation; `hermitian_defect` measures how far
-an array is from its own fill.
+The forward transform is the rfft2 half spectrum plus one Hermitian fill,
+`full_spectrum`. `self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2
+of a half array their own reflection and the four self-conjugate modes real; the
+nonlinear kernel applies it to its half-spectrum result and `full_spectrum` to
+its input, whose k2 < 0 half it then fills as exact conjugates. Multipliers even
+in k keep that symmetry exact, so no caller repairs it after an operation;
+`hermitian_defect` measures how far an array is from its own fill.
 """
 
 from __future__ import annotations
@@ -66,9 +74,23 @@ class GridSpec:
         """True at self-conjugate (Nyquist) rows/columns."""
         return (self.k1 == -(self.n1 // 2)) | (self.k2 == -(self.n2 // 2))
 
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """(1, n2/2 + 1): the number of modes each half-layout column stands for,
+        1 on the self-conjugate columns k2 = 0 and n2/2 and 2 elsewhere."""
+        m = np.full((1, self.n2 // 2 + 1), 2.0)
+        m[0, ::self.n2 // 2] = 1.0
+        m.flags.writeable = False
+        return m
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
+
+    @property
+    def half_shape(self) -> tuple[int, int]:
+        """Shape of the half layout, the columns k2 = 0 .. n2/2."""
+        return (self.n1, self.n2 // 2 + 1)
 
     def physical_points(self) -> tuple[np.ndarray, np.ndarray]:
         x1 = np.arange(self.n1) * (2.0 * np.pi / self.n1)
@@ -82,18 +104,31 @@ def from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The (n1, n2) coefficients whose columns k2 = 0 .. n2/2 are `half`, with
-    the rest filled in as exact conjugates and the four self-conjugate modes real."""
-    h1, h2 = grid.n1 // 2, grid.n2 // 2
-    c = np.empty(grid.shape, dtype=np.complex128)
-    c[:, :h2 + 1] = half
-    # c(k1, k2) = conj(c(-k1, -k2)) for k2 < 0
-    np.conj(half[0, h2 - 1:0:-1], out=c[0, h2 + 1:])
-    np.conj(half[:0:-1, h2 - 1:0:-1], out=c[1:, h2 + 1:])
-    # the columns k2 = 0 and k2 = -n2/2 are their own reflection
-    np.conj(c[h1 - 1:0:-1, ::h2], out=c[h1 + 1:, ::h2])
-    c[::h1, ::h2].imag = 0.0
+    """The (..., n1, n2) coefficients whose columns k2 = 0 .. n2/2 are `half`
+    after `self_conjugate_columns`, with the rest filled in as exact conjugates."""
+    c = np.empty((*half.shape[:-1], grid.n2), dtype=np.complex128)
+    c[..., :grid.n2 // 2 + 1] = half
+    fill_conjugate_half(c, grid)
     return c
+
+
+def fill_conjugate_half(c: np.ndarray, grid: GridSpec) -> None:
+    """In place on a full-layout array or stack whose columns k2 = 0 .. n2/2 are
+    set: `self_conjugate_columns` on those, then the columns k2 < 0 as their
+    conjugates, c(k1, k2) = conj(c(-k1, -k2))."""
+    h2 = grid.n2 // 2
+    self_conjugate_columns(c[..., :h2 + 1], grid)
+    np.conj(c[..., 0, h2 - 1:0:-1], out=c[..., 0, h2 + 1:])
+    np.conj(c[..., :0:-1, h2 - 1:0:-1], out=c[..., 1:, h2 + 1:])
+
+
+def self_conjugate_columns(half: np.ndarray, grid: GridSpec) -> None:
+    """In place on a half-layout array or stack: the columns k2 = 0 and k2 = -n2/2
+    become their own reflection, the rows k1 < 0 conjugates of the rows k1 > 0,
+    and the four self-conjugate modes real."""
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
+    np.conj(half[..., h1 - 1:0:-1, ::h2], out=half[..., h1 + 1:, ::h2])
+    half[..., ::h1, ::h2].imag = 0.0
 
 
 def to_physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -108,14 +143,35 @@ def sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.nd
 
 @lru_cache(maxsize=64)
 def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
+    w = _weight_of(grid.k_sq, s, homogeneous)
+    w.flags.writeable = False
+    return w
+
+
+def half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Read-only `sobolev_weight` on the half layout times the column
+    multiplicity, so that a sum against it over columns k2 = 0 .. n2/2 of a
+    Hermitian field's power is the full-layout sum."""
+    return _half_sobolev_weight(grid, float(s), bool(homogeneous))
+
+
+@lru_cache(maxsize=64)
+def _half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
+    w = _weight_of(grid.k_sq[:, :grid.n2 // 2 + 1], s, homogeneous)
+    w *= grid.multiplicity
+    w.flags.writeable = False
+    return w
+
+
+def _weight_of(k_sq: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
+    """(1+|k|^2)^s, or |k|^{2s} with the k=0 entry (the first) zero when homogeneous."""
     if homogeneous:
-        ksq = grid.k_sq.copy()
+        ksq = k_sq.copy()
         ksq[0, 0] = 1.0  # dummy; the k=0 term is excluded below
         w = ksq**s
         w[0, 0] = 0.0
     else:
-        w = (1.0 + grid.k_sq) ** s
-    w.flags.writeable = False
+        w = (1.0 + k_sq) ** s
     return w
 
 

@@ -2,6 +2,12 @@
 grid quadratures (Lp, scaled by the largest value so that any finite p stays in
 range), in the normalized measure dx/(4 pi^2).
 
+The coefficient sums (`_hs_norms`, `_hs_from_power`, `_gevrey_norm`) read only
+the half layout, the columns k2 = 0 .. n2/2 of their input, and sum them against
+`grid.half_sobolev_weight`, which counts each column with its multiplicity; so
+they accept a Hermitian field in either layout, and the solver passes its half
+working arrays.
+
 `_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
 and applies its overflow policy: a saturated norm reads as inf. Every weighted
 norm in the package (the march trace, the Picard sups, the gevrey report) goes
@@ -14,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, sobolev_weight
+from .grid import GridSpec, SpectralField, half_sobolev_weight
 from .operators import DissipParams, gevrey_multiplier
 
 WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the norm saturates
@@ -32,15 +38,15 @@ def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = F
 def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
               homogeneous: bool = False) -> np.ndarray:
     """H^s norms over the last two axes: of one field, or of each node of a stack."""
-    return _hs_from_power(np.abs(coeffs) ** 2, grid, s, homogeneous)
+    return _hs_from_power(np.abs(coeffs[..., :grid.n2 // 2 + 1]) ** 2, grid, s, homogeneous)
 
 
 def _hs_from_power(power: np.ndarray, grid: GridSpec, s: float,
                    homogeneous: bool = False) -> np.ndarray:
     """_hs_norms from the power |c|^2, so that a caller taking many norms of one
-    field forms it once."""
-    w = sobolev_weight(grid, s, homogeneous)
-    return np.sqrt((w * power).sum(axis=(-2, -1)))
+    field forms it once; only its columns k2 = 0 .. n2/2 are read."""
+    w = half_sobolev_weight(grid, s, homogeneous)
+    return np.sqrt((w * power[..., :grid.n2 // 2 + 1]).sum(axis=(-2, -1)))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -81,11 +87,14 @@ def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
 
     A weight exponent above WEIGHT_CAP on a nonzero mode, or a non-finite
     result, saturates the norm: it reads as inf. Zero modes carry no weight, so
-    the live mask is built only when some exponent exceeds the cap.
+    the live mask is built only when some exponent exceeds the cap. Only the
+    columns k2 = 0 .. n2/2 are read.
     """
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
-    exponent = 0.5 * t * gevrey_multiplier(grid, p)
+    h = grid.n2 // 2 + 1
+    coeffs = coeffs[..., :h]
+    exponent = 0.5 * t * gevrey_multiplier(grid, p)[:, :h]
     if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
         live = coeffs != 0.0
         if np.any(live & (exponent > WEIGHT_CAP)):

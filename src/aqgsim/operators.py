@@ -5,7 +5,9 @@ the velocity is the perpendicular Riesz transform of the scalar; the nonlinear
 term is div(theta u) computed pseudospectrally under the 2/3 rule on the half
 spectrum (columns k2 = 0 .. n2/2): theta and u come to the grid by irfft2 of
 those columns, and the mask is folded into derivative multipliers on the rfft2
-half spectrum of the fluxes. Grid multipliers are built once and cached
+half spectrum of the fluxes. The kernel's result stays on that half layout
+(`_nonlinear_raw`, what the solver consumes); `nonlinear_term`, which returns a
+`SpectralField`, fills in the full layout. Grid multipliers are built once and cached
 read-only: `symbol_multipliers` per (grid, params), read by
 `dissipation_multiplier` and `gevrey_multiplier`, and `riesz_multipliers` and
 `_kernel_multipliers` per grid.
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum
+from .grid import GridSpec, SpectralField, full_spectrum, self_conjugate_columns
 
 
 class RegimeWarning(UserWarning):
@@ -164,11 +166,13 @@ def _velocity(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarra
 
 def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
                    velocity_coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """div(theta u) coefficients (dealiased) plus max |u| on the grid.
+    """div(theta u) coefficients (dealiased) on the half layout, columns
+    k2 = 0 .. n2/2, plus max |u| on the grid.
 
     The velocity derives from `velocity_coeffs` when given (bilinear form),
     else from `coeffs` itself. Only the columns k2 = 0 .. n2/2 of either input
-    are read; the result is Hermitian by construction.
+    are read, so either layout may be passed. The columns k2 = 0 and n2/2 of the
+    result are exactly self-conjugate, so its `full_spectrum` is Hermitian.
     """
     d1, d2 = _kernel_multipliers(grid)[2:]
     theta_phys = _grid_values(coeffs[:, :grid.n2 // 2 + 1], grid)
@@ -176,14 +180,15 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
                                         else velocity_coeffs, grid)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)
     out += d2 * np.fft.rfft2(theta_phys * u2_phys)
-    return full_spectrum(out, grid), max_u
+    self_conjugate_columns(out, grid)
+    return out, max_u
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Dealiased div(theta u_theta); equals u.grad(theta) since div u = 0."""
     _require_mean_zero(theta, "nonlinear_term")
     out, _ = _nonlinear_raw(theta.coeffs, theta.grid)
-    return SpectralField(theta.grid, out)
+    return SpectralField(theta.grid, full_spectrum(out, theta.grid))
 
 
 def apply_semigroup(f: SpectralField, t: float, p: DissipParams) -> SpectralField:

@@ -7,8 +7,18 @@ with L0 the semigroup trajectory of the initial data and B the Duhamel integral
 of the dealiased nonlinearity, discretized by the trapezoid rule. The map is one
 recursion, `_duhamel_nodes`, over kernels drawn node by node: from zero it yields
 B, which `duhamel_bilinear` stacks and calibration runs on all-ones input; from
--theta0 it yields -(L0 - B), since L0[i] = exp(-dt A) L0[i-1], and the Picard
-engine overwrites its iterate, one (n_nodes, n1, n2) stack, with the negation.
+-theta0 it yields -(L0 - B), since L0[i] = exp(-dt A) L0[i-1]. The Picard engine
+iterates phi = -theta, whose kernels are those of theta (the nonlinearity is
+quadratic), so that recursion yields phi's next iterate, which overwrites the
+engine's one (n_nodes, n1, n2) stack node by node.
+
+Layouts (see `grid`): the solver works on the half layout, the columns
+k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate
+(written into the [..., :n2/2 + 1] view of its full stack), the march state, its
+propagators and every norm taken of them are half-layout arrays. The full layout
+appears only where a field leaves the solver: `PicardReport.trajectory` and the
+output of `duhamel_bilinear` (whose conjugate halves are filled once, after the
+last node), and the `SpectralField` of `on_checkpoint` and `EvolveResult.final`.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, sobolev_weight
+from .grid import GridSpec, SpectralField, fill_conjugate_half, full_spectrum, sobolev_weight
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
 from .norms import _gevrey_norm, _gevrey_norms, _hs_norm, _hs_norms, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
@@ -212,8 +222,10 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
 
 def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
     """The recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]), E = exp(-dt A),
-    from out[0] = out0 (zero by default) over the node kernels N[0], N[1], ...,
-    yielded node by node in time linear in the number of nodes.
+    from out[0] = out0 (zero in the full layout by default) over the node kernels
+    N[0], N[1], ..., yielded node by node in time linear in the number of nodes.
+    The nodes have the shape of out0, full or half layout; E is taken on its
+    columns.
 
     From zero, out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] is the trapezoid Duhamel
     sum B; from -theta0 it is -(L0 - B), the negated mild map. It runs in place,
@@ -222,11 +234,11 @@ def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
     yielded, and only N[i-1] is kept. Every node is yielded as the same array,
     updated in place by the next step, so a caller that keeps a node copies it.
     """
-    E = np.exp(-dt * dissipation_multiplier(grid, p))
+    acc = np.zeros(grid.shape, dtype=np.complex128) if out0 is None else out0
+    E = np.exp(-dt * dissipation_multiplier(grid, p)[:, :acc.shape[-1]])
     N = iter(N)
     prev = next(N)
-    acc = np.zeros(grid.shape, dtype=np.complex128) if out0 is None else out0
-    tmp = np.empty(grid.shape, dtype=np.complex128)
+    tmp = np.empty_like(acc)
     half_dt = 0.5 * dt
     yield acc
     for N_i in N:
@@ -243,7 +255,8 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     """B(theta1, theta2): trapezoid-in-time Duhamel integral of the nonlinearity.
 
     The kernel div(theta1(tau) u_{theta2(tau)}) is taken node by node as the
-    recursion draws it, so the output is the only (n_nodes, n1, n2) stack formed.
+    recursion draws it, on the half layout, so the output is the only
+    (n_nodes, n1, n2) stack formed; its conjugate half is filled at the end.
     B has mean zero for any input: the divergence multipliers vanish at k = 0,
     so its k = 0 entries are exactly 0 whatever the means of theta1 and theta2."""
     if traj1.grid != traj2.grid:
@@ -254,8 +267,10 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     kernels = (_nonlinear_raw(a, grid, velocity_coeffs=b)[0]
                for a, b in zip(traj1.coeffs, traj2.coeffs))
     out = np.empty_like(traj1.coeffs)
-    for j, acc in enumerate(_duhamel_nodes(kernels, traj1.dt, grid, p)):
-        out[j] = acc
+    for j, acc in enumerate(_duhamel_nodes(kernels, traj1.dt, grid, p,
+                                           np.zeros(grid.half_shape, dtype=np.complex128))):
+        out[j, :, :acc.shape[-1]] = acc
+    fill_conjugate_half(out, grid)
     return Trajectory(grid, traj1.times, out)
 
 
@@ -330,10 +345,14 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig,
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    weighted: bool) -> PicardReport:
     """Each iterate's sups enter the report once, as it is formed. The iteration
-    starts from L0 and holds one (n_nodes, n1, n2) stack, swept node by node: the
-    kernel of row j is taken, the recursion from -theta0 advanced to
-    -(L0_j - B_j), the negation's H^s distance and norm recorded, and then row j
-    is overwritten with it, since the sweep no longer reads it. The horizon
+    holds one (n_nodes, n1, n2) stack, whose half-layout view (columns
+    k2 = 0 .. n2/2) is phi = -theta, starting from -L0, swept node by node: the
+    kernel of row j is taken (that of theta, bit for bit, since each factor of
+    the quadratic kernel changes sign exactly), the recursion from -theta0
+    advanced to -(L0_j - B_j), its H^s distance and norm recorded (those of its
+    negation, bit for bit), and then row j is overwritten with it, since the
+    sweep no longer reads it. After the last iteration the stack is negated and
+    its conjugate half filled once, for the report's trajectory. The horizon
     cfg.T is iterated as given; whether it lies in the existence interval is the
     caller's question. A non-finite distance ends the run as "non-finite
     distances", three distance growths in a row as "diverging distances"; zero
@@ -346,7 +365,12 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     norm0 = sobolev_norm(theta0, s)
     times = time_grid(cfg.T, cfg.n_nodes)
     dt = float(times[1] - times[0])
-    current = semigroup_trajectory(theta0, times, p).coeffs  # the iterate, overwritten row by row
+    stack = np.empty((times.size, *grid.shape), dtype=np.complex128)
+    h = grid.n2 // 2 + 1
+    current = stack[..., :h]  # phi = -theta, overwritten row by row; -L0 to begin with
+    A, minus_theta0 = dissipation_multiplier(grid, p)[:, :h], -theta0.coeffs[:, :h]
+    for j, t in enumerate(times):
+        current[j] = np.exp(-t * A) * minus_theta0
     node_hs = np.array([_hs_norm(c, grid, s) for c in current])
     node_dist = np.empty_like(node_hs)
     sup_hs_all = float(np.max(node_hs))
@@ -358,8 +382,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     growth_streak = 0
     for _ in range(0 if converged else cfg.max_iter):
         kernels = (_nonlinear_raw(row, grid)[0] for row in current)
-        for j, negated in enumerate(_duhamel_nodes(kernels, dt, grid, p, -theta0.coeffs)):
-            new = -negated
+        for j, new in enumerate(_duhamel_nodes(kernels, dt, grid, p, minus_theta0.copy())):
             node_dist[j] = _hs_norm(new - current[j], grid, s)
             node_hs[j] = _hs_norm(new, grid, s)
             current[j] = new
@@ -386,8 +409,10 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     def within(sup):
         return math.isfinite(sup) and sup <= bound * (1.0 + 1e-9)
 
+    np.negative(current, out=current)
+    fill_conjugate_half(stack, grid)
     return PicardReport(converged, len(distances), distances, ratios, sup_hs_all, bound,
-                        within(sup_hs_all), Trajectory(grid, times, current),
+                        within(sup_hs_all), Trajectory(grid, times, stack),
                         weighted_sup_all, within(weighted_sup_all) if weighted else None, note)
 
 
@@ -426,9 +451,10 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> 
     spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=_CALIBRATION_KMAX,
                              spectrum_slope=_CALIBRATION_SLOPE)
     s = p.s
-    # the recursion holds one node, so its last is W_T with no (n_nodes, n1, n2) stack
+    # the recursion holds one half-layout node, so its last is W_T with no node stack
     horizons = [(T, deque(_duhamel_nodes(itertools.repeat(1.0, n_nodes), T / (n_nodes - 1),
-                                         grid, p), maxlen=1)[0],
+                                         grid, p, np.zeros(grid.half_shape, dtype=np.complex128)),
+                          maxlen=1)[0],
                  _power_sum(T, _step1_exponents(p)), _power_sum(T, _step2_exponents(p)),
                  math.exp(T))
                 for T in _CALIBRATION_HORIZONS]
@@ -554,10 +580,11 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
         raise ValueError("evolve requires mean-zero initial data")
     grid = theta0.grid
     s = p.s
-    d1, d2, A, _ = symbol_multipliers(grid, p)
+    h = grid.n2 // 2 + 1  # the state c is on the half layout, columns k2 = 0 .. n2/2
+    d1, d2, A, _ = (m[:, :h] for m in symbol_multipliers(grid, p))
 
     def diss_rate(c):
-        m = np.abs(c) ** 2
+        m = _counted_power(c, grid)
         return 2.0 * float(p.mu * np.sum(d1 * m) + p.nu * np.sum(d2 * m))
 
     def propagators(dt):
@@ -598,7 +625,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     cps = sorted(float(x) - t_offset for x in checkpoint_times)
     cps = [x for x in cps if 1e-14 < x <= T * (1.0 + 1e-12)]
 
-    c = np.where(grid.dealias_mask, theta0.coeffs, 0.0)
+    c = np.where(grid.dealias_mask[:, :h], theta0.coeffs[:, :h], 0.0)
     t = 0.0
     N_c, max_u = rhs(c)
     diss_int = 0.0
@@ -668,25 +695,33 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
         if at_cp:
             cps.pop(0)
             if on_checkpoint is not None:
-                on_checkpoint(t + t_offset, SpectralField(grid, c))
+                on_checkpoint(t + t_offset, SpectralField(grid, full_spectrum(c, grid)))
         done = t >= T * (1.0 - 1e-12)
         if steps_since_trace >= trace_stride or done or at_cp:
             _record(trace, grid, p, t + t_offset, c, max_u, dt, diss_int)
             steps_since_trace = 0
 
-    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, reason, rejected, accepted,
-                        kernel_calls)
+    return EvolveResult(trace, SpectralField(grid, full_spectrum(c, grid)), t + t_offset, reason,
+                        rejected, accepted, kernel_calls)
+
+
+def _counted_power(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """|c|^2 of a half-layout array, each column times its multiplicity, so
+    that a weighted sum of it is the full-layout sum."""
+    return grid.multiplicity * np.abs(c) ** 2
 
 
 def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
             c: np.ndarray, max_u: float, dt: float, diss_int: float) -> None:
+    """Append the diagnostics of the half-layout state c to the trace."""
+    h = grid.n2 // 2 + 1
     d1, d2 = symbol_multipliers(grid, p)[:2]
-    mod2 = np.abs(c) ** 2
+    mod2 = _counted_power(c, grid)
     trace.t.append(float(t))
     trace.l2.append(float(np.sqrt(np.sum(mod2))))
     for column, w in ((trace.hs, sobolev_weight(grid, p.s)), (trace.h2, sobolev_weight(grid, 2.0)),
                       (trace.diss1, d1), (trace.diss2, d2)):
-        column.append(float(np.sqrt(np.sum(w * mod2))))
+        column.append(float(np.sqrt(np.sum(w[:, :h] * mod2))))
     trace.gevrey_hs.append(_gevrey_norm(c, grid, max(t, 0.0), p.s, p))
     trace.max_u.append(float(max_u))
     trace.dt.append(float(dt))

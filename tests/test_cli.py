@@ -269,6 +269,25 @@ def test_simulate_solver_abort_exit_2(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "picard", "sweep"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    """A MemoryError from the solver (numpy raises its _ArrayMemoryError, a
+    subclass) ends the run with exit 2 and one line, not a traceback. The
+    solver entry points are replaced, so nothing large is allocated."""
+    import aqgsim.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (2**20, 2**20)")
+
+    monkeypatch.setattr(cli, "picard_solve", out_of_memory)
+    monkeypatch.setattr(cli, "evolve", out_of_memory)
+    cfg = write_config(tmp_path, {"picard": {"n_nodes": 9},
+                                  "sweep": {"alphas": [0.75], "betas": [0.75]}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 16.0 TiB for an array with shape (2**20, 2**20)\n"
+
+
 def test_simulate_large_adaptive_start_aborts_at_once(tmp_path, capsys):
     """The first adaptive step from an amplitude-1e9 field overflows, so the run
     ends at t = 0 with exit 2 and a two-row trace."""

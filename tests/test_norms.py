@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aqgsim.grid import (GridSpec, field_from_modes, field_from_values, sine_field,
-                         zero_field)
-from aqgsim.norms import (_hs_norm, _hs_norms, directional_seminorm, gevrey_weighted_norm,
-                          lp_norm, sobolev_norm, vector_lp_norm)
-from aqgsim.operators import DissipParams
+from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
+                         from_physical, sine_field, sobolev_weight, zero_field)
+from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _hs_norm, _hs_norms, directional_seminorm,
+                          gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
+from aqgsim.operators import DissipParams, gevrey_multiplier
 
 from conftest import random_real_grid
 
@@ -40,6 +41,43 @@ def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
         # a Python float, so that repr() in the reports prints a bare number
         assert type(one) is float
         assert np.float64(one).tobytes() == n.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(shape=st.sampled_from([(8, 8), (32, 48), (96, 64), (64, 64), (16, 40)]),
+       s=st.floats(-2.0, 3.0), homogeneous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_half_layout_norm_equals_full_layout_sum(shape, s, homogeneous, seed):
+    """The H^s sum over the columns k2 = 0 .. n2/2 against the half weight
+    equals the explicit sum over all n1 n2 modes, sqrt(sum w |c|^2), on
+    Hermitian fields: a single field and a stack, in either layout."""
+    grid = GridSpec(*shape)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([from_physical(rng.standard_normal(shape), grid) for _ in range(3)])
+    full = np.sqrt((sobolev_weight(grid, s, homogeneous) * np.abs(stack) ** 2).sum(axis=(1, 2)))
+    half = stack[..., :grid.n2 // 2 + 1]
+    for got in (_hs_norms(stack, grid, s, homogeneous), _hs_norms(half, grid, s, homogeneous),
+                [_hs_norm(c, grid, s, homogeneous) for c in half]):
+        assert np.all(np.abs(np.asarray(got) - full) <= 1e-14 * full)
+
+
+@pytest.mark.parametrize("column", ["k2 = 0", "k2 = n2/2"])
+def test_gevrey_saturates_on_a_live_mode_of_a_self_conjugate_column(column):
+    """The only live mode past WEIGHT_CAP sits at k1 < 0 of a self-conjugate
+    column, where the half layout holds it (its partner k1 > 0 is zero, so the
+    array is not Hermitian): the norm still saturates to inf. Killing that mode
+    leaves a finite norm."""
+    grid, p = GridSpec(32, 48), DissipParams(0.75, 0.75)
+    col = 0 if column == "k2 = 0" else grid.n2 // 2
+    t = 2.1 * WEIGHT_CAP / gevrey_multiplier(grid, p)[-9, col]
+    exponent = 0.5 * t * gevrey_multiplier(grid, p)
+    assert exponent[-9, col] > WEIGHT_CAP and exponent[1, 0] <= WEIGHT_CAP
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    c[1, 0] = c[-1, 0] = 0.5
+    c[-9, col] = 1e-300
+    assert _gevrey_norm(c, grid, t, 0.0, p) == math.inf
+    assert _gevrey_norm(c[:, :grid.n2 // 2 + 1], grid, t, 0.0, p) == math.inf
+    c[-9, col] = 0.0
+    assert math.isfinite(_gevrey_norm(c, grid, t, 0.0, p))
 
 
 def test_homogeneous_norm_ignores_mean(grid32):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                        from_physical, hermitian_defect, sine_field, to_physical)
+                        from_physical, full_spectrum, hermitian_defect, sine_field,
+                        to_physical)
 from aqgsim.norms import sobolev_norm
-from aqgsim.operators import (DissipParams, _nonlinear_raw, _velocity, apply_semigroup,
+from aqgsim.operators import (DissipParams, _grid_values, _kernel_multipliers, _nonlinear_raw,
+                              _velocity, apply_semigroup,
                               dissipation_multiplier, dissipation_symbol, gevrey_multiplier,
                               gevrey_symbol, nonlinear_term, riesz_multipliers,
                               riesz_velocity, symbol_multipliers)
@@ -205,6 +207,7 @@ def test_kernel_matches_former_formula(shape, bilinear):
     grid, theta, other = _kernel_inputs(shape, 13)
     cv = other if bilinear else None
     out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out = full_spectrum(out, grid)
     ref, ref_max_u = _former_kernel(theta, grid, cv)
     assert max_u == ref_max_u
     if shape == (64, 64):
@@ -223,6 +226,7 @@ def test_kernel_matches_complex_transform_oracle(shape, bilinear):
     grid, theta, other = _kernel_inputs(shape, 15)
     cv = other if bilinear else None
     out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out = full_spectrum(out, grid)
     ref, ref_max_u = _former_kernel(theta, grid, cv, to_grid=to_physical)
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert abs(max_u - ref_max_u) <= 1e-14 * ref_max_u
@@ -243,10 +247,57 @@ def test_kernel_reads_only_the_half_spectrum(shape, bilinear):
     out_s, max_u_s = _nonlinear_raw(spoiled(theta), grid,
                                     velocity_coeffs=None if cv is None else spoiled(cv))
     assert out_s.tobytes() == out.tobytes() and max_u_s == max_u
-    assert hermitian_defect(out_s) == 0.0
+    # the half layout is Hermitian: its fill leaves every bit of it in place
+    full = full_spectrum(out_s, grid)
+    assert hermitian_defect(full) == 0.0
+    assert full[:, :grid.n2 // 2 + 1].tobytes() == out_s.tobytes()
     u = _velocity(theta if cv is None else cv, grid)
     u_s = _velocity(spoiled(theta if cv is None else cv), grid)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(u_s[:2], u[:2])) and u_s[2] == u[2]
+
+
+def _full_layout_kernel(coeffs, grid, velocity_coeffs=None):
+    """Reference: the kernel as it was when it returned the full layout, the
+    rfft2 half of the fluxes under the dealiased derivatives, then the k2 < 0
+    half filled as conjugates and the self-conjugate columns repaired."""
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
+    d1, d2 = _kernel_multipliers(grid)[2:]
+    theta = _grid_values(coeffs[:, :h2 + 1], grid)
+    u1, u2, _ = _velocity(coeffs if velocity_coeffs is None else velocity_coeffs, grid)
+    half = d1 * np.fft.rfft2(theta * u1)
+    half += d2 * np.fft.rfft2(theta * u2)
+    c = np.empty(grid.shape, dtype=np.complex128)
+    c[:, :h2 + 1] = half
+    np.conj(half[0, h2 - 1:0:-1], out=c[0, h2 + 1:])
+    np.conj(half[:0:-1, h2 - 1:0:-1], out=c[1:, h2 + 1:])
+    np.conj(c[h1 - 1:0:-1, ::h2], out=c[h1 + 1:, ::h2])
+    c[::h1, ::h2].imag = 0.0
+    return c
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64)])
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_kernel_returns_the_half_layout_with_self_conjugate_columns(shape, bilinear):
+    """The kernel's result is the (n1, n2/2 + 1) half layout. Its columns
+    k2 = 0 and k2 = n2/2 are exactly their own reflection, c(k1) = conj(c(-k1)),
+    so the four self-conjugate modes are real, and its full fill equals the
+    full-layout kernel's output."""
+    grid, theta, other = _kernel_inputs(shape, 17)
+    cv = other if bilinear else None
+    out, _ = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    h1, h2 = grid.n1 // 2, grid.n2 // 2
+    assert out.shape == (grid.n1, h2 + 1)
+    reflected = -np.arange(grid.n1) % grid.n1
+    for col in (0, h2):
+        assert np.array_equal(out[:, col], np.conj(out[reflected, col]))
+    assert np.all(out[::h1, ::h2].imag == 0.0)
+    assert np.array_equal(full_spectrum(out, grid), _full_layout_kernel(theta, grid, cv))
+
+
+def test_nonlinear_term_is_the_full_fill_of_the_kernel(grid64):
+    theta = field_from_values(grid64, random_real_grid(grid64, 8)).dealiased()
+    out, _ = _nonlinear_raw(theta.coeffs, grid64)
+    assert nonlinear_term(theta).coeffs.tobytes() == full_spectrum(out, grid64).tobytes()
 
 
 def test_kernel_makes_three_inverse_and_two_real_transforms(grid64, monkeypatch):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from aqgsim.diagnostics import weighted_norm_trace
-from aqgsim.grid import GridSpec, SpectralField, field_from_modes, sine_field, zero_field
+from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, full_spectrum, sine_field,
+                         zero_field)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
@@ -29,7 +30,8 @@ def unit_random_field(grid, seed, s, kmax=8, slope=2.0):
 
 
 def recursion_stack(N, dt, grid, p, out0=None):
-    """Every node of the Duhamel recursion over the kernels N, as one stack."""
+    """Every node of the Duhamel recursion over the kernels N, as one stack in
+    the layout of out0 (full when it is None)."""
     import aqgsim.solver as solver
 
     return np.array([node.copy() for node in solver._duhamel_nodes(N, dt, grid, p, out0)])
@@ -286,7 +288,8 @@ def test_duhamel_bilinear_is_duhamel_sum_of_kernel_stack_bitwise(grid64, params)
     N = np.array([solver._nonlinear_raw(a, grid64, velocity_coeffs=b)[0]
                   for a, b in zip(traj1.coeffs, traj2.coeffs)])
     got = duhamel_bilinear(traj1, traj2, params).coeffs
-    assert got.tobytes() == recursion_stack(N, traj1.dt, grid64, params).tobytes()
+    half = recursion_stack(N, traj1.dt, grid64, params, np.zeros(grid64.half_shape, complex))
+    assert got.tobytes() == full_spectrum(half, grid64).tobytes()
 
 
 def test_node_stacks_held_by_picard_and_duhamel(params_sym):
@@ -411,8 +414,9 @@ def test_picard_divergence_reported_not_raised(grid32, params_sym):
 
 @pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
 def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_sym, solve):
-    """The first iterate is byte for byte the negated Duhamel recursion from
-    -theta0 over the kernels of L0, and agrees with L0 - B(L0, L0), L0 from
+    """The first iterate is byte for byte the full fill of the negated Duhamel
+    recursion on the half layout from -theta0 over the kernels of L0, and agrees
+    with L0 - B(L0, L0), L0 from
     `semigroup_trajectory` and B from `duhamel_bilinear`, within 1e-14 relative
     H^s at every node. Its distance is the largest node H^s norm of its
     difference from L0."""
@@ -423,7 +427,8 @@ def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_
     rep = solve(theta0, PicardConfig(T=0.3, n_nodes=17, max_iter=1), params_sym)
     L0 = semigroup_trajectory(theta0, rep.trajectory.times, params_sym)
     kernels = (solver._nonlinear_raw(c, grid64)[0] for c in L0.coeffs)
-    first = -recursion_stack(kernels, L0.dt, grid64, params_sym, -theta0.coeffs)
+    first = full_spectrum(-recursion_stack(kernels, L0.dt, grid64, params_sym,
+                                           -theta0.coeffs[:, :grid64.n2 // 2 + 1]), grid64)
     assert rep.trajectory.coeffs.tobytes() == first.tobytes()
     mild = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
     assert np.all(_hs_norms(first - mild, grid64, s) <= 1e-14 * _hs_norms(mild, grid64, s))
@@ -431,13 +436,14 @@ def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_
 
 
 def test_picard_exp_calls_are_nodes_plus_iterations(grid32, params_sym, monkeypatch):
-    """A plain solve with n nodes and k iterations exponentiates a grid array
-    n + k times: the nodes of L0 once, and E = exp(-dt A) once per iteration."""
+    """A plain solve with n nodes and k iterations exponentiates a half-layout
+    array n + k times: the nodes of L0 once, and E = exp(-dt A) once per
+    iteration."""
     calls = []
     exp = np.exp
 
     def counting(x, *args, **kwargs):
-        if np.shape(x) == grid32.shape:
+        if np.shape(x) == grid32.half_shape:
             calls.append(1)
         return exp(x, *args, **kwargs)
 
@@ -578,12 +584,14 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
         N = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)[0]
         for T in solver._CALIBRATION_HORIZONS:
             times = time_grid(T, n)
-            W = recursion_stack(itertools.repeat(1.0, n), times[1], grid, p)
+            W = recursion_stack(itertools.repeat(1.0, n), times[1], grid, p,
+                                np.zeros(grid.half_shape, complex))
             stack = W * N
-            reference = recursion_stack(itertools.repeat(N, n), times[1], grid, p)
+            reference = recursion_stack(itertools.repeat(N, n), times[1], grid, p,
+                                        np.zeros(grid.half_shape, complex))
             assert np.all(np.abs(stack[-1] - reference[-1]) <= 1e-14 * np.abs(reference[-1]))
             plain = _hs_norms(stack, grid, s)
-            weighted = [gevrey_weighted_norm(SpectralField(grid, c), t, s, p)
+            weighted = [gevrey_weighted_norm(SpectralField(grid, full_spectrum(c, grid)), t, s, p)
                         for c, t in zip(stack, times)]
             assert np.max(plain) == plain[-1] and max(weighted) == weighted[-1]
             nfw, ngw = (max(gevrey_weighted_norm(h, t, s, p) for t in times)
