@@ -113,6 +113,12 @@ def _require_suite_range(kmax: int, slope: float) -> None:
                           f"float range for kmax = {kmax}")
 
 
+# The largest lemmas.grid_density. The subadditivity scan holds about six
+# gd x gd float64 arrays at once, 0.75 GiB at this bound; `validate_config`
+# rejects a larger value before any of them is allocated.
+GRID_DENSITY_MAX = 4096
+
+
 def validate_config(data: dict) -> RunConfig:
     """Merge with defaults and check every field; unknown keys are rejected."""
     _require(isinstance(data, dict), "<root>", "top level must be an object")
@@ -239,8 +245,8 @@ def validate_config(data: dict) -> RunConfig:
              f"must be an integer in [1, {band}] for this grid")
     _require(_is_num(lm["spectrum_slope"]), "lemmas.spectrum_slope", "must be a number")
     _require_suite_range(lm["kmax"], lm["spectrum_slope"])  # bounds the amplitudes too
-    _require(_is_int(lm["grid_density"]) and lm["grid_density"] >= 10,
-             "lemmas.grid_density", "must be an integer >= 10")
+    _require(_is_int(lm["grid_density"]) and 10 <= lm["grid_density"] <= GRID_DENSITY_MAX,
+             "lemmas.grid_density", f"must be an integer in [10, {GRID_DENSITY_MAX}]")
 
     sw = merged["sweep"]
     for key in ("alphas", "betas"):

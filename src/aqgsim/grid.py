@@ -12,20 +12,22 @@ solver works on: the k2 < 0 half of a real field is an exact conjugate copy of
 it. A half-layout sum counts each column with its `multiplicity` (1 on the
 self-conjugate columns k2 = 0 and n2/2, 2 elsewhere), so it equals the full sum.
 
-This module is the package's spectral workspace: `from_physical` and
-`to_physical` transform fields, and `sobolev_weight` and its half-layout form
-`half_sobolev_weight` (with the multiplicity folded in), each cached read-only
-per (grid, s, homogeneous), are the only builders of the (1+|k|^2)^s and
-|k|^{2s} weights (the dissipation and Gevrey symbols are cached in
-`operators.symbol_multipliers`). The nonlinear kernel in `operators` is the other
-transform site: irfft2 of the half spectrum to the grid, rfft2 of the fluxes back.
-The forward transform is the rfft2 half spectrum plus one Hermitian fill,
-`full_spectrum`. `self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2
-of a half array their own reflection and the four self-conjugate modes real; the
-nonlinear kernel applies it to its half-spectrum result and `full_spectrum` to
-its input, whose k2 < 0 half it then fills as exact conjugates. Multipliers even
-in k keep that symmetry exact, so no caller repairs it after an operation;
-`hermitian_defect` measures how far an array is from its own fill.
+This module is the package's spectral workspace. `from_physical` and
+`to_physical` transform full-layout fields. The half-layout transforms are
+`half_from_physical` (rfft2, scaled, then `self_conjugate_columns`) and
+`half_to_physical` (irfft2 of the columns k2 = 0 .. n2/2); the nonlinear kernel
+in `operators` and the oversampled product in `lemmas` use only these.
+`from_physical` is `half_from_physical` plus one Hermitian fill, `full_spectrum`.
+`sobolev_weight` and its half-layout form `half_sobolev_weight` (with the
+multiplicity folded in), each cached read-only per (grid, s, homogeneous), are
+the only builders of the (1+|k|^2)^s and |k|^{2s} weights (the dissipation and
+Gevrey symbols are cached in `operators.symbol_multipliers`).
+`self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2 of a half array
+their own reflection and the four self-conjugate modes real; it is idempotent,
+and `full_spectrum` applies it to its input, whose k2 < 0 half it then fills as
+exact conjugates. Multipliers even in k keep that symmetry exact, so no caller
+repairs it after an operation; `hermitian_defect` measures how far an array is
+from its own fill.
 """
 
 from __future__ import annotations
@@ -100,7 +102,20 @@ class GridSpec:
 
 def from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of real grid samples, Hermitian by construction."""
-    return full_spectrum(np.fft.rfft2(values) / (grid.n1 * grid.n2), grid)
+    return full_spectrum(half_from_physical(values, grid), grid)
+
+
+def half_from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The half layout of `from_physical`: the rfft2 half spectrum of real grid
+    samples, scaled, with its columns k2 = 0 and n2/2 made self-conjugate."""
+    half = np.fft.rfft2(values) / (grid.n1 * grid.n2)
+    self_conjugate_columns(half, grid)
+    return half
+
+
+def half_to_physical(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real grid samples of the field whose columns k2 = 0 .. n2/2 are `half`."""
+    return np.fft.irfft2(half, s=grid.shape, norm="forward")
 
 
 def full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -10,8 +10,11 @@ constant-bearing ones only need bounded, stable ratios. A NaN ratio is recorded,
 never dropped.
 
 Each ensemble sample is evaluated in one pass: every field's power |c|^2 and
-grid values are formed once and read by all the checks, with the reductions of
-`norms`, so the reports are bit-identical to those of the per-call norms.
+grid values are formed once, and each field's norms are taken together, its
+H^s norms in one stacked reduction and its Lp norms from one scaling by its max.
+These are the reductions of `norms`, so the reports are bit-identical to those
+of the per-call norms. The oversampled product fg is formed on the half layout:
+irfft2 of each padded factor's columns k2 >= 0, rfft2 of the product back.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, from_physical, sobolev_weight, to_physical
-from .norms import _hs_from_power, _lp
+from .grid import (GridSpec, SpectralField, full_spectrum, half_from_physical,
+                   half_to_physical, sobolev_weight, to_physical)
+from .norms import _hs_table, _lp_table
 from .operators import DissipParams, gevrey_symbol, riesz_multipliers
 
 REL_SLACK = 1e-12  # rounding slack for exact (constant-free) inequalities
@@ -93,21 +97,25 @@ def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.grid != g.grid:
         raise ValueError("product factors must share a grid")
     fine = GridSpec(2 * f.grid.n1, 2 * f.grid.n2)
-    return SpectralField(fine, _product_coeffs(f.coeffs, g.coeffs, f.grid))
+    return SpectralField(fine, full_spectrum(_product_coeffs(f.coeffs, g.coeffs, f.grid), fine))
 
 
 def _product_coeffs(f: np.ndarray, g: np.ndarray, coarse: GridSpec) -> np.ndarray:
-    """Coefficients of fg on the grid of twice the mode counts of `coarse`."""
+    """Half layout of fg on the grid of twice the mode counts of `coarse`.
+
+    Only the columns k2 = 0 .. n2/2 of f and g are read. Each is padded into the
+    fine half layout without its Nyquist row and column, both factors go to the
+    fine grid by irfft2, and their product comes back by rfft2."""
     fine = GridSpec(2 * coarse.n1, 2 * coarse.n2)
+    h1, h2 = coarse.n1 // 2, coarse.n2 // 2
 
-    def pad(c: np.ndarray) -> np.ndarray:
-        out = np.zeros(fine.shape, dtype=np.complex128)
-        i1 = coarse.k1[:, 0].astype(int) % fine.n1
-        i2 = coarse.k2[0].astype(int) % fine.n2
-        out[np.ix_(i1, i2)] = np.where(coarse.nyquist_mask, 0.0, c)
-        return out
+    def fine_values(c: np.ndarray) -> np.ndarray:
+        pad = np.zeros(fine.half_shape, dtype=np.complex128)
+        pad[:h1, :h2] = c[:h1, :h2]  # k1 = 0 .. h1 - 1
+        pad[1 - h1:, :h2] = c[h1 + 1:, :h2]  # k1 = 1 - h1 .. -1
+        return half_to_physical(pad, fine)
 
-    return from_physical(to_physical(pad(f), fine) * to_physical(pad(g), fine), fine)
+    return half_from_physical(fine_values(f) * fine_values(g), fine)
 
 
 @dataclass
@@ -251,18 +259,29 @@ def _check_weight_gap(p: DissipParams, gd: int) -> InequalityReport:
     y = x.copy()
     X = x[:, None]
     Y = y[None, :]
+    # the two 2-D arrays of the scan, overwritten for each (a, b); every entry is finite
+    gap = np.empty((x.size, y.size))
+    scratch = np.empty_like(gap)
     worst_gap = np.inf
     for a in (0.55, 0.6, 0.75, 0.9, p.alpha):
         for b in (0.55, 0.7, 0.8, 0.95, p.beta):
-            gap = X ** (2 * a) + Y ** (2 * b) - 2.0 * (X**a + Y**b)
-            ident = (X**a - 1.0) ** 2 + (Y**b - 1.0) ** 2 - 2.0
+            Xa, Yb = X**a, Y**b
+            np.add(X ** (2 * a), Y ** (2 * b), out=gap)  # gap = X^2a + Y^2b - 2 (X^a + Y^b)
+            np.add(Xa, Yb, out=scratch)
+            scratch *= 2.0
+            gap -= scratch
+            np.add((Xa - 1.0) ** 2, (Yb - 1.0) ** 2, out=scratch)  # the identity's form
+            scratch -= 2.0
+            np.subtract(gap, scratch, out=scratch)
+            np.abs(scratch, out=scratch)
+            gap_min, gap_max = float(np.min(gap)), float(np.max(gap))
             rep.samples += gap.size
-            if np.max(np.abs(gap - ident)) > 1e-9 * (1.0 + np.max(np.abs(gap))):
+            if np.max(scratch) > 1e-9 * (1.0 + max(gap_max, -gap_min)):
                 rep.merge_violation({"alpha": a, "beta": b, "kind": "identity mismatch"})
-            if np.any(gap < -2.0 - 1e-9):
+            if gap_min < -2.0 - 1e-9:
                 i, j = np.argwhere(gap < -2.0 - 1e-9)[0]
                 rep.merge_violation({"alpha": a, "beta": b, "x": float(X[i, 0]), "y": float(Y[0, j])})
-            worst_gap = min(worst_gap, float(np.min(gap)))
+            worst_gap = min(worst_gap, gap_min)
     rep.worst_ratio = worst_gap / -2.0
     rep.empirical_constant = worst_gap  # approaches -2 at x = y = 1
     return rep
@@ -325,6 +344,7 @@ INTERPOLATION_PAIRS = ((-0.4, 1.0), (0.2, 1.5), (0.5, 0.9), (0.0, 2.0))
 PRODUCT_PAIRS = ((-0.4, 0.9), (0.2, 0.5), (0.5, 0.5), (0.9, 0.2), (0.5, 1.2))
 SOBOLEV_SIGMAS = (0.0, 0.25, 0.5, 0.75)
 CZ_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
+SOBOLEV_EXPONENTS = tuple(2.0 / (1.0 - sigma) for sigma in SOBOLEV_SIGMAS)  # 1/p + sigma/2 = 1/2
 
 
 def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> list[InequalityReport]:
@@ -334,9 +354,10 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     Each sample pair (f, g) is evaluated in one pass. The power |c|^2 of each
     field the checks read (f, g, fg, |grad|^a f and each directional power of f)
     is formed once, on the half layout that the norm sums read, and so are the
-    grid values |f| and |u| = |R^perp f|. Every norm is then taken from them with
-    the reductions of `norms`, so each ratio is bit-identical to the one the
-    public per-call norms give.
+    grid values |f| and |u| = |R^perp f|. Each field's norms are then taken in one
+    go, the H^s ones by `_hs_table` and the Lp ones by `_lp_table`, which give the
+    bits of `norms`, so each ratio is bit-identical to the one the public
+    per-call norms give.
     """
     reps = {r.inequality: r for r in (
         InequalityReport("interpolation_homogeneous",
@@ -359,29 +380,50 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
     grid = spec.grid
     m1, m2 = riesz_multipliers(grid)
-    h, h_fine = grid.n2 // 2 + 1, grid.n2 + 1  # half-layout widths of grid and product grid
+    fine = GridSpec(2 * grid.n1, 2 * grid.n2)  # the grid of the product fg
+    h = grid.n2 // 2 + 1
     grad_a = sobolev_weight(grid, a / 2.0, True)[:, :h]
     # |k1| and |k2|, with the axes swapped when alpha > beta
     k_ax1, k_ax2 = (np.abs(grid.k2), np.abs(grid.k1)) if p.alpha > p.beta else \
         (np.abs(grid.k1), np.abs(grid.k2))
     d1a, d2a, d2b = (m[:, :h] for m in (k_ax1**a, k_ax2**a, k_ax2**b))
+    f_orders, g_orders, fg_orders, dir_orders = _hs_orders(p)
+    lp_f_exponents = tuple(dict.fromkeys(SOBOLEV_EXPONENTS + CZ_EXPONENTS))
 
     for i in range(spec.count):
         f = random_band_limited_field(spec, 2 * i).coeffs
         g = random_band_limited_field(spec, 2 * i + 1).coeffs
         f_half = f[:, :h]
-        pf = np.abs(f_half) ** 2
-        abs_f = np.abs(to_physical(f, grid))
-        abs_u = np.sqrt(to_physical(m1 * f, grid) ** 2 + to_physical(m2 * f, grid) ** 2)
-        _interpolation_checks(reps, pf, grid, i)
-        _sobolev_injection_check(reps["sobolev_injection"], pf, abs_f, grid, i)
-        _product_law_checks(reps, pf, np.abs(g[:, :h]) ** 2,
-                            np.abs(_product_coeffs(f, g, grid)[:, :h_fine]) ** 2, grid, i)
-        _calderon_zygmund_checks(reps, abs_f, abs_u, i)
-        _directional_checks(reps, pf, np.abs(grad_a * f_half) ** 2,
-                            np.abs(d1a * f_half) ** 2, np.abs(d2a * f_half) ** 2,
-                            np.abs(d2b * f_half) ** 2, grid, p, a, b, i)
+        nf = _hs_table(np.abs(f_half) ** 2, grid, f_orders)
+        lp_f = _lp_table(np.abs(to_physical(f, grid)), lp_f_exponents)
+        lp_u = _lp_table(np.sqrt(to_physical(m1 * f, grid) ** 2 + to_physical(m2 * f, grid) ** 2),
+                         CZ_EXPONENTS)
+        _interpolation_checks(reps, nf, i)
+        _sobolev_injection_check(reps["sobolev_injection"], nf, lp_f, i)
+        _product_law_checks(reps, nf, _hs_table(np.abs(g[:, :h]) ** 2, grid, g_orders),
+                            _hs_table(np.abs(_product_coeffs(f, g, grid)) ** 2, fine, fg_orders), i)
+        _calderon_zygmund_checks(reps, lp_f, lp_u, i)
+        _directional_checks(reps, nf, *(_hs_table(np.abs(m * f_half) ** 2, grid, dir_orders)
+                                        for m in (grad_a, d1a, d2a, d2b)), p, a, b, i)
     return list(reps.values())
+
+
+def _hs_orders(p: DissipParams) -> tuple[tuple, ...]:
+    """The distinct (s, homogeneous) H^s norms the checks read of f, of g, of fg
+    and of each directional power of f, in that order."""
+    interpolation = [(s, homogeneous) for s1, s2 in INTERPOLATION_PAIRS
+                     for s in (s1, s2, *(t * s1 + (1 - t) * s2 for t in INTERPOLATION_THETAS))
+                     for homogeneous in (True, False)]
+    injection = [(sigma, True) for sigma in SOBOLEV_SIGMAS]
+    product = [(s, True) for pair in PRODUCT_PAIRS for s in pair]
+    directional = [(s, True) for s in _directional_orders(p)]
+    f = interpolation + injection + product + directional
+    fg = [(s1 + s2 - 1.0, True) for s1, s2 in PRODUCT_PAIRS]
+    return tuple(tuple(dict.fromkeys(o)) for o in (f, product, fg, directional))
+
+
+def _directional_orders(p: DissipParams) -> tuple[float, ...]:
+    return (0.0, p.s, 1.0)
 
 
 def _worse(old: float, new: float) -> float:
@@ -401,45 +443,34 @@ def _ratio_update(rep: InequalityReport, lhs: float, rhs: float, repro) -> None:
         rep.merge_violation(repro)
 
 
-def _hs(power: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = False) -> float:
-    """sobolev_norm of the field whose power |c|^2 is given."""
-    return float(_hs_from_power(power, grid, s, homogeneous))
-
-
-def _interpolation_checks(reps, pf: np.ndarray, grid: GridSpec, i: int) -> None:
+def _interpolation_checks(reps, nf: dict, i: int) -> None:
+    """nf holds f's H^s norms by (s, homogeneous), as all the tables below do."""
     for s1, s2 in INTERPOLATION_PAIRS:
-        n1h = _hs(pf, grid, s1, True)
-        n2h = _hs(pf, grid, s2, True)
-        n1i = _hs(pf, grid, s1)
-        n2i = _hs(pf, grid, s2)
+        n1h, n2h, n1i, n2i = nf[s1, True], nf[s2, True], nf[s1, False], nf[s2, False]
         for t in INTERPOLATION_THETAS:
             s_mid = t * s1 + (1 - t) * s2
             _ratio_update(reps["interpolation_homogeneous"],
-                          _hs(pf, grid, s_mid, True), n1h**t * n2h ** (1 - t),
+                          nf[s_mid, True], n1h**t * n2h ** (1 - t),
                           {"sample": i, "s1": s1, "s2": s2, "t": t})
             _ratio_update(reps["interpolation_inhomogeneous"],
-                          _hs(pf, grid, s_mid), n1i**t * n2i ** (1 - t),
+                          nf[s_mid, False], n1i**t * n2i ** (1 - t),
                           {"sample": i, "s1": s1, "s2": s2, "t": t})
 
 
-def _sobolev_injection_check(rep: InequalityReport, pf: np.ndarray, abs_f: np.ndarray,
-                             grid: GridSpec, i: int) -> None:
-    for sigma in SOBOLEV_SIGMAS:
-        p_exp = 2.0 / (1.0 - sigma)
-        _ratio_update(rep, _lp(abs_f, p_exp), _hs(pf, grid, sigma, True),
-                      {"sample": i, "sigma": sigma})
+def _sobolev_injection_check(rep: InequalityReport, nf: dict, lp_f: dict, i: int) -> None:
+    """lp_f holds the Lp norms of f by exponent."""
+    for sigma, p_exp in zip(SOBOLEV_SIGMAS, SOBOLEV_EXPONENTS):
+        _ratio_update(rep, lp_f[p_exp], nf[sigma, True], {"sample": i, "sigma": sigma})
 
 
-def _product_law_checks(reps, pf: np.ndarray, pg: np.ndarray, pfg: np.ndarray,
-                        grid: GridSpec, i: int) -> None:
-    fine = GridSpec(2 * grid.n1, 2 * grid.n2)
+def _product_law_checks(reps, nf: dict, ng: dict, nfg: dict, i: int) -> None:
     for s1, s2 in PRODUCT_PAIRS:
         if not (s1 < 1.0 and s1 + s2 > 0.0):
             reps["product_law_symmetric"].skipped += 1
             continue
-        lhs = _hs(pfg, fine, s1 + s2 - 1.0, True)
-        f1, f2 = _hs(pf, grid, s1, True), _hs(pf, grid, s2, True)
-        g1, g2 = _hs(pg, grid, s1, True), _hs(pg, grid, s2, True)
+        lhs = nfg[s1 + s2 - 1.0, True]
+        f1, f2 = nf[s1, True], nf[s2, True]
+        g1, g2 = ng[s1, True], ng[s2, True]
         _ratio_update(reps["product_law_symmetric"], lhs, f1 * g2 + f2 * g1,
                       {"sample": i, "s1": s1, "s2": s2})
         if s2 < 1.0:
@@ -449,10 +480,11 @@ def _product_law_checks(reps, pf: np.ndarray, pg: np.ndarray, pfg: np.ndarray,
             reps["product_law_asymmetric"].skipped += 1
 
 
-def _calderon_zygmund_checks(reps, abs_f: np.ndarray, abs_u: np.ndarray, i: int) -> None:
+def _calderon_zygmund_checks(reps, lp_f: dict, lp_u: dict, i: int) -> None:
+    """lp_f and lp_u hold the Lp norms of |f| and |u| = |R^perp f| by exponent."""
     for q in CZ_EXPONENTS:
-        lhs = _lp(abs_u, q)
-        rhs = _lp(abs_f, q)
+        lhs = lp_u[q]
+        rhs = lp_f[q]
         _ratio_update(reps["calderon_zygmund"], lhs, rhs, {"sample": i, "p": q})
         if q == 2.0:
             rep = reps["calderon_zygmund_p2"]
@@ -467,18 +499,17 @@ def _calderon_zygmund_checks(reps, abs_f: np.ndarray, abs_u: np.ndarray, i: int)
                 rep.merge_violation({"sample": i, "ratio": ratio})
 
 
-def _directional_checks(reps, pf: np.ndarray, p_grad: np.ndarray, p1a: np.ndarray,
-                        p2a: np.ndarray, p2b: np.ndarray, grid: GridSpec, p: DissipParams,
-                        a: float, b: float, i: int) -> None:
-    """pf, p_grad, p1a, p2a and p2b are the powers of f, |grad|^a f, |d1|^a f,
-    |d2|^a f and |d2|^b f, with d1, d2 swapped when alpha > beta."""
-    for s in (0.0, p.s, 1.0):
-        norm_s, seminorm_b = _hs(pf, grid, s, True), _hs(p2b, grid, s, True)
-        lhs = _hs(p_grad, grid, s, True)
-        rhs = norm_s + _hs(p1a, grid, s, True) + seminorm_b
+def _directional_checks(reps, nf: dict, n_grad: dict, n1a: dict, n2a: dict, n2b: dict,
+                        p: DissipParams, a: float, b: float, i: int) -> None:
+    """nf, n_grad, n1a, n2a and n2b hold the H^s norms of f, |grad|^a f,
+    |d1|^a f, |d2|^a f and |d2|^b f, with d1, d2 swapped when alpha > beta."""
+    for s in _directional_orders(p):
+        norm_s, seminorm_b = nf[s, True], n2b[s, True]
+        lhs = n_grad[s, True]
+        rhs = norm_s + n1a[s, True] + seminorm_b
         _ratio_update(reps["directional_control"], lhs, rhs, {"sample": i, "s": s})
         z = a / b
-        lhs2 = _hs(p2a, grid, s, True)
+        lhs2 = n2a[s, True]
         rhs2 = norm_s ** (1 - z) * seminorm_b ** z
         _ratio_update(reps["directional_interpolation"], lhs2, rhs2,
                       {"sample": i, "s": s, "z": z})

@@ -2,11 +2,12 @@
 grid quadratures (Lp, scaled by the largest value so that any finite p stays in
 range), in the normalized measure dx/(4 pi^2).
 
-The coefficient sums (`_hs_norms`, `_hs_from_power`, `_gevrey_norm`) read only
-the half layout, the columns k2 = 0 .. n2/2 of their input, and sum them against
-`grid.half_sobolev_weight`, which counts each column with its multiplicity; so
-they accept a Hermitian field in either layout, and the solver passes its half
-working arrays.
+The coefficient sums (`_hs_norms`, `_hs_from_power`, `_hs_table`, `_gevrey_norm`)
+read only the half layout, the columns k2 = 0 .. n2/2 of their input, and sum
+them against `grid.half_sobolev_weight`, which counts each column with its
+multiplicity; so they accept a Hermitian field in either layout, and the solver
+passes its half working arrays. `_hs_table` and `_lp_table` take many norms of
+one field in one pass, with the bits of `_hs_from_power` and `_lp`.
 
 `_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
 and applies its overflow policy: a saturated norm reads as inf. Every weighted
@@ -49,6 +50,19 @@ def _hs_from_power(power: np.ndarray, grid: GridSpec, s: float,
     return np.sqrt((w * power[..., :grid.n2 // 2 + 1]).sum(axis=(-2, -1)))
 
 
+def _hs_table(power: np.ndarray, grid: GridSpec, orders) -> dict:
+    """{(s, homogeneous): _hs_from_power(power, grid, s, homogeneous)} of one
+    power at each of `orders`, bit for bit, from one reduction: each weighted
+    power is written into one row of a (len(orders), n1, n2/2 + 1) stack, and
+    the rows are summed at once."""
+    power = power[:, :grid.n2 // 2 + 1]
+    weights = [half_sobolev_weight(grid, s, homogeneous) for s, homogeneous in orders]
+    stack = np.empty((len(weights), *power.shape))
+    for row, w in zip(stack, weights):
+        np.multiply(w, power, out=row)
+    return dict(zip(orders, map(float, np.sqrt(stack.sum(axis=(-2, -1))))))
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm by grid quadrature of |f|^p in the normalized measure."""
     return _lp(np.abs(f.values()), p)
@@ -62,10 +76,20 @@ def vector_lp_norm(f1: SpectralField, f2: SpectralField, p: float) -> float:
 def _lp(v: np.ndarray, p: float) -> float:
     """mean(v^p)^(1/p) of values v >= 0 for finite p > 1, as m mean((v/m)^p)^(1/p)
     with m = max(v) so that no power over- or underflows; 0 when v vanishes."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
+    return _lp_table(v, (p,))[p]
+
+
+def _lp_table(v: np.ndarray, exponents) -> dict:
+    """{p: _lp(v, p)} at each of `exponents`, with the max and the scaling by it
+    taken once."""
+    for p in exponents:
+        if not 1.0 < p < math.inf:
+            raise ValueError(f"Lebesgue exponent must be finite and exceed 1, got {p}")
     m = float(np.max(v))
-    return 0.0 if m == 0.0 else m * float(np.mean((v / m) ** p) ** (1.0 / p))
+    if m == 0.0:
+        return dict.fromkeys(exponents, 0.0)
+    r = v / m
+    return {p: m * float(np.mean(r ** p) ** (1.0 / p)) for p in exponents}
 
 
 def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float) -> float:

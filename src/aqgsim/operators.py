@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum, self_conjugate_columns
+from .grid import (GridSpec, SpectralField, full_spectrum, half_to_physical,
+                   self_conjugate_columns)
 
 
 class RegimeWarning(UserWarning):
@@ -151,16 +152,11 @@ def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return m1, m2, d1, d2
 
 
-def _grid_values(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real grid samples of the field whose columns k2 = 0 .. n2/2 are `half`."""
-    return np.fft.irfft2(half, s=grid.shape, norm="forward")
-
-
 def _velocity(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Grid samples of the velocity u = R^perp theta, plus max |u|; reads only
     the columns k2 = 0 .. n2/2 of `coeffs`."""
     half = coeffs[:, :grid.n2 // 2 + 1]
-    u1, u2 = (_grid_values(m * half, grid) for m in _kernel_multipliers(grid)[:2])
+    u1, u2 = (half_to_physical(m * half, grid) for m in _kernel_multipliers(grid)[:2])
     return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
 
@@ -175,7 +171,7 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
     result are exactly self-conjugate, so its `full_spectrum` is Hermitian.
     """
     d1, d2 = _kernel_multipliers(grid)[2:]
-    theta_phys = _grid_values(coeffs[:, :grid.n2 // 2 + 1], grid)
+    theta_phys = half_to_physical(coeffs[:, :grid.n2 // 2 + 1], grid)
     u1_phys, u2_phys, max_u = _velocity(coeffs if velocity_coeffs is None
                                         else velocity_coeffs, grid)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqgsim.cli import main
-from aqgsim.config import DEFAULTS, ConfigError, RunConfig, load_config, validate_config
+from aqgsim.config import (DEFAULTS, GRID_DENSITY_MAX, ConfigError, RunConfig, load_config,
+                           validate_config)
 
 BASE = {
     "grid": {"n1": 32, "n2": 32},
@@ -714,6 +715,25 @@ def test_lemmas_fault_injection_exit_4(tmp_path, capsys, monkeypatch):
     assert first_block[0] == "[subadditivity_fractional]"
     assert "violations = 1" in first_block
     assert "violation_example = {'xi': 1.0, 'eta': 2.0}" in first_block
+
+
+@pytest.mark.parametrize("density", [GRID_DENSITY_MAX + 1, 10**7])
+def test_lemmas_grid_density_beyond_bound_exit_1(tmp_path, capsys, monkeypatch, density):
+    # the scan would allocate about six density^2 float64 arrays (728 TiB at
+    # 10^7): the config is refused before the suite is entered
+    import aqgsim.cli as cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scalar suite ran")
+
+    monkeypatch.setattr(cli, "scalar_inequality_suite", no_scan)
+    cfg = write_config(tmp_path, {"lemmas": {"grid_density": density}})
+    assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == ("config error at lemmas.grid_density: must be an "
+                                       f"integer in [10, {GRID_DENSITY_MAX}]\n")
+    assert not (tmp_path / "x").exists()
+    assert validate_config({"lemmas": {"grid_density": GRID_DENSITY_MAX}}) \
+        .lemmas["grid_density"] == GRID_DENSITY_MAX
 
 
 REPORT_TEXT_KEYS = {"regime", "note", "weighted_note", "violation_example"}

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                         hermitian_defect, sine_field, zero_field)
+                         from_physical, full_spectrum, half_from_physical, half_to_physical,
+                         hermitian_defect, sine_field, to_physical, zero_field)
 from aqgsim.lemmas import oversampled_product
 from aqgsim.operators import DissipParams, nonlinear_term
 from aqgsim.solver import evolve
@@ -36,6 +37,20 @@ def test_transform_round_trip(grid64):
     v = rng.standard_normal(grid64.shape)
     f = field_from_values(grid64, v)
     assert np.max(np.abs(f.values() - v)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64)])
+def test_half_transforms_are_the_columns_of_the_full_ones(shape):
+    """`half_from_physical` is the half of `from_physical`, which keeps the bits
+    of rfft2 plus one Hermitian fill, and `half_to_physical` inverts it."""
+    grid = GridSpec(*shape)
+    v = random_real_grid(grid, 6)
+    full = from_physical(v, grid)
+    assert full.tobytes() == full_spectrum(np.fft.rfft2(v) / (grid.n1 * grid.n2), grid).tobytes()
+    half = half_from_physical(v, grid)
+    assert half.tobytes() == full[:, :grid.n2 // 2 + 1].tobytes()
+    assert np.max(np.abs(half_to_physical(half, grid) - v)) < 1e-13
+    assert np.max(np.abs(half_to_physical(half, grid) - to_physical(full, grid))) < 1e-14
 
 
 @st.composite

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import aqgsim.lemmas as lemmas
-from aqgsim.grid import GridSpec, SpectralField, sine_field, sobolev_weight
+from aqgsim.grid import (GridSpec, SpectralField, field_from_values, from_physical,
+                         hermitian_defect, sine_field, sobolev_weight, to_physical)
 from aqgsim.lemmas import (FieldEnsembleSpec, InequalityReport, oversampled_product,
                            random_band_limited_field, scalar_inequality_suite,
                            functional_inequality_suite, total_violations)
-from aqgsim.norms import directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
+from aqgsim.norms import _lp_table, directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
 from aqgsim.operators import DissipParams, riesz_velocity
+
+from conftest import random_real_grid
 
 
 def test_ensemble_determinism(grid64):
@@ -110,6 +113,44 @@ def test_oversampled_product_exact_on_sines(grid32):
         1.0 / (2.0 * math.sqrt(2.0)), rel=1e-13)
 
 
+def _complex_route_product(f, g, coarse):
+    """Reference: the oversampled product as formed on the full layout, each
+    padded factor to the fine grid by a complex ifft2. The wavenumbers are
+    rounded to integers: truncating them, as that route once did, sends k2 = 7
+    to the column of 6 on a grid of 48, where fftfreq gives 6.999..."""
+    fine = GridSpec(2 * coarse.n1, 2 * coarse.n2)
+
+    def pad(c):
+        out = np.zeros(fine.shape, dtype=np.complex128)
+        i1 = np.rint(coarse.k1[:, 0]).astype(int) % fine.n1
+        i2 = np.rint(coarse.k2[0]).astype(int) % fine.n2
+        out[np.ix_(i1, i2)] = np.where(coarse.nyquist_mask, 0.0, c)
+        return out
+
+    return from_physical(to_physical(pad(f), fine) * to_physical(pad(g), fine), fine)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (32, 48), (64, 64), (96, 64)])
+def test_oversampled_product_matches_the_complex_route(shape):
+    """The half-layout product equals the full-layout complex-ifft2 product to
+    rounding, on band-limited samples and on full-band fields whose Nyquist row
+    and column are dropped by the padding; its fill is exactly Hermitian and
+    keeps every bit of the half that the suite reads."""
+    grid = GridSpec(*shape)
+    spec = FieldEnsembleSpec(grid, seed=9, count=1, kmax=min(shape) // 3, spectrum_slope=1.5)
+    pairs = [(random_band_limited_field(spec, 0), random_band_limited_field(spec, 1)),
+             tuple(field_from_values(grid, random_real_grid(grid, s)) for s in (4, 5))]
+    for f, g in pairs:
+        fg = oversampled_product(f, g)
+        want = _complex_route_product(f.coeffs, g.coeffs, grid)
+        assert fg.grid == GridSpec(2 * grid.n1, 2 * grid.n2)
+        assert np.max(np.abs(fg.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+        assert hermitian_defect(fg.coeffs) == 0.0
+        half = lemmas._product_coeffs(f.coeffs, g.coeffs, grid)
+        assert half.shape == fg.grid.half_shape
+        assert fg.coeffs[:, :grid.n2 + 1].tobytes() == half.tobytes()
+
+
 def test_product_law_worked_example(grid32):
     # f = g = sin(x1), s1 = s2 = 1/2: ratio against C' form is 1/sqrt(2)
     f = sine_field(grid32, (1, 0))
@@ -131,6 +172,38 @@ def test_scalar_suite_no_violations(params):
     assert by_name["multiplier_equivalence"].empirical_constant >= 1.0 - 1e-12
     assert by_name["dissipation_minus_weight_gap"].empirical_constant == pytest.approx(
         -2.0, abs=1e-12)
+
+
+def _expression_weight_gap(p, gd):
+    """Reference: the weight-gap scan with each 2-D step a fresh temporary."""
+    rep = InequalityReport("dissipation_minus_weight_gap",
+                           note="A(k)-B(k) = (|k1|^a-1)^2+(|k2|^b-1)^2-2 >= -2 at mu=nu=1")
+    n = max(200, gd // 3)
+    x = np.concatenate(([0.0, 1.0], np.linspace(0.0, 40.0, n), np.logspace(-3, 3, n)))
+    X, Y = x[:, None], x.copy()[None, :]
+    worst_gap = np.inf
+    for a in (0.55, 0.6, 0.75, 0.9, p.alpha):
+        for b in (0.55, 0.7, 0.8, 0.95, p.beta):
+            gap = X ** (2 * a) + Y ** (2 * b) - 2.0 * (X**a + Y**b)
+            ident = (X**a - 1.0) ** 2 + (Y**b - 1.0) ** 2 - 2.0
+            rep.samples += gap.size
+            if np.max(np.abs(gap - ident)) > 1e-9 * (1.0 + np.max(np.abs(gap))):
+                rep.merge_violation({"alpha": a, "beta": b, "kind": "identity mismatch"})
+            if np.any(gap < -2.0 - 1e-9):
+                i, j = np.argwhere(gap < -2.0 - 1e-9)[0]
+                rep.merge_violation({"alpha": a, "beta": b, "x": float(X[i, 0]),
+                                     "y": float(Y[0, j])})
+            worst_gap = min(worst_gap, float(np.min(gap)))
+    rep.worst_ratio = worst_gap / -2.0
+    rep.empirical_constant = worst_gap
+    return rep
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.75, 0.75), (0.6, 0.9), (0.3, 0.95)])
+def test_weight_gap_scan_equals_the_expression_form(alpha, beta):
+    p = DissipParams(alpha, beta)
+    got, want = lemmas._check_weight_gap(p, 1000), _expression_weight_gap(p, 1000)
+    assert repr(vars(got)) == repr(vars(want))
 
 
 def test_subadditivity_violations_are_reported(params, monkeypatch):
@@ -301,8 +374,9 @@ def test_suite_forms_each_field_once_per_sample(grid64, params, monkeypatch):
     samples = 2
     spec = FieldEnsembleSpec(grid64, seed=3, count=samples, kmax=10, spectrum_slope=2.0)
     functional_inequality_suite(spec, params)
-    # |f| and |u| = |(u1, u2)| at n; the two padded factors and the product at 2n
-    assert transforms == {("ifft2", (64, 64)): 3 * samples, ("ifft2", (128, 128)): 2 * samples,
+    # |f| and |u| = |(u1, u2)| at n; the two padded half-layout factors and the
+    # product at 2n
+    assert transforms == {("ifft2", (64, 64)): 3 * samples, ("irfft2", (128, 65)): 2 * samples,
                           ("rfft2", (128, 128)): samples}
     # the ensemble draws f and g; every intermediate is a bare coefficient array
     assert fields["built"] == 2 * samples
@@ -328,7 +402,8 @@ def test_nan_ratios_are_recorded_not_dropped():
             for name in ("calderon_zygmund", "calderon_zygmund_p2")}
     abs_u = np.ones((8, 8))
     abs_u[3, 4] = math.nan
-    lemmas._calderon_zygmund_checks(reps, np.ones((8, 8)), abs_u, 0)
+    lemmas._calderon_zygmund_checks(reps, _lp_table(np.ones((8, 8)), lemmas.CZ_EXPONENTS),
+                                    _lp_table(abs_u, lemmas.CZ_EXPONENTS), 0)
     cz, p2 = reps["calderon_zygmund"], reps["calderon_zygmund_p2"]
     assert math.isnan(cz.worst_ratio) and total_violations([cz]) == 1
     assert math.isnan(p2.worst_ratio) and math.isnan(p2.empirical_constant)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
                          from_physical, sine_field, sobolev_weight, zero_field)
-from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _hs_norm, _hs_norms, directional_seminorm,
+from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _hs_from_power, _hs_norm, _hs_norms,
+                          _hs_table, _lp, _lp_table, directional_seminorm,
                           gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
 from aqgsim.operators import DissipParams, gevrey_multiplier
 
@@ -41,6 +42,55 @@ def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
         # a Python float, so that repr() in the reports prints a bare number
         assert type(one) is float
         assert np.float64(one).tobytes() == n.tobytes()
+
+
+@pytest.mark.parametrize("fine", [False, True])
+def test_hs_table_equals_per_order_norms_bitwise(fine):
+    """One stacked reduction gives each (s, homogeneous) norm of one power with
+    the bits of its own `_hs_from_power`, on the 64^2 grid of the lemma suite and
+    on the 128^2 grid of its product, from the half or the full layout."""
+    from aqgsim.lemmas import _hs_orders
+
+    grid = GridSpec(128, 128) if fine else GridSpec(64, 64)
+    f_orders, _, fg_orders, _ = _hs_orders(DissipParams(0.75, 0.6, s=1.2))
+    orders = fg_orders + ((-0.3, False), (1.7, False)) if fine else f_orders
+    assert {h for _, h in orders} == {True, False}
+    for seed in (1, 2):
+        c = field_from_values(grid, random_real_grid(grid, seed)).coeffs
+        power = np.abs(c[:, :grid.n2 // 2 + 1]) ** 2
+        for table in (_hs_table(power, grid, orders), _hs_table(np.abs(c) ** 2, grid, orders)):
+            assert list(table) == list(orders)
+            for (s, homogeneous), got in table.items():
+                want = _hs_from_power(power, grid, s, homogeneous)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes(), (s, homogeneous)
+
+
+def _lp_one_exponent(v, p):
+    """Reference: the Lp quadrature at one exponent, scaled by the max of v."""
+    m = float(np.max(v))
+    return 0.0 if m == 0.0 else m * float(np.mean((v / m) ** p) ** (1.0 / p))
+
+
+def test_lp_table_equals_lp_bitwise(grid64):
+    """The table of the lemma suite's exponents, one scaling by the max for all
+    of them, gives each norm with the bits of `_lp` at that exponent alone."""
+    exponents = (1.5, 2.0, 2.0 / 0.75, 3.0, 4.0, 8.0)
+    v = np.abs(field_from_values(grid64, random_real_grid(grid64, 3)).values())
+    spoiled = v.copy()
+    spoiled[5, 7] = math.nan
+    for values in (v, 1e-200 * v, np.zeros(grid64.shape), spoiled):
+        table = _lp_table(values, exponents)
+        assert list(table) == list(exponents)
+        for p_exp, got in table.items():
+            want = _lp_one_exponent(values, p_exp)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.float64(_lp(values, p_exp)).tobytes() == np.float64(want).tobytes()
+    assert all(math.isnan(x) for x in _lp_table(spoiled, exponents).values())
+    assert set(_lp_table(np.zeros(grid64.shape), exponents).values()) == {0.0}
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Lebesgue exponent"):
+            _lp_table(v, (2.0, bad))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                        from_physical, full_spectrum, hermitian_defect, sine_field,
-                        to_physical)
+                        from_physical, full_spectrum, half_to_physical, hermitian_defect,
+                        sine_field, to_physical)
 from aqgsim.norms import sobolev_norm
-from aqgsim.operators import (DissipParams, _grid_values, _kernel_multipliers, _nonlinear_raw,
+from aqgsim.operators import (DissipParams, _kernel_multipliers, _nonlinear_raw,
                               _velocity, apply_semigroup,
                               dissipation_multiplier, dissipation_symbol, gevrey_multiplier,
                               gevrey_symbol, nonlinear_term, riesz_multipliers,
@@ -262,7 +262,7 @@ def _full_layout_kernel(coeffs, grid, velocity_coeffs=None):
     half filled as conjugates and the self-conjugate columns repaired."""
     h1, h2 = grid.n1 // 2, grid.n2 // 2
     d1, d2 = _kernel_multipliers(grid)[2:]
-    theta = _grid_values(coeffs[:, :h2 + 1], grid)
+    theta = half_to_physical(coeffs[:, :h2 + 1], grid)
     u1, u2, _ = _velocity(coeffs if velocity_coeffs is None else velocity_coeffs, grid)
     half = d1 * np.fft.rfft2(theta * u1)
     half += d2 * np.fft.rfft2(theta * u2)
