@@ -1,8 +1,9 @@
 """Batch entry point: simulate | picard | lemmas | sweep | gevrey subcommands.
 
 Exit codes: 0 success, 1 config error, 2 solver abort (including a run that
-runs out of memory, reported as one line "out of memory: ..."), 3 I/O failure,
-4 inequality violation.
+runs out of memory, reported as one line "out of memory: ...", and an
+interrupted run: `simulate` writes its trace and last accepted state first),
+3 I/O failure, 4 inequality violation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, _require_seed, echo_config, load_config
 from .diagnostics import analyticity_radius_fit, build_gevrey_report, region_classify
@@ -21,7 +24,7 @@ from .grid import GridSpec, SpectralField, zero_field, sine_field
 from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite,
                      total_violations)
-from .norms import sobolev_norm
+from .norms import _hs_norm, sobolev_norm
 from .operators import DissipParams, RegimeWarning
 from .solver import (ConstantsTable, PicardConfig, admits_horizon, calibrate_constants,
                      evolve, existence_time, picard_solve, weight_domination_slack,
@@ -46,7 +49,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
+_SOURCE_KEYS = {"random": "init.spectrum_slope", "modes": "init.modes", "file": "init.path"}
+
+
+def _require_finite_norms(coeffs, grid: GridSpec, s: float, key: str) -> None:
+    """A ConfigError at `key` unless the L^2 and H^s norms of the coefficients
+    are finite (so are the coefficients then); numpy's overflow warnings stay
+    off stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(math.isfinite(_hs_norm(coeffs, grid, r)) for r in (0.0, s))
+    if not finite:
+        raise ConfigError(key, f"the initial field's L2 or H^{s:g} norm is not finite")
+
+
 def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
+    """The configured field, normalized and scaled. A field whose L^2 or H^s
+    norm (s = params.s) is not finite is a config error: at the key the field
+    came from when it is built so (normalizing it would silently give zero),
+    else at `init.amplitude` when the scaling makes it so."""
     init = cfg.init
     if init["kind"] == "random":
         spec = FieldEnsembleSpec(grid, seed=init["seed"], count=1,
@@ -64,12 +84,18 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         f = cp.field
         if not f.is_mean_zero:
             raise ConfigError("init.path", "checkpoint field has a nonzero mean")
+    s, source = cfg.params["s"], _SOURCE_KEYS[init["kind"]]
+    _require_finite_norms(f.coeffs, grid, s, source)
     if init["normalize"] is not None:
-        s = cfg.params["s"] if init["normalize"] == "hs" else 0.0
-        n = sobolev_norm(f, s)
+        n = sobolev_norm(f, s if init["normalize"] == "hs" else 0.0)
         if n > 0.0:
             f = f * (1.0 / n)
-    return f * init["amplitude"] if init["amplitude"] != 1.0 else f
+    if init["amplitude"] == 1.0:
+        return f
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = f.coeffs * float(init["amplitude"])
+    _require_finite_norms(coeffs, grid, s, "init.amplitude")
+    return SpectralField(grid, coeffs)
 
 
 def resolve_constants(cfg: RunConfig, p: DissipParams) -> ConstantsTable:
@@ -224,6 +250,8 @@ def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float)
         sw = cfg.sweep
         res = evolve(theta0, sw["T_short"], p, rtol=cfg.time["rtol"], atol=cfg.time["atol"],
                      trace_stride=10**9)
+        if res.interrupted:
+            raise KeyboardInterrupt
         if res.aborted:
             raise ArithmeticError(f"march aborted: {res.abort_reason}")
         hs_growth = res.trace.hs[-1] / res.trace.hs[0] if res.trace.hs[0] > 0 else math.nan
@@ -332,6 +360,9 @@ def main(argv=None) -> int:
         return cmd_gevrey(cfg, out_dir, args.traj)
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except KeyboardInterrupt:  # `simulate` ends an interrupted march itself, as an abort
+        print(f"interrupted: {args.command} stopped before it finished", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:  # before CheckpointError: an unreadable checkpoint is both
         print(f"I/O failure: {exc}", file=sys.stderr)

@@ -5,29 +5,27 @@ the normalized measure dx/(4 pi^2), so every norm is a plain coefficient sum.
 Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 along
 axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
 
-Two layouts. The full layout, all n1 x n2 modes, is what a `SpectralField` and a
-solver `Trajectory` hold and what checkpoints store. The half layout is the
-rfft2 half spectrum, the (n1, n2/2 + 1) columns k2 = 0 .. n2/2, and is what the
-solver works on: the k2 < 0 half of a real field is an exact conjugate copy of
-it. A half-layout sum counts each column with its `multiplicity` (1 on the
+Two layouts. The full layout, all n1 x n2 modes, is what a `SpectralField` holds
+and what checkpoints store. The half layout is the rfft2 half spectrum, the
+(n1, n2/2 + 1) columns k2 = 0 .. n2/2, and is what the solver works on and what a
+solver `Trajectory` stores: the k2 < 0 half of a real field is an exact conjugate
+copy of it. A half-layout sum counts each column with its `multiplicity` (1 on the
 self-conjugate columns k2 = 0 and n2/2, 2 elsewhere), so it equals the full sum.
 
 This module is the package's spectral workspace. `from_physical` and
-`to_physical` transform full-layout fields. The half-layout transforms are
-`half_from_physical` (rfft2, scaled, then `self_conjugate_columns`) and
-`half_to_physical` (irfft2 of the columns k2 = 0 .. n2/2); the nonlinear kernel
-in `operators` and the oversampled product in `lemmas` use only these.
-`from_physical` is `half_from_physical` plus one Hermitian fill, `full_spectrum`.
-`sobolev_weight` and its half-layout form `half_sobolev_weight` (with the
-multiplicity folded in), each cached read-only per (grid, s, homogeneous), are
+`to_physical` transform full-layout fields; `half_from_physical` (rfft2, scaled,
+then `self_conjugate_columns`) and `half_to_physical` (irfft2 of the columns
+k2 = 0 .. n2/2) are the half-layout pair that the nonlinear kernel in `operators`
+and the oversampled product in `lemmas` use. `full_spectrum`, the one Hermitian
+fill, turns a half array or stack into the full layout; `from_physical` is
+`half_from_physical` followed by it. `sobolev_weight` and `half_sobolev_weight`
+(multiplicity folded in), each cached read-only per (grid, s, homogeneous), are
 the only builders of the (1+|k|^2)^s and |k|^{2s} weights (the dissipation and
 Gevrey symbols are cached in `operators.symbol_multipliers`).
 `self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2 of a half array
-their own reflection and the four self-conjugate modes real; it is idempotent,
-and `full_spectrum` applies it to its input, whose k2 < 0 half it then fills as
-exact conjugates. Multipliers even in k keep that symmetry exact, so no caller
-repairs it after an operation; `hermitian_defect` measures how far an array is
-from its own fill.
+their own reflection and the four self-conjugate modes real; it is idempotent.
+Multipliers even in k keep that symmetry exact, so no caller repairs it after an
+operation; `hermitian_defect` measures how far an array is from its own fill.
 """
 
 from __future__ import annotations
@@ -120,21 +118,15 @@ def half_to_physical(half: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The (..., n1, n2) coefficients whose columns k2 = 0 .. n2/2 are `half`
-    after `self_conjugate_columns`, with the rest filled in as exact conjugates."""
-    c = np.empty((*half.shape[:-1], grid.n2), dtype=np.complex128)
-    c[..., :grid.n2 // 2 + 1] = half
-    fill_conjugate_half(c, grid)
-    return c
-
-
-def fill_conjugate_half(c: np.ndarray, grid: GridSpec) -> None:
-    """In place on a full-layout array or stack whose columns k2 = 0 .. n2/2 are
-    set: `self_conjugate_columns` on those, then the columns k2 < 0 as their
+    after `self_conjugate_columns`, with the columns k2 < 0 filled in as exact
     conjugates, c(k1, k2) = conj(c(-k1, -k2))."""
     h2 = grid.n2 // 2
+    c = np.empty((*half.shape[:-1], grid.n2), dtype=np.complex128)
+    c[..., :h2 + 1] = half
     self_conjugate_columns(c[..., :h2 + 1], grid)
     np.conj(c[..., 0, h2 - 1:0:-1], out=c[..., 0, h2 + 1:])
     np.conj(c[..., :0:-1, h2 - 1:0:-1], out=c[..., 1:, h2 + 1:])
+    return c
 
 
 def self_conjugate_columns(half: np.ndarray, grid: GridSpec) -> None:

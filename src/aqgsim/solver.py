@@ -10,15 +10,14 @@ B, which `duhamel_bilinear` stacks and calibration runs on all-ones input; from
 -theta0 it yields -(L0 - B), since L0[i] = exp(-dt A) L0[i-1]. The Picard engine
 iterates phi = -theta, whose kernels are those of theta (the nonlinearity is
 quadratic), so that recursion yields phi's next iterate, which overwrites the
-engine's one (n_nodes, n1, n2) stack node by node.
+engine's one node stack node by node.
 
-Layouts (see `grid`): the solver works on the half layout, the columns
-k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate
-(written into the [..., :n2/2 + 1] view of its full stack), the march state, its
-propagators and every norm taken of them are half-layout arrays. The full layout
-appears only where a field leaves the solver: `PicardReport.trajectory` and the
-output of `duhamel_bilinear` (whose conjugate halves are filled once, after the
-last node), and the `SpectralField` of `on_checkpoint` and `EvolveResult.final`.
+Layouts (see `grid`): the solver holds only the half layout, the columns
+k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate, every
+`Trajectory` stack, the march state, its propagators and every norm taken of them
+are half-layout arrays. The full layout is filled only where a field leaves the
+solver as a `SpectralField`: `Trajectory.field`, `on_checkpoint` and
+`EvolveResult.final`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, fill_conjugate_half, full_spectrum, sobolev_weight
+from .grid import GridSpec, SpectralField, full_spectrum, sobolev_weight
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
 from .norms import _gevrey_norm, _gevrey_norms, _hs_norm, _hs_norms, sobolev_norm
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
@@ -162,7 +161,8 @@ def admits_horizon(T: float, T_lo: float, T_hi: float) -> bool:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fields on a uniform time grid, stored as one (n_nodes, n1, n2) stack."""
+    """Fields on a uniform time grid, stored as one half-layout
+    (n_nodes, n1, n2/2 + 1) stack; `field(i)` fills node i's full layout."""
 
     grid: GridSpec
     times: np.ndarray
@@ -171,8 +171,9 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (times.size, *self.grid.shape):
-            raise ValueError("trajectory stack does not match times/grid")
+        if coeffs.shape != (expected := (times.size, *self.grid.half_shape)):
+            raise ValueError(f"trajectory stack {coeffs.shape} does not match times/grid: "
+                             f"expected (n_nodes, n1, n2/2 + 1) = {expected}")
         if times.size < 2:
             raise ValueError("trajectory needs at least two nodes")
         dt = np.diff(times)
@@ -190,7 +191,7 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i])
+        return SpectralField(self.grid, full_spectrum(self.coeffs[i], self.grid))
 
     def fields(self) -> list[SpectralField]:
         return [self.field(i) for i in range(self.n_nodes)]
@@ -205,27 +206,26 @@ def time_grid(T: float, n_nodes: int) -> np.ndarray:
 
 
 def constant_trajectory(f: SpectralField, times: np.ndarray) -> Trajectory:
-    stack = np.broadcast_to(f.coeffs, (len(times), *f.grid.shape)).copy()
+    half = f.coeffs[:, :f.grid.n2 // 2 + 1]
+    stack = np.broadcast_to(half, (len(times), *half.shape)).copy()
     return Trajectory(f.grid, times, stack)
 
 
 def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
                          p: DissipParams) -> Trajectory:
     """L0: exact linear evolution of theta0 sampled on the time grid."""
-    A = dissipation_multiplier(theta0.grid, p)
-    times = np.asarray(times, dtype=float)
-    stack = np.empty((times.size, *theta0.grid.shape), dtype=np.complex128)
+    grid, times = theta0.grid, np.asarray(times, dtype=float)
+    A, half = (m[:, :grid.n2 // 2 + 1] for m in (dissipation_multiplier(grid, p), theta0.coeffs))
+    stack = np.empty((times.size, *grid.half_shape), dtype=np.complex128)
     for j, t in enumerate(times):
-        stack[j] = np.exp(-t * A) * theta0.coeffs
-    return Trajectory(theta0.grid, times, stack)
+        stack[j] = np.exp(-t * A) * half
+    return Trajectory(grid, times, stack)
 
 
 def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
     """The recursion out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]), E = exp(-dt A),
-    from out[0] = out0 (zero in the full layout by default) over the node kernels
+    on the half layout from out[0] = out0 (zero by default) over the node kernels
     N[0], N[1], ..., yielded node by node in time linear in the number of nodes.
-    The nodes have the shape of out0, full or half layout; E is taken on its
-    columns.
 
     From zero, out[i] = dt sum_j'' exp(-(i-j) dt A) N[j] is the trapezoid Duhamel
     sum B; from -theta0 it is -(L0 - B), the negated mild map. It runs in place,
@@ -234,8 +234,8 @@ def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
     yielded, and only N[i-1] is kept. Every node is yielded as the same array,
     updated in place by the next step, so a caller that keeps a node copies it.
     """
-    acc = np.zeros(grid.shape, dtype=np.complex128) if out0 is None else out0
-    E = np.exp(-dt * dissipation_multiplier(grid, p)[:, :acc.shape[-1]])
+    acc = np.zeros(grid.half_shape, dtype=np.complex128) if out0 is None else out0
+    E = np.exp(-dt * dissipation_multiplier(grid, p)[:, :grid.n2 // 2 + 1])
     N = iter(N)
     prev = next(N)
     tmp = np.empty_like(acc)
@@ -255,8 +255,8 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     """B(theta1, theta2): trapezoid-in-time Duhamel integral of the nonlinearity.
 
     The kernel div(theta1(tau) u_{theta2(tau)}) is taken node by node as the
-    recursion draws it, on the half layout, so the output is the only
-    (n_nodes, n1, n2) stack formed; its conjugate half is filled at the end.
+    recursion draws it, and each node is written into the half-layout output,
+    the only node stack formed.
     B has mean zero for any input: the divergence multipliers vanish at k = 0,
     so its k = 0 entries are exactly 0 whatever the means of theta1 and theta2."""
     if traj1.grid != traj2.grid:
@@ -267,10 +267,8 @@ def duhamel_bilinear(traj1: Trajectory, traj2: Trajectory, p: DissipParams) -> T
     kernels = (_nonlinear_raw(a, grid, velocity_coeffs=b)[0]
                for a, b in zip(traj1.coeffs, traj2.coeffs))
     out = np.empty_like(traj1.coeffs)
-    for j, acc in enumerate(_duhamel_nodes(kernels, traj1.dt, grid, p,
-                                           np.zeros(grid.half_shape, dtype=np.complex128))):
-        out[j, :, :acc.shape[-1]] = acc
-    fill_conjugate_half(out, grid)
+    for j, acc in enumerate(_duhamel_nodes(kernels, traj1.dt, grid, p)):
+        out[j] = acc
     return Trajectory(grid, traj1.times, out)
 
 
@@ -345,16 +343,15 @@ def weighted_picard_solve(theta0: SpectralField, cfg: PicardConfig,
 def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
                    weighted: bool) -> PicardReport:
     """Each iterate's sups enter the report once, as it is formed. The iteration
-    holds one (n_nodes, n1, n2) stack, whose half-layout view (columns
-    k2 = 0 .. n2/2) is phi = -theta, starting from -L0, swept node by node: the
-    kernel of row j is taken (that of theta, bit for bit, since each factor of
-    the quadratic kernel changes sign exactly), the recursion from -theta0
-    advanced to -(L0_j - B_j), its H^s distance and norm recorded (those of its
-    negation, bit for bit), and then row j is overwritten with it, since the
-    sweep no longer reads it. After the last iteration the stack is negated and
-    its conjugate half filled once, for the report's trajectory. The horizon
-    cfg.T is iterated as given; whether it lies in the existence interval is the
-    caller's question. A non-finite distance ends the run as "non-finite
+    holds one half-layout (n_nodes, n1, n2/2 + 1) stack, phi = -theta, starting
+    from -L0, swept node by node: the kernel of row j is taken (that of theta,
+    bit for bit, since each factor of the quadratic kernel changes sign
+    exactly), the recursion from -theta0 advanced to -(L0_j - B_j), its H^s
+    distance and norm recorded (those of its negation, bit for bit), and then
+    row j is overwritten with it, since the sweep no longer reads it. After the
+    last iteration the stack is negated in place and becomes the report's
+    trajectory. The horizon cfg.T is iterated as given; whether it lies in the
+    existence interval is the caller's question. A non-finite distance ends the run as "non-finite
     distances", three distance growths in a row as "diverging distances"; zero
     data is its own fixed point, converged with no iterations. A sup that is not
     finite is never within its ball."""
@@ -365,12 +362,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     norm0 = sobolev_norm(theta0, s)
     times = time_grid(cfg.T, cfg.n_nodes)
     dt = float(times[1] - times[0])
-    stack = np.empty((times.size, *grid.shape), dtype=np.complex128)
-    h = grid.n2 // 2 + 1
-    current = stack[..., :h]  # phi = -theta, overwritten row by row; -L0 to begin with
-    A, minus_theta0 = dissipation_multiplier(grid, p)[:, :h], -theta0.coeffs[:, :h]
-    for j, t in enumerate(times):
-        current[j] = np.exp(-t * A) * minus_theta0
+    minus_theta0 = -theta0.coeffs[:, :grid.n2 // 2 + 1]
+    current = semigroup_trajectory(-theta0, times, p).coeffs  # phi = -theta, from -L0 on
     node_hs = np.array([_hs_norm(c, grid, s) for c in current])
     node_dist = np.empty_like(node_hs)
     sup_hs_all = float(np.max(node_hs))
@@ -410,9 +403,8 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
         return math.isfinite(sup) and sup <= bound * (1.0 + 1e-9)
 
     np.negative(current, out=current)
-    fill_conjugate_half(stack, grid)
     return PicardReport(converged, len(distances), distances, ratios, sup_hs_all, bound,
-                        within(sup_hs_all), Trajectory(grid, times, stack),
+                        within(sup_hs_all), Trajectory(grid, times, current),
                         weighted_sup_all, within(weighted_sup_all) if weighted else None, note)
 
 
@@ -453,8 +445,7 @@ def calibrate_constants(p: DissipParams, n_samples: int = 16, seed: int = 0) -> 
     s = p.s
     # the recursion holds one half-layout node, so its last is W_T with no node stack
     horizons = [(T, deque(_duhamel_nodes(itertools.repeat(1.0, n_nodes), T / (n_nodes - 1),
-                                         grid, p, np.zeros(grid.half_shape, dtype=np.complex128)),
-                          maxlen=1)[0],
+                                         grid, p), maxlen=1)[0],
                  _power_sum(T, _step1_exponents(p)), _power_sum(T, _step2_exponents(p)),
                  math.exp(T))
                 for T in _CALIBRATION_HORIZONS]
@@ -552,6 +543,10 @@ class EvolveResult:
     def aborted(self) -> bool:
         return self.abort_reason is not None
 
+    @property
+    def interrupted(self) -> bool:
+        return self.aborted and self.abort_reason.startswith("interrupted")
+
 
 def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool = True,
            rtol: float = 1e-8, atol: float = 1e-12, dt_max: float | None = None,
@@ -569,6 +564,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     `kernel_calls`, after one call for the initial state. A non-finite state or
     H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march;
     `abort_reason` then names the cause, and `aborted` is true exactly when it is set.
+    A KeyboardInterrupt in the loop (on_checkpoint's too) ends it as "interrupted
+    at t=...", with the last accepted state as `final` and its row ending the trace.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
@@ -642,64 +639,73 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     propagated_dt = None
     accepted = rejected = 0
 
-    while t < T * (1.0 - 1e-12):
-        target = cps[0] if cps else T
-        dt = min(dt_prop, dt_ceiling)
-        if t + dt >= target * (1.0 - 1e-12):
-            dt = target - t
-        elif dt_fixed is None and t + 2.0 * dt > target:
-            # split the way to the target evenly rather than leave a sliver
-            dt = 0.5 * (target - t)
-        if dt <= 0.0 or not math.isfinite(dt):
-            reason = f"step size collapsed (dt={dt})"
-            break
-
-        if propagated_dt != dt:
-            prop_full, prop_half = propagators(dt)
-            propagated_dt = dt
-
-        if nonlinear:
-            half = etdrk4(c, N_c, *prop_half)
-            fine = etdrk4(half, rhs(half)[0], *prop_half)
-        else:
-            half = prop_half[0] * c
-            fine = prop_half[0] * half
-
-        if not np.all(np.isfinite(fine.view(np.float64))):
-            reason = f"non-finite state at t={t + t_offset:.6g}"
-            break
-
-        if dt_fixed is None and nonlinear:
-            err = float(_hs_norms(fine - etdrk4(c, N_c, *prop_full), grid, s))
-            if not math.isfinite(err):  # no step size can pass this test
-                reason = f"non-finite error norm at t={t + t_offset:.6g}"
+    dt_done = dt_prop  # the step that reached the state c; dt_prop at t = 0
+    try:
+        while t < T * (1.0 - 1e-12):
+            target = cps[0] if cps else T
+            dt = min(dt_prop, dt_ceiling)
+            if t + dt >= target * (1.0 - 1e-12):
+                dt = target - t
+            elif dt_fixed is None and t + 2.0 * dt > target:
+                # split the way to the target evenly rather than leave a sliver
+                dt = 0.5 * (target - t)
+            if dt <= 0.0 or not math.isfinite(dt):
+                reason = f"step size collapsed (dt={dt})"
                 break
-            scale = atol + rtol * float(_hs_norms(fine, grid, s))
-            factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
-            if err > scale:
-                if dt <= 1e-13 * max(T, 1.0):
-                    reason = f"step size collapsed (dt={dt})"
-                    break
-                dt_prop = dt * max(0.2, factor)
-                rejected += 1
-                continue
-            dt_prop = dt * min(5.0, max(0.2, factor))
 
-        diss_int += dt / 6.0 * (diss_rate(c) + 4.0 * diss_rate(half) + diss_rate(fine))
-        c = fine
-        t += dt
-        accepted += 1
-        N_c, max_u = rhs(c)
-        steps_since_trace += 1
-        at_cp = bool(cps) and abs(t - cps[0]) <= 1e-12 * max(1.0, cps[0])
-        if at_cp:
-            cps.pop(0)
-            if on_checkpoint is not None:
-                on_checkpoint(t + t_offset, SpectralField(grid, full_spectrum(c, grid)))
-        done = t >= T * (1.0 - 1e-12)
-        if steps_since_trace >= trace_stride or done or at_cp:
-            _record(trace, grid, p, t + t_offset, c, max_u, dt, diss_int)
-            steps_since_trace = 0
+            if propagated_dt != dt:
+                prop_full, prop_half = propagators(dt)
+                propagated_dt = dt
+
+            if nonlinear:
+                half = etdrk4(c, N_c, *prop_half)
+                fine = etdrk4(half, rhs(half)[0], *prop_half)
+            else:
+                half = prop_half[0] * c
+                fine = prop_half[0] * half
+
+            if not np.all(np.isfinite(fine.view(np.float64))):
+                reason = f"non-finite state at t={t + t_offset:.6g}"
+                break
+
+            if dt_fixed is None and nonlinear:
+                err = float(_hs_norms(fine - etdrk4(c, N_c, *prop_full), grid, s))
+                if not math.isfinite(err):  # no step size can pass this test
+                    reason = f"non-finite error norm at t={t + t_offset:.6g}"
+                    break
+                scale = atol + rtol * float(_hs_norms(fine, grid, s))
+                factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
+                if err > scale:
+                    if dt <= 1e-13 * max(T, 1.0):
+                        reason = f"step size collapsed (dt={dt})"
+                        break
+                    dt_prop = dt * max(0.2, factor)
+                    rejected += 1
+                    continue
+                dt_prop = dt * min(5.0, max(0.2, factor))
+
+            step_int = dt / 6.0 * (diss_rate(c) + 4.0 * diss_rate(half) + diss_rate(fine))
+            N_next, max_u_next = rhs(fine)
+            # one commit, so that an interrupt leaves the last accepted state whole
+            c, t, N_c, max_u, diss_int, dt_done, accepted = (
+                fine, t + dt, N_next, max_u_next, diss_int + step_int, dt, accepted + 1)
+            steps_since_trace += 1
+            at_cp = bool(cps) and abs(t - cps[0]) <= 1e-12 * max(1.0, cps[0])
+            if at_cp:
+                cps.pop(0)
+                if on_checkpoint is not None:
+                    on_checkpoint(t + t_offset, SpectralField(grid, full_spectrum(c, grid)))
+            done = t >= T * (1.0 - 1e-12)
+            if steps_since_trace >= trace_stride or done or at_cp:
+                _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
+                steps_since_trace = 0
+    except KeyboardInterrupt:  # an abort at the last accepted state, whose row ends the trace
+        reason = f"interrupted at t={t + t_offset:.6g}"
+        complete = min(map(len, vars(trace).values()))  # a row cut short while recorded goes
+        for column in vars(trace).values():
+            del column[complete:]
+        if trace.t[-1] != float(t + t_offset):
+            _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
 
     return EvolveResult(trace, SpectralField(grid, full_spectrum(c, grid)), t + t_offset, reason,
                         rejected, accepted, kernel_calls)

@@ -379,6 +379,117 @@ def test_nonzero_mean_checkpoint_names_init_path(tmp_path, capsys, command, outp
     assert not (out / output).exists()
 
 
+_OUTPUTS = {"simulate": "trace.csv", "picard": "picard_report.txt", "sweep": "sweep.csv"}
+
+
+def _huge_state(tmp_path):
+    """A 16^2 checkpoint of 1e300 sin(x1), whose squared coefficients overflow."""
+    from aqgsim.checkpoint import write_checkpoint
+    from aqgsim.grid import GridSpec, sine_field
+    from aqgsim.operators import DissipParams
+
+    state = tmp_path / "huge.aqgs"
+    write_checkpoint(state, sine_field(GridSpec(16, 16), (1, 0), 1e300),
+                     DissipParams(0.75, 0.75), 0.0)
+    return {"kind": "file", "path": str(state), "normalize": None, "amplitude": 1.0}
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard", "sweep"])
+@pytest.mark.parametrize("init, key", [
+    ({"amplitude": 1e300, "normalize": "hs"}, "init.amplitude"),  # the norm overflows
+    ({"kind": "modes", "modes": [{"k": [1, 0], "amplitude": 100.0}], "normalize": None,
+      "amplitude": 1e307}, "init.amplitude"),  # the coefficients themselves overflow
+    ({"kind": "modes", "modes": [{"k": [1, 0], "amplitude": 1e300}], "normalize": "hs",
+      "amplitude": 1.0}, "init.modes"),  # normalizing would give the zero field
+    (_huge_state, "init.path"),
+], ids=["amplitude_norm", "amplitude_coefficients", "modes", "path"])
+def test_initial_field_with_non_finite_norm_names_the_key(tmp_path, capsys, command, init, key):
+    """A field whose L2 or H^s norm overflows is a config error at the key that
+    made it so, with no numpy warning and no output file."""
+    init = init(tmp_path) if callable(init) else init
+    cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5, **init},
+                                  "lemmas": {"kmax": 5}, "picard": {"n_nodes": 8},
+                                  "sweep": {"alphas": [0.75], "betas": [0.75]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {key}: ") and "Warning" not in err
+    assert not (out / _OUTPUTS[command]).exists()
+
+
+def test_interrupted_simulate_writes_trace_and_last_state(tmp_path, capsys, monkeypatch):
+    """An interrupt from the first checkpoint write ends the march as an abort at
+    that checkpoint: exit 2, a trace whose last row is that state, and the
+    state itself as state_final.aqgs."""
+    import aqgsim.cli as cli
+    from aqgsim.checkpoint import read_checkpoint
+
+    write = cli.ckpt.write_checkpoint
+    calls = []
+
+    def interrupted_once(path, *args):
+        calls.append(path)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return write(path, *args)
+
+    monkeypatch.setattr(cli.ckpt, "write_checkpoint", interrupted_once)
+    cfg = write_config(tmp_path)  # T = 0.2, a checkpoint at 0.1
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "solver aborted: interrupted at t=0.1\n"
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert rows[0].startswith("t,") and float(rows[-1].split(",")[0]) == 0.1
+    assert all(len(row.split(",")) == len(rows[0].split(",")) for row in rows)
+    assert read_checkpoint(out / "state_final.aqgs").t == 0.1
+    assert not (out / "state_0000.aqgs").exists()
+
+
+@pytest.mark.parametrize("command", ["picard", "sweep"])
+def test_interrupt_outside_the_march_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                          command):
+    """An interrupt in calibration ends the run with exit 2 and one line."""
+    import aqgsim.cli as cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "calibrate_constants", interrupt)
+    cfg = write_config(tmp_path, {"constants": {"mode": "calibrate", "samples": 2},
+                                  "sweep": {"alphas": [0.75], "betas": [0.75]}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"interrupted: {command} stopped before it finished\n"
+    assert not (out / _OUTPUTS[command]).exists()
+
+
+def test_interrupted_sweep_march_stops_the_sweep(tmp_path, capsys, monkeypatch):
+    """A march that ends interrupted stops the sweep, rather than becoming a
+    failed point that the sweep passes over."""
+    import aqgsim.cli as cli
+
+    real_evolve, marches = cli.evolve, []
+
+    def interrupted_evolve(theta0, T, p, **kwargs):
+        marches.append(p)
+
+        def interrupt(t, f):
+            raise KeyboardInterrupt
+
+        return real_evolve(theta0, T, p, checkpoint_times=[T / 2], on_checkpoint=interrupt,
+                           **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", interrupted_evolve)
+    cfg = write_config(tmp_path, {"sweep": {"alphas": [0.6, 0.9], "betas": [0.75]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "interrupted: sweep stopped before it finished\n"
+    assert len(marches) == 1 and not (out / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # picard
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def _with_mean():
 
 
 def _stack(n):
-    return np.zeros((n, *G16.shape), dtype=np.complex128)
+    return np.zeros((n, *G16.half_shape), dtype=np.complex128)
 
 
 CASES = {

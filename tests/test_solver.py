@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from aqgsim.diagnostics import weighted_norm_trace
-from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, full_spectrum, sine_field,
-                         zero_field)
+from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, full_spectrum,
+                         half_sobolev_weight, sine_field, zero_field)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
@@ -30,8 +30,8 @@ def unit_random_field(grid, seed, s, kmax=8, slope=2.0):
 
 
 def recursion_stack(N, dt, grid, p, out0=None):
-    """Every node of the Duhamel recursion over the kernels N, as one stack in
-    the layout of out0 (full when it is None)."""
+    """Every node of the Duhamel recursion over the kernels N, from out0 (zero
+    when it is None), as one half-layout stack."""
     import aqgsim.solver as solver
 
     return np.array([node.copy() for node in solver._duhamel_nodes(N, dt, grid, p, out0)])
@@ -180,7 +180,7 @@ def test_low_s_uses_single_condition():
 
 
 def test_trajectory_requires_uniform_times(grid32):
-    stack = np.zeros((3, 32, 32), dtype=complex)
+    stack = np.zeros((3, *grid32.half_shape), dtype=complex)
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(grid32, np.array([0.0, 0.1, 0.5]), stack)
 
@@ -250,27 +250,29 @@ def test_duhamel_matches_quadratic_trapezoid_sum(grid64, params):
         for j in range(1, i):
             acc = acc + np.exp(-(i - j) * dt * A) * N[j]
         ref[i] = dt * acc
+    ref = ref[..., :grid64.n2 // 2 + 1]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("stack", ["random", "ones", "random_from_nonzero"])
 def test_duhamel_sum_in_place_matches_recursion_formula_bitwise(grid64, params, stack):
     """The in-place recursion gives the bits of the one-line formula
-    out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]) at every node: from zero on a
-    complex stack and on calibration's all-ones input (the scalar 1.0 at each
-    node), and from a nonzero complex node 0."""
+    out[i] = E out[i-1] + (dt/2)(E N[i-1] + N[i]) at every half-layout node: from
+    zero on a complex stack and on calibration's all-ones input (the scalar 1.0
+    at each node), and from a nonzero complex node 0."""
     n, dt = 17, 0.37 / 16
     rng = np.random.default_rng(7)
 
     def complex_normal(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    N = [1.0] * n if stack == "ones" else complex_normal(n, *grid64.shape)
-    E = np.exp(-dt * dissipation_symbol((grid64.k1, grid64.k2), params))
-    ref = np.zeros((n, *grid64.shape), dtype=np.complex128)
+    h = grid64.n2 // 2 + 1
+    N = [1.0] * n if stack == "ones" else complex_normal(n, *grid64.half_shape)
+    E = np.exp(-dt * dissipation_symbol((grid64.k1, grid64.k2[:, :h]), params))
+    ref = np.zeros((n, *grid64.half_shape), dtype=np.complex128)
     out0 = None
     if stack == "random_from_nonzero":
-        ref[0] = out0 = complex_normal(*grid64.shape)
+        ref[0] = out0 = complex_normal(*grid64.half_shape)
     for i in range(1, n):
         ref[i] = E * ref[i - 1] + 0.5 * dt * (E * N[i - 1] + N[i])
     got = recursion_stack(N, dt, grid64, params, None if out0 is None else out0.copy())
@@ -288,15 +290,15 @@ def test_duhamel_bilinear_is_duhamel_sum_of_kernel_stack_bitwise(grid64, params)
     N = np.array([solver._nonlinear_raw(a, grid64, velocity_coeffs=b)[0]
                   for a, b in zip(traj1.coeffs, traj2.coeffs)])
     got = duhamel_bilinear(traj1, traj2, params).coeffs
-    half = recursion_stack(N, traj1.dt, grid64, params, np.zeros(grid64.half_shape, complex))
-    assert got.tobytes() == full_spectrum(half, grid64).tobytes()
+    assert got.tobytes() == recursion_stack(N, traj1.dt, grid64, params).tobytes()
 
 
 def test_node_stacks_held_by_picard_and_duhamel(params_sym):
     """At 64^2 with 64 nodes the traced peak of a Picard solve, plain or
-    weighted, stays under 1.5 (n_nodes, n1, n2) complex stacks: the iterate and
-    per-node temporaries, no L0, kernel or Duhamel stack. `duhamel_bilinear`
-    holds its output stack only."""
+    weighted, stays under 0.75 full (n_nodes, n1, n2) complex stacks: the
+    iterate is one half-layout (n_nodes, n1, n2/2 + 1) stack, plus per-node
+    temporaries, with no L0, kernel, Duhamel or full-layout stack.
+    `duhamel_bilinear` holds its half-layout output stack only."""
     import tracemalloc
 
     grid = GridSpec(64, 64)
@@ -314,7 +316,7 @@ def test_node_stacks_held_by_picard_and_duhamel(params_sym):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * stack_bytes, (name, peak / stack_bytes)
+        assert peak < 0.75 * stack_bytes, (name, peak / stack_bytes)
 
 
 def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
@@ -329,7 +331,7 @@ def test_duhamel_trapezoid_self_convergence(grid64, params_sym):
 
     def diff(a, b, stride):
         d = a.coeffs - b.coeffs[::stride]
-        w = (1.0 + grid64.k_sq) ** 1.0
+        w = half_sobolev_weight(grid64, 1.0)
         return np.max(np.sqrt(np.sum(w * np.abs(d) ** 2, axis=(1, 2))))
 
     e1 = diff(outs[9], outs[17], 2)
@@ -385,7 +387,7 @@ def test_picard_limit_is_discrete_mild_solution(grid64, params_sym):
     L0 = semigroup_trajectory(theta0.dealiased(), rep.trajectory.times, params_sym)
     B = duhamel_bilinear(rep.trajectory, rep.trajectory, params_sym)
     resid = L0.coeffs - B.coeffs - rep.trajectory.coeffs
-    w = (1.0 + grid64.k_sq) ** params_sym.s
+    w = half_sobolev_weight(grid64, params_sym.s)
     worst = np.max(np.sqrt(np.sum(w * np.abs(resid) ** 2, axis=(1, 2))))
     assert worst < 10 * cfg.tol
 
@@ -414,12 +416,11 @@ def test_picard_divergence_reported_not_raised(grid32, params_sym):
 
 @pytest.mark.parametrize("solve", [picard_solve, weighted_picard_solve])
 def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_sym, solve):
-    """The first iterate is byte for byte the full fill of the negated Duhamel
-    recursion on the half layout from -theta0 over the kernels of L0, and agrees
-    with L0 - B(L0, L0), L0 from
-    `semigroup_trajectory` and B from `duhamel_bilinear`, within 1e-14 relative
-    H^s at every node. Its distance is the largest node H^s norm of its
-    difference from L0."""
+    """The first iterate is byte for byte the negated Duhamel recursion on the
+    half layout from -theta0 over the kernels of L0, and agrees with
+    L0 - B(L0, L0), L0 from `semigroup_trajectory` and B from `duhamel_bilinear`,
+    within 1e-14 relative H^s at every node. Its distance is the largest node
+    H^s norm of its difference from L0."""
     import aqgsim.solver as solver
 
     s = params_sym.s
@@ -427,8 +428,8 @@ def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_
     rep = solve(theta0, PicardConfig(T=0.3, n_nodes=17, max_iter=1), params_sym)
     L0 = semigroup_trajectory(theta0, rep.trajectory.times, params_sym)
     kernels = (solver._nonlinear_raw(c, grid64)[0] for c in L0.coeffs)
-    first = full_spectrum(-recursion_stack(kernels, L0.dt, grid64, params_sym,
-                                           -theta0.coeffs[:, :grid64.n2 // 2 + 1]), grid64)
+    first = -recursion_stack(kernels, L0.dt, grid64, params_sym,
+                             -theta0.coeffs[:, :grid64.n2 // 2 + 1])
     assert rep.trajectory.coeffs.tobytes() == first.tobytes()
     mild = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
     assert np.all(_hs_norms(first - mild, grid64, s) <= 1e-14 * _hs_norms(mild, grid64, s))
@@ -614,8 +615,9 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
 
 
 def _bare_product_sup(grid, times, coeffs, p, s):
-    """The weighted sup as a plain product loop, with no overflow policy."""
-    B = gevrey_multiplier(grid, p)
+    """The weighted sup of a half-layout stack as a plain product loop, with no
+    overflow policy."""
+    B = gevrey_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
     worst = 0.0
     for i, t in enumerate(times):
         worst = max(worst, float(_hs_norms(np.exp(0.5 * float(t) * B) * coeffs[i], grid, s)))
@@ -670,6 +672,48 @@ def test_nan_fails_positivity_checks(build, message):
 # ---------------------------------------------------------------------------
 # the march
 # ---------------------------------------------------------------------------
+
+
+def test_interrupted_march_ends_at_the_last_accepted_state(grid32, params):
+    """An interrupt from on_checkpoint ends the march as an abort: its final
+    state and trace are bit for bit those of a march that ends at the checkpoint."""
+    theta0 = unit_random_field(grid32, 3, params.s)
+
+    def interrupt(t, f):
+        raise KeyboardInterrupt
+
+    cut = evolve(theta0, 0.2, params, dt_fixed=0.01, checkpoint_times=[0.1],
+                 on_checkpoint=interrupt)
+    straight = evolve(theta0, 0.1, params, dt_fixed=0.01)
+    assert cut.aborted and cut.interrupted and not straight.interrupted
+    assert cut.abort_reason == "interrupted at t=0.1" and cut.t_final == straight.t_final
+    assert cut.final.coeffs.tobytes() == straight.final.coeffs.tobytes()
+    assert cut.trace.to_csv() == straight.trace.to_csv()
+    assert cut.accepted_steps == straight.accepted_steps
+
+
+def test_interrupt_while_recording_leaves_no_partial_row(grid32, params, monkeypatch):
+    """An interrupt halfway through recording the row of step 3 drops that
+    partial row; the trace then ends with step 3's whole row, as recorded by an
+    uninterrupted march."""
+    import aqgsim.solver as solver
+
+    theta0 = unit_random_field(grid32, 3, params.s)
+    straight = evolve(theta0, 0.2, params, dt_fixed=0.01)
+    record, cuts = solver._record, []
+
+    def cut_short(trace, grid, p, t, *args):
+        if len(trace.t) == 3 and not cuts:
+            cuts.append(t)
+            trace.t.append(t)
+            trace.l2.append(0.0)
+            raise KeyboardInterrupt
+        record(trace, grid, p, t, *args)
+
+    monkeypatch.setattr(solver, "_record", cut_short)
+    cut = evolve(theta0, 0.2, params, dt_fixed=0.01)
+    assert cut.abort_reason == "interrupted at t=0.03" and cut.t_final == cuts[0]
+    assert cut.trace.to_csv().splitlines() == straight.trace.to_csv().splitlines()[:5]
 
 
 def test_evolve_linear_matches_semigroup(grid64, params):
