@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, _require_seed, echo_config, load_config
 from .diagnostics import analyticity_radius_fit, build_gevrey_report, region_classify
-from .grid import GridSpec, SpectralField, zero_field, sine_field
+from .grid import GridSpec, SpectralField, sine_sum_field
 from .lemmas import (FieldEnsembleSpec, functional_inequality_suite,
                      random_band_limited_field, scalar_inequality_suite,
                      total_violations)
@@ -74,10 +74,8 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
                                  spectrum_slope=init["spectrum_slope"])
         f = random_band_limited_field(spec, 0)
     elif init["kind"] == "modes":
-        f = zero_field(grid)
-        for m in init["modes"]:
-            f = f + sine_field(grid, tuple(m["k"]), m.get("amplitude", 1.0),
-                               m.get("phase", 0.0))
+        f = sine_sum_field(grid, [(m["k"], m.get("amplitude", 1.0), m.get("phase", 0.0))
+                                  for m in init["modes"]])
     else:
         cp = ckpt.read_checkpoint(init["path"])
         cp.require_grid(grid)

@@ -294,5 +294,22 @@ def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> S
 def sine_field(grid: GridSpec, k: tuple[int, int], amplitude: float = 1.0,
                phase: float = 0.0) -> SpectralField:
     """amplitude * sin(k.x + phase) as a spectral field."""
-    c = -0.5j * amplitude * np.exp(1j * phase)
-    return field_from_modes(grid, {k: c})
+    return field_from_modes(grid, {k: _sine_coefficient(amplitude, phase)})
+
+
+def sine_sum_field(grid: GridSpec, sines) -> SpectralField:
+    """The sum of amplitude * sin(k.x + phase) over (k, amplitude, phase) terms,
+    built in one array: each term adds its coefficient at k and the conjugate at
+    -k, in order, so the bits are those of a sum of one `sine_field` per term. Each
+    k must be a retained wavenumber and not self-conjugate; k and -k may both occur."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for (k1, k2), amplitude, phase in sines:
+        c = _sine_coefficient(amplitude, phase)
+        coeffs[k1 % grid.n1, k2 % grid.n2] += c
+        coeffs[-k1 % grid.n1, -k2 % grid.n2] += np.conj(c)
+    return SpectralField(grid, coeffs)
+
+
+def _sine_coefficient(amplitude: float, phase: float) -> complex:
+    """The coefficient at k of amplitude * sin(k.x + phase); -k holds its conjugate."""
+    return -0.5j * amplitude * np.exp(1j * phase)

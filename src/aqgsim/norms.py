@@ -124,7 +124,8 @@ def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
         if np.any(live & (exponent > WEIGHT_CAP)):
             return math.inf
         exponent = np.where(live, exponent, 0.0)
-    value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
+        value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
     return value if math.isfinite(value) else math.inf
 
 

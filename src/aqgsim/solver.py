@@ -553,15 +553,20 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
            dt_fixed: float | None = None, trace_stride: int = 1, checkpoint_times=(),
            on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
     """March the flow to time T with ETDRK4 (Cox & Matthews 2002), exact in the
-    linear decay and fourth order in the dealiased nonlinearity, as two half
-    steps per step of size dt; error control (off when dt_fixed is given) compares
-    them with one full step in H^s. Initial data is projected onto the dealiased band.
+    linear decay and fourth order in the dealiased nonlinearity. A step of size dt
+    is one ETDRK4 step; the adaptive march (dt_fixed not given) refines it into two
+    half steps, keeps them, and tests their difference from the one step in H^s.
+    Initial data is projected onto the dealiased band.
 
     The error test alone sets an adaptive step, capped by dt_max; a step ends
     exactly on the next checkpoint or T, and halves the way there rather than
     leave a sliver. An adaptive step costs 11 nonlinear-kernel calls when
-    accepted and 10 when rejected, a fixed step 8; the result counts them in
-    `kernel_calls`, after one call for the initial state. A non-finite state or
+    accepted and 10 when rejected, a fixed step 4; the result counts them in
+    `kernel_calls`, after one call for the initial state. The trace's
+    `diss_integral` sums the dissipation rate D = 2 sum A |c|^2 over each step by
+    the Hermite (end-corrected trapezoid) rule dt/2 (D0 + D1) + dt^2/12 (D0' - D1'),
+    fourth order, with D' = 4 Re sum A conj(c) (N(c) - A c) from the kernels the
+    march holds at the step's two ends. A non-finite state or
     H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march;
     `abort_reason` then names the cause, and `aborted` is true exactly when it is set.
     A KeyboardInterrupt in the loop (on_checkpoint's too) ends it as "interrupted
@@ -578,24 +583,32 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     grid = theta0.grid
     s = p.s
     h = grid.n2 // 2 + 1  # the state c is on the half layout, columns k2 = 0 .. n2/2
-    d1, d2, A, _ = (m[:, :h] for m in symbol_multipliers(grid, p))
+    A = dissipation_multiplier(grid, p)[:, :h]
+    A_counted = A * grid.multiplicity  # a half-layout sum against it is the full sum
+    adaptive = nonlinear and dt_fixed is None
 
-    def diss_rate(c):
-        m = _counted_power(c, grid)
-        return 2.0 * float(p.mu * np.sum(d1 * m) + p.nu * np.sum(d2 * m))
+    def diss_rates(c, N_c):
+        # D = 2 sum A |c|^2 and D' = 4 Re sum A conj(c) (N_c - A c) of the state c
+        # whose kernel is N_c (None on the linear path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.conj(A_counted * c)
+            dc = -A * c if N_c is None else N_c - A * c
+            return 2.0 * float(np.sum(w * c).real), 4.0 * float(np.sum(w * dc).real)
 
     def propagators(dt):
         # a step of size h takes its weights from e^-x and phi_k(x) at x = h A and
-        # its stage factors from x / 2, so dt A, dt A / 2 and dt A / 4 serve the
-        # full step and the half steps
-        built = [(np.exp(-x), *phi_functions(x)) for x in (f * dt * A for f in (1.0, 0.5, 0.25))]
+        # its stage factors from x / 2, so dt A and dt A / 2 serve the step, and
+        # dt A / 4 the adaptive march's half steps
+        factors = (1.0, 0.5, 0.25) if adaptive else (1.0, 0.5)
+        built = [(np.exp(-x), *phi_functions(x)) for x in (f * dt * A for f in factors)]
 
         def coefficients(h, at_h, at_half):
             E, p1, p2, p3 = at_h
             return (E, at_half[0], 0.5 * h * at_half[1], h * (p1 - 3.0 * p2 + 4.0 * p3),
                     2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
 
-        return coefficients(dt, *built[:2]), coefficients(0.5 * dt, *built[1:])
+        step = coefficients(dt, *built[:2])
+        return step, coefficients(0.5 * dt, *built[1:]) if adaptive else None
 
     kernel_calls = 0
 
@@ -625,6 +638,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     c = np.where(grid.dealias_mask[:, :h], theta0.coeffs[:, :h], 0.0)
     t = 0.0
     N_c, max_u = rhs(c)
+    rates = diss_rates(c, N_c)
     diss_int = 0.0
     dt_ceiling = dt_max if dt_max is not None else T
     if dt_fixed is not None:
@@ -657,23 +671,24 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
                 prop_full, prop_half = propagators(dt)
                 propagated_dt = dt
 
-            if nonlinear:
+            if not nonlinear:
+                c_new = prop_full[0] * c
+            elif not adaptive:
+                c_new = etdrk4(c, N_c, *prop_full)
+            else:  # two half steps, kept; the one step only checks them
                 half = etdrk4(c, N_c, *prop_half)
-                fine = etdrk4(half, rhs(half)[0], *prop_half)
-            else:
-                half = prop_half[0] * c
-                fine = prop_half[0] * half
+                c_new = etdrk4(half, rhs(half)[0], *prop_half)
 
-            if not np.all(np.isfinite(fine.view(np.float64))):
+            if not np.all(np.isfinite(c_new.view(np.float64))):
                 reason = f"non-finite state at t={t + t_offset:.6g}"
                 break
 
-            if dt_fixed is None and nonlinear:
-                err = float(_hs_norms(fine - etdrk4(c, N_c, *prop_full), grid, s))
+            if adaptive:
+                err = float(_hs_norms(c_new - etdrk4(c, N_c, *prop_full), grid, s))
                 if not math.isfinite(err):  # no step size can pass this test
                     reason = f"non-finite error norm at t={t + t_offset:.6g}"
                     break
-                scale = atol + rtol * float(_hs_norms(fine, grid, s))
+                scale = atol + rtol * float(_hs_norms(c_new, grid, s))
                 factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
                 if err > scale:
                     if dt <= 1e-13 * max(T, 1.0):
@@ -684,11 +699,14 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
                     continue
                 dt_prop = dt * min(5.0, max(0.2, factor))
 
-            step_int = dt / 6.0 * (diss_rate(c) + 4.0 * diss_rate(half) + diss_rate(fine))
-            N_next, max_u_next = rhs(fine)
+            N_next, max_u_next = rhs(c_new)
+            rates_next = diss_rates(c_new, N_next)
+            step_int = (0.5 * dt * (rates[0] + rates_next[0])
+                        + dt * dt / 12.0 * (rates[1] - rates_next[1]))
             # one commit, so that an interrupt leaves the last accepted state whole
-            c, t, N_c, max_u, diss_int, dt_done, accepted = (
-                fine, t + dt, N_next, max_u_next, diss_int + step_int, dt, accepted + 1)
+            c, t, N_c, rates, max_u, diss_int, dt_done, accepted = (
+                c_new, t + dt, N_next, rates_next, max_u_next, diss_int + step_int, dt,
+                accepted + 1)
             steps_since_trace += 1
             at_cp = bool(cps) and abs(t - cps[0]) <= 1e-12 * max(1.0, cps[0])
             if at_cp:

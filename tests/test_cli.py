@@ -208,6 +208,35 @@ def test_init_mode_on_nyquist_row_runs(tmp_path, k):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
 
 
+def test_init_modes_build_one_field_with_the_bits_of_the_per_mode_sum(monkeypatch):
+    """300 modes, some named twice and some beside their conjugate -k, give the
+    bytes of a sum of one sine_field per mode, from a fixed number of field builds."""
+    import aqgsim.cli as cli
+    import aqgsim.grid as grid_module
+    from aqgsim.grid import GridSpec, sine_field, zero_field
+
+    rng = np.random.default_rng(5)
+    ks = [k for k in rng.integers(-31, 32, size=(300, 2)).tolist() if k != [0, 0]][:296]
+    modes = [{"k": k, "amplitude": a, "phase": ph}
+             for k, a, ph in zip(ks, rng.uniform(-2.0, 2.0, 296).tolist(),
+                                 rng.uniform(-4.0, 4.0, 296).tolist())]
+    modes += [{"k": [3, -4]}, {"k": [-3, 4], "amplitude": 2}, {"k": [3, -4], "phase": 1},
+              {"k": ks[0], "amplitude": 0.5}]
+    cfg = validate_config({"grid": {"n1": 64, "n2": 64},
+                           "init": {"kind": "modes", "modes": modes, "normalize": None}})
+    grid = GridSpec(64, 64)
+    expected = zero_field(grid)
+    for m in modes:
+        expected = expected + sine_field(grid, tuple(m["k"]), m.get("amplitude", 1.0),
+                                         m.get("phase", 0.0))
+    calls = []
+    defect = grid_module.hermitian_defect
+    monkeypatch.setattr(grid_module, "hermitian_defect", lambda c: calls.append(1) or defect(c))
+    f = cli.build_initial_field(cfg, grid)
+    assert len(calls) <= 2
+    assert f.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Norm computations against closed-form Parseval sums and quadratures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def test_gevrey_saturation_flagged(grid32):
     res = gevrey_weighted_norm(f, 200.0, 0.0, p)  # exponent 200 * 10^0.75 > WEIGHT_CAP
     assert math.isinf(res)
     assert res == math.inf
+
+
+def test_gevrey_overflow_reads_inf_without_a_warning(grid64):
+    """A mode of size 1e-16 with weight exponent 690 stays under WEIGHT_CAP, but
+    its weighted square passes the float range: the norm is inf, and numpy's
+    overflow warning does not reach the caller."""
+    p = DissipParams(0.75, 0.75)
+    t = 2.0 * 690.0 / gevrey_multiplier(grid64, p)[21, 21]
+    f = sine_field(grid64, (21, 21), 2e-16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gevrey_weighted_norm(f, t, 0.0, p) == math.inf
 
 
 def test_gevrey_dead_modes_past_cap_stay_unweighted(grid32):

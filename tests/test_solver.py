@@ -734,14 +734,29 @@ def test_evolve_two_mode_exact_decay(grid32):
     assert sobolev_norm(res.final - exact, 1.0) < 1e-9
 
 
-def test_evolve_l2_monotone_and_energy_balance(grid64, params):
+def energy_residual(trace):
+    """max |L2(t)^2 + int_0^t D - L2(0)^2| over the trace's rows."""
+    l2 = np.array(trace.l2)
+    return float(np.max(np.abs(l2**2 + np.array(trace.diss_integral) - l2[0] ** 2)))
+
+
+@pytest.mark.parametrize("march", [{"dt_fixed": 1e-3}, {"rtol": 1e-8}], ids=["fixed", "adaptive"])
+def test_evolve_l2_monotone_and_energy_balance(grid64, params, march):
     theta0 = unit_random_field(grid64, 12, 0.0) * 0.25
-    res = evolve(theta0, 0.1, params, dt_fixed=1e-3)
-    tr = res.trace
-    l2 = np.array(tr.l2)
-    assert np.all(np.diff(l2) <= 1e-15)
-    resid = np.abs(l2**2 + np.array(tr.diss_integral) - l2[0] ** 2)
-    assert np.max(resid) / 0.1 < 1e-6
+    res = evolve(theta0, 0.1, params, **march)
+    assert not res.aborted
+    assert np.all(np.diff(np.array(res.trace.l2)) <= 1e-15)
+    assert energy_residual(res.trace) / 0.1 < 1e-6
+
+
+def test_evolve_energy_quadrature_is_fourth_order(grid64, params):
+    """On the energy-law criterion's setup, the energy residual falls about 16x
+    per halving of a fixed step: the Hermite rule and the step are fourth order."""
+    theta0 = unit_random_field(grid64, 12, 0.0, kmax=8, slope=3.0) * 0.25
+    resid = [energy_residual(evolve(theta0, 0.25, params, dt_fixed=dt).trace)
+             for dt in (4e-3, 2e-3, 1e-3)]
+    ratios = [a / b for a, b in zip(resid, resid[1:])]
+    assert all(12.0 < r < 20.0 for r in ratios), ratios
 
 
 def test_evolve_trace_schema_and_stride(grid32, params_sym):
@@ -847,7 +862,7 @@ def test_evolve_fourth_order_self_convergence(grid64, params):
 
 
 def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
-    """Accepted steps cost 11 kernel calls, rejected ones 10, fixed steps 8."""
+    """Accepted steps cost 11 kernel calls, rejected ones 10, fixed steps 4."""
     theta0 = unit_random_field(grid32, 3, 0.0)
     # a tolerance this tight rejects at least one step
     res = evolve(theta0, 0.02, params, rtol=1e-12, atol=0.0)
@@ -859,7 +874,7 @@ def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
     res = evolve(theta0, 0.02, params, dt_fixed=0.002)
     assert res.accepted_steps == len(res.trace.t) - 1 == 10
     assert res.rejected_steps == 0
-    assert res.kernel_calls == len(kernel_calls) == 1 + 8 * 10
+    assert res.kernel_calls == len(kernel_calls) == 1 + 4 * 10
 
 
 def test_evolve_no_sliver_steps(grid32, params):
