@@ -144,7 +144,9 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     table = resolve_constants(cfg, p)
     norm0 = sobolev_norm(theta0, p.s)
     T0_lo, T0 = existence_time(norm0, p, table)
-    T1_lo, T1 = existence_time(norm0, p, table, weighted=True)
+    with warnings.catch_warnings():  # the plain call has given the run's one RegimeWarning
+        warnings.simplefilter("ignore", RegimeWarning)
+        T1_lo, T1 = existence_time(norm0, p, table, weighted=True)
     pc = cfg.picard
     weighted = pc["weighted"]
     if pc["T"] is not None and not admits_horizon(pc["T"], T0_lo, T0):

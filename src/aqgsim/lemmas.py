@@ -9,6 +9,12 @@ weight bound. Theorem-backed inequalities must come back with zero violations;
 constant-bearing ones only need bounded, stable ratios. A NaN ratio is recorded,
 never dropped.
 
+The two dense 2-D scans, fractional subadditivity on xi x eta and the A - B
+gap on x x y, run in blocks of SCAN_BLOCK_ROWS rows against the whole second
+axis, so they hold O(grid_density) floats rather than O(grid_density^2). Each
+keeps its running max, min and first row-major violation per exponent, so the
+reports are those of a whole-array scan.
+
 Each ensemble sample is evaluated in one pass: every field's power |c|^2 and
 grid values are formed once, and each field's norms are taken together, its
 H^s norms in one stacked reduction and its Lp norms from one scaling by its max.
@@ -31,8 +37,10 @@ from .norms import _hs_table, _lp_table
 from .operators import DissipParams, gevrey_symbol, riesz_multipliers
 
 REL_SLACK = 1e-12  # rounding slack for exact (constant-free) inequalities
+GAP_SLACK = 1e-9  # rounding slack of the weight-gap identity and of its floor -2
 LATTICE_KMAX = 128  # the integer lattice |k1|, |k2| <= LATTICE_KMAX of the wavenumber scans
 H2_WEIGHT_TIMES = np.logspace(-3.0, 1.0, 40)  # weight times m of the H^2 weight bound
+SCAN_BLOCK_ROWS = 64  # rows of a dense 2-D scalar scan held at once
 
 
 @dataclass(frozen=True)
@@ -165,23 +173,31 @@ def scalar_inequality_suite(p: DissipParams, grid_density: int = 1000) -> list[I
     ]
 
 
+def _row_blocks(n: int):
+    """Slices of at most SCAN_BLOCK_ROWS consecutive rows covering 0 .. n - 1, in order."""
+    return (slice(i, min(i + SCAN_BLOCK_ROWS, n)) for i in range(0, n, SCAN_BLOCK_ROWS))
+
+
 def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
     rep = InequalityReport("subadditivity_fractional",
                            note="|xi|^r <= |xi-eta|^r + |eta|^r, r in (0,1]")
-    xi = np.linspace(-50.0, 50.0, gd)[:, None]
-    eta = np.linspace(-50.0, 50.0, gd)[None, :]
-    r_values = sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta})
-    dist = np.abs(xi - eta)
-    for r in r_values:
-        lhs = np.abs(xi) ** r
-        rhs = dist ** r + np.abs(eta) ** r
-        rep.samples += rhs.size
-        bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            rep.merge_violation({"r": r, "xi": float(xi[i, 0]), "eta": float(eta[0, j])})
-        with np.errstate(invalid="ignore", divide="ignore"):  # no ratio array outlives r
-            worst = float(np.max(np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)))
+    xi = eta = np.linspace(-50.0, 50.0, gd)
+    for r in sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta}):
+        xi_r, eta_r = np.abs(xi[:, None]) ** r, np.abs(eta) ** r
+        worst, first = 0.0, None  # max ratio and first violation in row-major order
+        for rows in _row_blocks(gd):
+            lhs = xi_r[rows]
+            rhs = np.abs(xi[rows, None] - eta) ** r + eta_r
+            bad = lhs > rhs * (1.0 + REL_SLACK) + 1e-300
+            if first is None and np.any(bad):
+                i, j = np.argwhere(bad)[0]
+                first = {"r": r, "xi": float(xi[rows.start + i]), "eta": float(eta[j])}
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
+            worst = max(worst, float(np.max(ratio)))
+        rep.samples += gd * gd
+        if first is not None:
+            rep.merge_violation(first)
         rep.worst_ratio = max(rep.worst_ratio, worst)
     # 2-D version on seeded random pairs
     rng = np.random.default_rng(20240501)
@@ -257,30 +273,30 @@ def _check_weight_gap(p: DissipParams, gd: int) -> InequalityReport:
     n = max(200, gd // 3)
     x = np.concatenate(([0.0, 1.0], np.linspace(0.0, 40.0, n), np.logspace(-3, 3, n)))
     y = x.copy()
-    X = x[:, None]
-    Y = y[None, :]
-    # the two 2-D arrays of the scan, overwritten for each (a, b); every entry is finite
-    gap = np.empty((x.size, y.size))
-    scratch = np.empty_like(gap)
     worst_gap = np.inf
     for a in (0.55, 0.6, 0.75, 0.9, p.alpha):
         for b in (0.55, 0.7, 0.8, 0.95, p.beta):
-            Xa, Yb = X**a, Y**b
-            np.add(X ** (2 * a), Y ** (2 * b), out=gap)  # gap = X^2a + Y^2b - 2 (X^a + Y^b)
-            np.add(Xa, Yb, out=scratch)
-            scratch *= 2.0
-            gap -= scratch
-            np.add((Xa - 1.0) ** 2, (Yb - 1.0) ** 2, out=scratch)  # the identity's form
-            scratch -= 2.0
-            np.subtract(gap, scratch, out=scratch)
-            np.abs(scratch, out=scratch)
-            gap_min, gap_max = float(np.min(gap)), float(np.max(gap))
-            rep.samples += gap.size
-            if np.max(scratch) > 1e-9 * (1.0 + max(gap_max, -gap_min)):
+            xa, yb = x**a, y**b
+            x2a, y2b = x ** (2 * a), y ** (2 * b)
+            x_ident, y_ident = (xa - 1.0) ** 2, (yb - 1.0) ** 2
+            gap_min, gap_max, mismatch, first = np.inf, -np.inf, 0.0, None
+            for rows in _row_blocks(x.size):  # every entry is finite
+                gap = x2a[rows, None] + y2b  # gap = X^2a + Y^2b - 2 (X^a + Y^b)
+                gap -= 2.0 * (xa[rows, None] + yb)
+                ident = x_ident[rows, None] + y_ident  # the identity's form
+                ident -= 2.0
+                mismatch = max(mismatch, float(np.max(np.abs(gap - ident))))
+                block_min = float(np.min(gap))
+                gap_min, gap_max = min(gap_min, block_min), max(gap_max, float(np.max(gap)))
+                if first is None and block_min < -2.0 - GAP_SLACK:
+                    i, j = np.argwhere(gap < -2.0 - GAP_SLACK)[0]
+                    first = {"alpha": a, "beta": b, "x": float(x[rows.start + i]),
+                             "y": float(y[j])}
+            rep.samples += x.size * y.size
+            if mismatch > GAP_SLACK * (1.0 + max(gap_max, -gap_min)):
                 rep.merge_violation({"alpha": a, "beta": b, "kind": "identity mismatch"})
-            if gap_min < -2.0 - 1e-9:
-                i, j = np.argwhere(gap < -2.0 - 1e-9)[0]
-                rep.merge_violation({"alpha": a, "beta": b, "x": float(X[i, 0]), "y": float(Y[0, j])})
+            if first is not None:
+                rep.merge_violation(first)
             worst_gap = min(worst_gap, gap_min)
     rep.worst_ratio = worst_gap / -2.0
     rep.empirical_constant = worst_gap  # approaches -2 at x = y = 1

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from aqgsim.cli import main
 from aqgsim.config import (DEFAULTS, GRID_DENSITY_MAX, ConfigError, RunConfig, load_config,
                            validate_config)
+from aqgsim.operators import RegimeWarning
 
 BASE = {
     "grid": {"n1": 32, "n2": 32},
@@ -37,6 +38,14 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@contextlib.contextmanager
+def one_regime_warning():
+    """The block gives exactly one warning, a RegimeWarning."""
+    with pytest.warns(RegimeWarning) as record:
+        yield
+    assert [w.category for w in record] == [RegimeWarning]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,10 @@ def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, 
     for section, values in overrides.items():
         small[section] = {**small.get(section, {}), **values}
     cfg = write_config(tmp_path, small)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == rc
+    # a picard run that reaches the existence time outside the regime warns once
+    unguaranteed = command == "picard" and rc == 0
+    with one_regime_warning() if unguaranteed else contextlib.nullcontext():
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == rc
     if key is not None:
         assert key in capsys.readouterr().err
 
@@ -703,9 +715,10 @@ def test_picard_empty_weighted_horizon_is_a_finding(tmp_path):
     # at s = 0 and alpha = beta = 0.3 the conditions have negative exponents:
     # the plain one holds for every T >= 4.8^(3/7) = 1.96, the weighted one
     # (times e^T < 3/2) for none, so T1 = 0 while picard.T = 8.0 lies in the plain interval
-    rc, report = _small_picard(tmp_path, (1.0,) * 4, {
-        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
-        "picard": {"T": 8.0, "weighted": True}})
+    with one_regime_warning():
+        rc, report = _small_picard(tmp_path, (1.0,) * 4, {
+            "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
+            "picard": {"T": 8.0, "weighted": True}})
     assert rc == 0
     rep = parse_report(report)
     assert float(rep["T1"]) == 0.0 and float(rep["T0"]) > 1.0
@@ -718,8 +731,9 @@ def test_picard_empty_weighted_horizon_is_a_finding(tmp_path):
 def test_picard_unbounded_horizon_runs_from_its_lower_end(tmp_path):
     # data norm 0.3 at s = 0: the plain condition 2 T^(-7/3) <= 1 / (8 * 0.3) holds
     # for every T >= 4.8^(3/7) = 1.9587, so a null picard.T runs there, not at 1.0
-    rc, report = _small_picard(tmp_path, (1.0,) * 4, {
-        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0}, "picard": {"weighted": True}})
+    with one_regime_warning():
+        rc, report = _small_picard(tmp_path, (1.0,) * 4, {
+            "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0}, "picard": {"weighted": True}})
     assert rc == 0
     rep = parse_report(report)
     assert rep["T0"] == "inf"
@@ -730,9 +744,10 @@ def test_picard_unbounded_horizon_runs_from_its_lower_end(tmp_path):
 def test_picard_weighted_horizon_below_its_interval_is_a_finding(tmp_path):
     # the plain interval is [0.00525, inf) and the weighted one [0.01418, 0.405]:
     # picard.T = 0.01 runs the plain block and leaves the weighted one without a horizon
-    rc, report = _small_picard(tmp_path, (1e-6, 1e-6, 1e-5, 1e-5), {
-        "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
-        "picard": {"T": 0.01, "weighted": True}})
+    with one_regime_warning():
+        rc, report = _small_picard(tmp_path, (1e-6, 1e-6, 1e-5, 1e-5), {
+            "params": {"alpha": 0.3, "beta": 0.3, "s": 0.0},
+            "picard": {"T": 0.01, "weighted": True}})
     assert rc == 0
     rep = parse_report(report)
     assert rep["T0"] == "inf" and 0.4 < float(rep["T1"]) < 0.41
@@ -859,8 +874,9 @@ def test_lemmas_fault_injection_exit_4(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("density", [GRID_DENSITY_MAX + 1, 10**7])
 def test_lemmas_grid_density_beyond_bound_exit_1(tmp_path, capsys, monkeypatch, density):
-    # the scan would allocate about six density^2 float64 arrays (728 TiB at
-    # 10^7): the config is refused before the suite is entered
+    # the scan time grows as density^2 (about 2 s for the scalar suite at the
+    # bound, some 10^7 times that at 10^7): the config is refused before the
+    # suite is entered
     import aqgsim.cli as cli
 
     def no_scan(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Ensemble generator and the inequality suites."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -174,6 +175,43 @@ def test_scalar_suite_no_violations(params):
         -2.0, abs=1e-12)
 
 
+def _expression_subadditivity(p, gd):
+    """Reference: the subadditivity scan on whole gd x gd arrays."""
+    rep = InequalityReport("subadditivity_fractional",
+                           note="|xi|^r <= |xi-eta|^r + |eta|^r, r in (0,1]")
+    xi = np.linspace(-50.0, 50.0, gd)[:, None]
+    eta = np.linspace(-50.0, 50.0, gd)[None, :]
+    r_values = sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta})
+    dist = np.abs(xi - eta)
+    for r in r_values:
+        lhs = np.abs(xi) ** r
+        rhs = dist ** r + np.abs(eta) ** r
+        rep.samples += rhs.size
+        bad = lhs > rhs * (1.0 + lemmas.REL_SLACK) + 1e-300
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            rep.merge_violation({"r": r, "xi": float(xi[i, 0]), "eta": float(eta[0, j])})
+        with np.errstate(invalid="ignore", divide="ignore"):  # no ratio array outlives r
+            worst = float(np.max(np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)))
+        rep.worst_ratio = max(rep.worst_ratio, worst)
+    # 2-D version on seeded random pairs
+    rng = np.random.default_rng(20240501)
+    xi2 = rng.uniform(-50, 50, size=(100_000, 2))
+    eta2 = rng.uniform(-50, 50, size=(100_000, 2))
+    len_xi, len_dist, len_eta = (np.linalg.norm(v, axis=1) for v in (xi2, xi2 - eta2, eta2))
+    for r in (p.alpha, p.beta):
+        lhs = len_xi ** r
+        rhs = len_dist ** r + len_eta ** r
+        rep.samples += lhs.size
+        bad = lhs > rhs * (1.0 + lemmas.REL_SLACK) + 1e-300
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            rep.merge_violation({"r": r, "xi": xi2[i].tolist(), "eta": eta2[i].tolist()})
+        rep.worst_ratio = max(rep.worst_ratio, float(np.max(lhs / np.maximum(rhs, 1e-300))))
+    rep.empirical_constant = rep.worst_ratio
+    return rep
+
+
 def _expression_weight_gap(p, gd):
     """Reference: the weight-gap scan with each 2-D step a fresh temporary."""
     rep = InequalityReport("dissipation_minus_weight_gap",
@@ -187,10 +225,10 @@ def _expression_weight_gap(p, gd):
             gap = X ** (2 * a) + Y ** (2 * b) - 2.0 * (X**a + Y**b)
             ident = (X**a - 1.0) ** 2 + (Y**b - 1.0) ** 2 - 2.0
             rep.samples += gap.size
-            if np.max(np.abs(gap - ident)) > 1e-9 * (1.0 + np.max(np.abs(gap))):
+            if np.max(np.abs(gap - ident)) > lemmas.GAP_SLACK * (1.0 + np.max(np.abs(gap))):
                 rep.merge_violation({"alpha": a, "beta": b, "kind": "identity mismatch"})
-            if np.any(gap < -2.0 - 1e-9):
-                i, j = np.argwhere(gap < -2.0 - 1e-9)[0]
+            if np.any(gap < -2.0 - lemmas.GAP_SLACK):
+                i, j = np.argwhere(gap < -2.0 - lemmas.GAP_SLACK)[0]
                 rep.merge_violation({"alpha": a, "beta": b, "x": float(X[i, 0]),
                                      "y": float(Y[0, j])})
             worst_gap = min(worst_gap, float(np.min(gap)))
@@ -204,6 +242,56 @@ def test_weight_gap_scan_equals_the_expression_form(alpha, beta):
     p = DissipParams(alpha, beta)
     got, want = lemmas._check_weight_gap(p, 1000), _expression_weight_gap(p, 1000)
     assert repr(vars(got)) == repr(vars(want))
+
+
+def _force_violations(monkeypatch):
+    # every xi != 0 then violates on the diagonal eta = xi, so each exponent has
+    # violations in every block; every gap below -1.5 is a violation, the first
+    # on the row x = 1, and so is every identity residual
+    monkeypatch.setattr(lemmas, "REL_SLACK", -0.5)
+    monkeypatch.setattr(lemmas, "GAP_SLACK", -0.5)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["exact", "forced"])
+@pytest.mark.parametrize("gd", [10, 63, 64, 65, 1000, 1001])
+def test_blocked_scans_equal_the_expression_forms(params, monkeypatch, gd, forced):
+    # gd = 63, 64, 65 end the subadditivity grid before, on and after a block
+    # edge; the gap scan's 402- and 668-row grids end in a ragged block
+    if forced:
+        _force_violations(monkeypatch)
+    for scan, reference in ((lemmas._check_subadditivity, _expression_subadditivity),
+                            (lemmas._check_weight_gap, _expression_weight_gap)):
+        got, want = scan(params, gd), reference(params, gd)
+        assert repr(vars(got)) == repr(vars(want))
+        assert (got.violations > 0) == forced
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_blocked_scans_take_the_row_major_first_violation(params, monkeypatch, block_rows):
+    # with one-row blocks the first gap violation (x = 1, the grid's second row)
+    # lies in the second block
+    _force_violations(monkeypatch)
+    monkeypatch.setattr(lemmas, "SCAN_BLOCK_ROWS", block_rows)
+    gap = lemmas._check_weight_gap(params, 65)
+    assert gap.violation_examples[0]["kind"] == "identity mismatch"
+    assert gap.violation_examples[1]["x"] == 1.0
+    assert repr(vars(gap)) == repr(vars(_expression_weight_gap(params, 65)))
+    assert repr(vars(lemmas._check_subadditivity(params, 65))) == \
+        repr(vars(_expression_subadditivity(params, 65)))
+
+
+def test_blocked_scans_hold_row_blocks_not_the_grid(params):
+    # at gd = 2000 one gd x gd float64 array is 30.5 MiB, and the gap scan's
+    # (2 + 2 * 666)^2 one 13.6 MiB; the subadditivity bound leaves room for the
+    # 100,000 random pairs
+    for scan, bound_mib in ((lemmas._check_subadditivity, 16), (lemmas._check_weight_gap, 8)):
+        tracemalloc.start()
+        try:
+            scan(params, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (scan.__name__, peak / 2**20)
 
 
 def test_subadditivity_violations_are_reported(params, monkeypatch):
