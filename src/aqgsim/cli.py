@@ -96,11 +96,15 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def resolve_constants(cfg: RunConfig, p: DissipParams) -> ConstantsTable:
+def resolve_constants(cfg: RunConfig, p: DissipParams | list[DissipParams]
+                      ) -> ConstantsTable | list[ConstantsTable]:
+    """The run's constants table for p, or one table per entry of a list of
+    parameter sets sharing s (one calibration pass serves them all)."""
     cs = cfg.constants
-    if cs["mode"] == "explicit":
-        return ConstantsTable(cs["C1"], cs["C2"], cs["C3"], cs["C4"])
-    return calibrate_constants(p, n_samples=cs["samples"], seed=cs["seed"])
+    if cs["mode"] == "calibrate":
+        return calibrate_constants(p, n_samples=cs["samples"], seed=cs["seed"])
+    table = ConstantsTable(cs["C1"], cs["C2"], cs["C3"], cs["C4"])
+    return table if isinstance(p, DissipParams) else [table] * len(p)
 
 
 def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
@@ -241,11 +245,11 @@ def cmd_lemmas(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float) -> str:
+def _sweep_row(cfg: RunConfig, theta0: SpectralField, p: DissipParams,
+               table: ConstantsTable) -> str:
+    alpha, beta = p.alpha, p.beta
     region = region_classify(alpha, beta).value  # config keeps (alpha, beta) in (0, 1)^2
     try:
-        p = DissipParams(alpha, beta, cfg.params["mu"], cfg.params["nu"], cfg.params["s"])
-        table = resolve_constants(cfg, p)
         _, T0 = existence_time(sobolev_norm(theta0, p.s), p, table)
         sw = cfg.sweep
         res = evolve(theta0, sw["T_short"], p, rtol=cfg.time["rtol"], atol=cfg.time["atol"],
@@ -266,18 +270,22 @@ def _sweep_row(cfg: RunConfig, theta0: SpectralField, alpha: float, beta: float)
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
-    points = [(a, b) for a in cfg.sweep["alphas"] for b in cfg.sweep["betas"]]
-    # (alpha, beta) varies, s does not: the initial field is the same at every point
+    q = cfg.params
+    lattice = [DissipParams(a, b, q["mu"], q["nu"], q["s"])
+               for a in cfg.sweep["alphas"] for b in cfg.sweep["betas"]]
+    # (alpha, beta) varies, s does not: the initial field and the calibration
+    # samples are the same at every point, so both are built once, here
     theta0 = build_initial_field(cfg, cfg.grid_spec())
+    points = list(zip(lattice, resolve_constants(cfg, lattice)))
     # the filter list is process-wide, so it is set once here and never per thread;
     # a lattice is expected to leave the guaranteed regime
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(lambda ab: _sweep_row(cfg, theta0, *ab), points))
+                rows = list(pool.map(lambda point: _sweep_row(cfg, theta0, *point), points))
         else:
-            rows = [_sweep_row(cfg, theta0, a, b) for a, b in points]
+            rows = [_sweep_row(cfg, theta0, *point) for point in points]
     header = "alpha,beta,region,T0,hs_growth,rate1,rate2"
     (out_dir / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
     return EXIT_OK

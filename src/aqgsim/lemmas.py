@@ -184,7 +184,11 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
     xi = eta = np.linspace(-50.0, 50.0, gd)
     for r in sorted({0.25, 0.5, 0.75, 1.0, p.alpha, p.beta}):
         xi_r, eta_r = np.abs(xi[:, None]) ** r, np.abs(eta) ** r
-        worst, first = 0.0, None  # max ratio and first violation in row-major order
+        # max ratio and first violation in row-major order; on the diagonal
+        # eta = xi, lhs = rhs exactly, so the ratio there is 1.0 at xi != 0, and
+        # only entries with lhs > rhs (where rhs > 0) can raise the max above it
+        worst = 1.0 if np.any(xi != 0.0) else 0.0
+        first = None
         for rows in _row_blocks(gd):
             lhs = xi_r[rows]
             rhs = np.abs(xi[rows, None] - eta) ** r + eta_r
@@ -192,9 +196,10 @@ def _check_subadditivity(p: DissipParams, gd: int) -> InequalityReport:
             if first is None and np.any(bad):
                 i, j = np.argwhere(bad)[0]
                 first = {"r": r, "xi": float(xi[rows.start + i]), "eta": float(eta[j])}
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
-            worst = max(worst, float(np.max(ratio)))
+            over = lhs > rhs
+            if np.any(over):
+                worst = max(worst, float(np.max(np.broadcast_to(lhs, rhs.shape)[over]
+                                                / rhs[over])))
         rep.samples += gd * gd
         if first is not None:
             rep.merge_violation(first)

@@ -9,10 +9,12 @@ multiplicity; so they accept a Hermitian field in either layout, and the solver
 passes its half working arrays. `_hs_table` and `_lp_table` take many norms of
 one field in one pass, with the bits of `_hs_from_power` and `_lp`.
 
-`_gevrey_norm` is the one place that forms the Gevrey weight exp((t/2) B(D))
-and applies its overflow policy: a saturated norm reads as inf. Every weighted
-norm in the package (the march trace, the Picard sups, the gevrey report) goes
-through it, and `_gevrey_norms` walks a node stack.
+The Gevrey weight exp((t/2) B(D)) has one exponent, `_gevrey_exponents`, and
+one overflow policy: a saturated or non-finite norm reads as inf. Every
+weighted norm in the package (the march trace, the Picard sups, the gevrey
+report) goes through `_gevrey_norm`, and `_gevrey_norms` walks a node stack;
+calibration, whose exponents stay below the cap, builds its weights once with
+`_gevrey_weights` and applies them with `_weighted_hs_norms`, bit for bit.
 """
 
 from __future__ import annotations
@@ -116,17 +118,41 @@ def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
     """
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
-    h = grid.n2 // 2 + 1
-    coeffs = coeffs[..., :h]
-    exponent = 0.5 * t * gevrey_multiplier(grid, p)[:, :h]
+    coeffs = coeffs[..., :grid.n2 // 2 + 1]
+    exponent = _gevrey_exponents(grid, (t,), p)[0]
     if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
         live = coeffs != 0.0
         if np.any(live & (exponent > WEIGHT_CAP)):
             return math.inf
         exponent = np.where(live, exponent, 0.0)
+    return float(_weighted_hs_norms(np.exp(exponent), coeffs, grid, s))
+
+
+def _gevrey_exponents(grid: GridSpec, times, p: DissipParams) -> np.ndarray:
+    """The weight exponents (t/2) B(k) on the half layout, one row per time."""
+    B = gevrey_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
+    return (0.5 * np.asarray(times, dtype=np.float64))[:, None, None] * B
+
+
+def _gevrey_weights(grid: GridSpec, times, p: DissipParams) -> np.ndarray:
+    """The weights exp((t/2) B(D)) that `_gevrey_norm` applies at each of
+    `times`, bit for bit, as one (len(times), n1, n2/2 + 1) stack. An exponent
+    above WEIGHT_CAP is a ValueError: there the norm's saturation depends on
+    which modes are live, so no weight serves every field."""
+    exponents = _gevrey_exponents(grid, times, p)
+    if not exponents.max() <= WEIGHT_CAP:
+        raise ValueError(f"a Gevrey weight exponent exceeds WEIGHT_CAP = {WEIGHT_CAP}")
+    return np.exp(exponents)
+
+
+def _weighted_hs_norms(weights: np.ndarray, coeffs: np.ndarray, grid: GridSpec,
+                       s: float) -> np.ndarray:
+    """H^s norms of weights * coeffs over the last two axes, with every weight
+    row applied to the field (or the matching node of a stack) `coeffs`; a
+    non-finite norm reads as inf. Only the columns k2 = 0 .. n2/2 are read."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
-        value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
-    return value if math.isfinite(value) else math.inf
+        values = _hs_norms(weights * coeffs[..., :grid.n2 // 2 + 1], grid, s)
+    return np.where(np.isfinite(values), values, math.inf)
 
 
 def _gevrey_norms(coeffs: np.ndarray, grid: GridSpec, times: np.ndarray, s: float,

@@ -152,28 +152,32 @@ def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return m1, m2, d1, d2
 
 
-def _velocity(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid samples of the velocity u = R^perp theta, plus max |u|; reads only
-    the columns k2 = 0 .. n2/2 of `coeffs`."""
+def _velocity(coeffs: np.ndarray, grid: GridSpec,
+              with_max_u: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Grid samples of the velocity u = R^perp theta, plus max |u| when asked
+    for (else None); reads only the columns k2 = 0 .. n2/2 of `coeffs`."""
     half = coeffs[:, :grid.n2 // 2 + 1]
     u1, u2 = (half_to_physical(m * half, grid) for m in _kernel_multipliers(grid)[:2])
-    return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
+    return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2))) if with_max_u else None
 
 
-def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec,
-                   velocity_coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec, velocity_coeffs: np.ndarray | None = None,
+                   with_max_u: bool = False) -> tuple[np.ndarray, float | None]:
     """div(theta u) coefficients (dealiased) on the half layout, columns
-    k2 = 0 .. n2/2, plus max |u| on the grid.
+    k2 = 0 .. n2/2, plus max |u| on the grid when asked for (else None).
 
     The velocity derives from `velocity_coeffs` when given (bilinear form),
     else from `coeffs` itself. Only the columns k2 = 0 .. n2/2 of either input
     are read, so either layout may be passed. The columns k2 = 0 and n2/2 of the
     result are exactly self-conjugate, so its `full_spectrum` is Hermitian.
+    max |u| is a pass over the grid that no kernel output depends on, so it is
+    formed only for a caller that reads it: the march, at its initial and
+    accepted states.
     """
     d1, d2 = _kernel_multipliers(grid)[2:]
     theta_phys = half_to_physical(coeffs[:, :grid.n2 // 2 + 1], grid)
     u1_phys, u2_phys, max_u = _velocity(coeffs if velocity_coeffs is None
-                                        else velocity_coeffs, grid)
+                                        else velocity_coeffs, grid, with_max_u)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)
     out += d2 * np.fft.rfft2(theta_phys * u2_phys)
     self_conjugate_columns(out, grid)

@@ -980,6 +980,51 @@ def test_sweep_unbuildable_initial_field_exit_1(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_calibrates_the_lattice_once(tmp_path, monkeypatch):
+    """A 2x2 sweep at 3 calibration samples draws each sample pair and takes its
+    kernel once for the whole lattice, before the points' marches; its T0 column
+    is, bit for bit, the upper end of each point's existence interval under its
+    own calibration."""
+    import aqgsim.cli as cli
+    import aqgsim.solver as solver
+
+    kernel, draw = solver._nonlinear_raw, cli.random_band_limited_field
+    bilinear_kernels, draws = [], []
+
+    def counting_kernel(*args, **kwargs):
+        # in a sweep, calibration is the only caller of the bilinear form
+        if kwargs.get("velocity_coeffs") is not None:
+            bilinear_kernels.append(1)
+        return kernel(*args, **kwargs)
+
+    def counting_draw(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonlinear_raw", counting_kernel)
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "random_band_limited_field", counting_draw)
+    constants = {"mode": "calibrate", "samples": 3, "seed": 2}
+    cfg_path = write_config(tmp_path, {"constants": constants,
+                                       "sweep": {"alphas": [0.6, 0.9], "betas": [0.4, 0.9]}})
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "2"]) == 0
+    assert len(bilinear_kernels) == 3
+    assert len(draws) == 2 * 3 + 1  # the samples, and the initial field
+    cfg = load_config(str(cfg_path))
+    theta0 = cli.build_initial_field(cfg, cfg.grid_spec())
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(float(r[0]), float(r[1])) for r in rows] == [(0.6, 0.4), (0.6, 0.9),
+                                                           (0.9, 0.4), (0.9, 0.9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for row in rows:
+            p = cli.DissipParams(float(row[0]), float(row[1]), s=1.0)
+            table = solver.calibrate_constants(p, n_samples=3, seed=2)
+            T0 = solver.existence_time(solver.sobolev_norm(theta0, 1.0), p, table)[1]
+            assert row[3] == repr(T0)
+
+
 def _sweep_with_failing_evolve(tmp_path, monkeypatch, exc_type):
     """Sweep alphas (0.6, 0.9) at beta 0.75 with evolve raising at alpha = 0.9."""
     import aqgsim.cli as cli

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
                          from_physical, sine_field, sobolev_weight, zero_field)
-from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _hs_from_power, _hs_norm, _hs_norms,
-                          _hs_table, _lp, _lp_table, directional_seminorm,
+from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _gevrey_weights, _hs_from_power,
+                          _hs_norm, _hs_norms, _hs_table, _weighted_hs_norms, _lp, _lp_table, directional_seminorm,
                           gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
 from aqgsim.operators import DissipParams, gevrey_multiplier
 
@@ -237,6 +237,29 @@ def test_gevrey_dead_modes_past_cap_stay_unweighted(grid32):
     res = gevrey_weighted_norm(f, 100.0, 0.0, p)
     assert not math.isinf(res)
     assert res == pytest.approx(math.exp(100.0) * INV_SQRT2, rel=1e-13)
+
+
+def test_gevrey_weight_stack_gives_gevrey_norms_bitwise(grid64):
+    """A stack of weights applied to a field, or to a matching stack, gives the
+    `_gevrey_norm` of each at its time, bit for bit, overflow reading inf; an
+    exponent past WEIGHT_CAP has no weight that serves every field."""
+    p = DissipParams(0.6, 0.85, mu=0.7, nu=1.9)
+    times = [0.0, 0.25, 0.5, 1.0, 2.0]
+    weights = _gevrey_weights(grid64, times, p)
+    f = field_from_values(grid64, random_real_grid(grid64, 5))
+    stack = np.stack([(k + 1.0) * f.coeffs[:, :33] for k in range(len(times))])
+    for s in (0.4, 1.0, 90.0):  # at s = 90 the two largest times overflow
+        got = _weighted_hs_norms(weights, f.coeffs, grid64, s)
+        assert got.tolist() == [_gevrey_norm(f.coeffs, grid64, t, s, p) for t in times]
+        got = _weighted_hs_norms(weights, stack, grid64, s)
+        assert got.tolist() == [_gevrey_norm(c, grid64, t, s, p) for c, t in zip(stack, times)]
+    assert got.tolist()[2] < math.inf == got.tolist()[3]
+    # at s = 300 the Sobolev weight overflows on modes where a sine field is
+    # zero, so the raw sum is NaN: it reads inf too
+    got = _weighted_hs_norms(weights, sine_field(grid64, (1, 0)).coeffs, grid64, 300.0)
+    assert got.tolist() == [math.inf] * len(times)
+    with pytest.raises(ValueError, match="WEIGHT_CAP"):
+        _gevrey_weights(grid64, [1.0, 2.0 * WEIGHT_CAP], p)
 
 
 def test_gevrey_matches_gevrey_sobolev_norm_on_axis(grid32):

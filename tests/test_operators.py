@@ -85,7 +85,7 @@ def test_velocity_is_riesz_velocity_with_its_max_magnitude(shape):
     grid = GridSpec(*shape)
     spec = FieldEnsembleSpec(grid, seed=12, count=1, kmax=min(shape) // 3, spectrum_slope=1.0)
     theta = random_band_limited_field(spec, 0)
-    u1, u2, max_u = _velocity(theta.coeffs, grid)
+    u1, u2, max_u = _velocity(theta.coeffs, grid, with_max_u=True)
     for u, v in zip((u1, u2), riesz_velocity(theta)):
         ref = v.values()
         assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -206,7 +206,7 @@ def _kernel_inputs(shape, seed):
 def test_kernel_matches_former_formula(shape, bilinear):
     grid, theta, other = _kernel_inputs(shape, 13)
     cv = other if bilinear else None
-    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
     out = full_spectrum(out, grid)
     ref, ref_max_u = _former_kernel(theta, grid, cv)
     assert max_u == ref_max_u
@@ -225,7 +225,7 @@ def test_kernel_matches_former_formula(shape, bilinear):
 def test_kernel_matches_complex_transform_oracle(shape, bilinear):
     grid, theta, other = _kernel_inputs(shape, 15)
     cv = other if bilinear else None
-    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
     out = full_spectrum(out, grid)
     ref, ref_max_u = _former_kernel(theta, grid, cv, to_grid=to_physical)
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -243,16 +243,16 @@ def test_kernel_reads_only_the_half_spectrum(shape, bilinear):
         return c
 
     cv = other if bilinear else None
-    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
-    out_s, max_u_s = _nonlinear_raw(spoiled(theta), grid,
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
+    out_s, max_u_s = _nonlinear_raw(spoiled(theta), grid, with_max_u=True,
                                     velocity_coeffs=None if cv is None else spoiled(cv))
     assert out_s.tobytes() == out.tobytes() and max_u_s == max_u
     # the half layout is Hermitian: its fill leaves every bit of it in place
     full = full_spectrum(out_s, grid)
     assert hermitian_defect(full) == 0.0
     assert full[:, :grid.n2 // 2 + 1].tobytes() == out_s.tobytes()
-    u = _velocity(theta if cv is None else cv, grid)
-    u_s = _velocity(spoiled(theta if cv is None else cv), grid)
+    u = _velocity(theta if cv is None else cv, grid, with_max_u=True)
+    u_s = _velocity(spoiled(theta if cv is None else cv), grid, with_max_u=True)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(u_s[:2], u[:2])) and u_s[2] == u[2]
 
 
@@ -292,6 +292,21 @@ def test_kernel_returns_the_half_layout_with_self_conjugate_columns(shape, bilin
         assert np.array_equal(out[:, col], np.conj(out[reflected, col]))
     assert np.all(out[::h1, ::h2].imag == 0.0)
     assert np.array_equal(full_spectrum(out, grid), _full_layout_kernel(theta, grid, cv))
+
+
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_kernel_output_does_not_depend_on_forming_max_u(bilinear):
+    """max |u| is formed only on request: the kernel's bits are the same either
+    way, the velocity's too, and an unrequested max reads None."""
+    grid, theta, other = _kernel_inputs((64, 64), 18)
+    cv = other if bilinear else None
+    out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv)
+    out_u, max_u_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
+    assert out.tobytes() == out_u.tobytes()
+    assert max_u is None and max_u_u == _velocity(theta if cv is None else cv, grid, True)[2]
+    u, u_u = _velocity(theta, grid), _velocity(theta, grid, with_max_u=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(u[:2], u_u[:2]))
+    assert u[2] is None and type(u_u[2]) is float
 
 
 def test_nonlinear_term_is_the_full_fill_of_the_kernel(grid64):

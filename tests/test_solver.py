@@ -614,6 +614,139 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
     assert fast_table == ConstantsTable(*(2.0 * ratios[k] for k in ratios))
 
 
+def _former_gevrey_norm(coeffs, grid, t, s, p):
+    """Reference: the weighted norm as calibration took it, one weight per call,
+    with the cap check and the non-finite reading."""
+    from aqgsim.norms import WEIGHT_CAP, _hs_norm
+
+    h = grid.n2 // 2 + 1
+    coeffs = coeffs[..., :h]
+    exponent = 0.5 * t * gevrey_multiplier(grid, p)[:, :h]
+    if not exponent.max() <= WEIGHT_CAP:
+        live = coeffs != 0.0
+        if np.any(live & (exponent > WEIGHT_CAP)):
+            return math.inf
+        exponent = np.where(live, exponent, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _hs_norm(np.exp(exponent) * coeffs, grid, s)
+    return value if math.isfinite(value) else math.inf
+
+
+def _expression_calibration(p, n_samples, seed):
+    """Reference: calibration as one loop per parameter set, the samples in the
+    outer loop and the horizons in the inner one, each norm taken per horizon."""
+    import collections
+
+    import aqgsim.solver as solver
+    from aqgsim.norms import _hs_norm
+
+    grid, n_nodes = solver._CALIBRATION_GRID, solver._CALIBRATION_NODES
+    spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=solver._CALIBRATION_KMAX,
+                             spectrum_slope=solver._CALIBRATION_SLOPE)
+    s = p.s
+    horizons = [(T, collections.deque(solver._duhamel_nodes(
+                    itertools.repeat(1.0, n_nodes), T / (n_nodes - 1), grid, p), maxlen=1)[0],
+                 solver._power_sum(T, solver._step1_exponents(p)),
+                 solver._power_sum(T, solver._step2_exponents(p)), math.exp(T))
+                for T in solver._CALIBRATION_HORIZONS]
+    ratios = {"C1": 0.0, "C2": 0.0, "C3": 0.0, "C4": 0.0}
+    for i in range(n_samples):
+        f = random_band_limited_field(spec, 2 * i)
+        g = random_band_limited_field(spec, 2 * i + 1)
+        nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
+        Nfg, _ = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)
+        for T, W_T, g1, g2, eT in horizons:
+            B = W_T * Nfg
+            lhs_plain = _hs_norm(B, grid, s)
+            ratios["C1"] = max(ratios["C1"], lhs_plain / (g1 * nf * ng))
+            if g2 > 0.0:
+                ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
+            lhs_w = _former_gevrey_norm(B, grid, T, s, p)
+            nfw = _former_gevrey_norm(f.coeffs, grid, T, s, p)
+            ngw = _former_gevrey_norm(g.coeffs, grid, T, s, p)
+            ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
+            if g2 > 0.0:
+                ratios["C4"] = max(ratios["C4"], lhs_w / (eT * g2 * nfw * ngw))
+    return ConstantsTable(*(2.0 * max(ratios[k], 1e-12) for k in ("C1", "C2", "C3", "C4")))
+
+
+def _hex(table):
+    return [float.hex(getattr(table, name)) for name in ("C1", "C2", "C3", "C4")]
+
+
+# two lattices, each sharing its s: alpha > beta, alpha < beta, mu and nu off 1,
+# and s below 1 (the step-1 condition alone) as well as above
+_CALIBRATION_LATTICES = (
+    [DissipParams(0.75, 0.75, s=1.0), DissipParams(0.9, 0.6, s=1.0),
+     DissipParams(0.6, 0.9, mu=0.7, nu=1.9, s=1.0)],
+    [DissipParams(0.8, 0.65, s=0.7), DissipParams(0.55, 0.95, mu=1.3, nu=0.4, s=0.7)],
+)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 8])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_calibration_tables_are_those_of_the_per_horizon_loop_bitwise(n_samples, seed):
+    """The one-pass calibration, alone or over a lattice, gives every constant
+    of the per-sample, per-horizon loop bit for bit."""
+    for lattice in _CALIBRATION_LATTICES:
+        tables = calibrate_constants(lattice, n_samples=n_samples, seed=seed)
+        assert isinstance(tables, list) and len(tables) == len(lattice)
+        for p, table in zip(lattice, tables):
+            want = _hex(_expression_calibration(p, n_samples, seed))
+            assert _hex(table) == want, p
+            single = calibrate_constants(p, n_samples=n_samples, seed=seed)
+            assert isinstance(single, ConstantsTable) and _hex(single) == want, p
+
+
+def test_calibration_lattice_must_share_s():
+    with pytest.raises(ValueError, match="sharing s"):
+        calibrate_constants([DissipParams(0.75, 0.75, s=1.0), DissipParams(0.75, 0.75, s=1.2)])
+    with pytest.raises(ValueError, match="sharing s"):
+        calibrate_constants([])
+
+
+def test_calibration_lattice_draws_and_kernels_each_sample_once(kernel_calls, monkeypatch):
+    import aqgsim.solver as solver
+
+    draws = []
+    draw = solver.random_band_limited_field
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "random_band_limited_field", counting)
+    calibrate_constants(_CALIBRATION_LATTICES[0], n_samples=3, seed=4)
+    assert len(kernel_calls) == 3 and len(draws) == 6
+
+
+@pytest.mark.parametrize("p", [DissipParams(0.75, 0.75, s=1.0), _CALIBRATION_LATTICES[0]])
+def test_calibration_builds_its_gevrey_weights_once(p, monkeypatch):
+    """The exp calls on arrays of the calibration grid's half shape (or stacks
+    of them), the Duhamel factors and the Gevrey weights, do not grow with the
+    number of samples."""
+    import aqgsim.solver as solver
+
+    half = solver._CALIBRATION_GRID.half_shape
+    calls = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x)[-2:] == half:
+            calls.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    counts = []
+    for n_samples in (1, 4):
+        calls.clear()
+        calibrate_constants(p, n_samples=n_samples, seed=3)
+        counts.append(len(calls))
+    n_params = 1 if isinstance(p, DissipParams) else len(p)
+    # per parameter set: one Duhamel factor per horizon and one weight stack
+    assert counts == [5 * n_params] * 2
+
+
 def _bare_product_sup(grid, times, coeffs, p, s):
     """The weighted sup of a half-layout stack as a plain product loop, with no
     overflow policy."""
@@ -849,6 +982,51 @@ def test_phi_functions_match_decimal_reference():
     # no jump where the series hands over to the closed form
     for below, at in phi_functions(np.array([np.nextafter(1.0, 0.0), 1.0])):
         assert abs(below - at) <= 1e-14 * at
+
+
+def test_phi_functions_of_a_stack_are_those_of_its_slices_bitwise(grid64, params):
+    """The march's propagators take the phi functions of its 2 or 3 step factors
+    in one call on their stack; each slice has the bits of its own call."""
+    A = dissipation_symbol((grid64.k1, grid64.k2), params)
+    x = np.multiply.outer([f * 0.013 for f in (1.0, 0.5, 0.25)], A)
+    stacked = phi_functions(x)
+    assert np.any(x < 1.0) and np.any(x >= 1.0)  # both branches on every slice
+    for i in range(x.shape[0]):
+        for got, want in zip(stacked, phi_functions(x[i])):
+            assert got[i].tobytes() == want.tobytes()
+        assert np.exp(-x)[i].tobytes() == np.exp(-x[i]).tobytes()
+
+
+def test_march_trace_max_u_is_that_of_the_recorded_state(monkeypatch):
+    """max |u| is formed only at the states the trace records, and each row's
+    is the max |u| of its state, on the march benchmark's config (64^2, the
+    seed-1 field at unit H^s norm, rtol 1e-8 to T = 0.2)."""
+    import aqgsim.solver as solver
+    from aqgsim.operators import _velocity
+
+    grid = GridSpec(64, 64)
+    p = DissipParams(0.75, 0.75, s=1.0)
+    theta0 = unit_random_field(grid, 1, p.s, kmax=10)
+    recorded = []
+    record = solver._record
+
+    def keeping(trace, grid, p, t, c, max_u, dt, diss_int):
+        recorded.append(c.copy())
+        return record(trace, grid, p, t, c, max_u, dt, diss_int)
+
+    asked = []
+    kernel = solver._nonlinear_raw
+
+    def counting(*args, with_max_u=False, **kwargs):
+        asked.append(with_max_u)
+        return kernel(*args, with_max_u=with_max_u, **kwargs)
+
+    monkeypatch.setattr(solver, "_record", keeping)
+    monkeypatch.setattr(solver, "_nonlinear_raw", counting)
+    res = evolve(theta0, 0.2, p, rtol=1e-8)
+    assert len(recorded) == len(res.trace.max_u) == res.accepted_steps + 1
+    assert sum(asked) == res.accepted_steps + 1 and len(asked) == res.kernel_calls
+    assert res.trace.max_u == [_velocity(c, grid, with_max_u=True)[2] for c in recorded]
 
 
 def test_evolve_fourth_order_self_convergence(grid64, params):
