@@ -1,6 +1,6 @@
 """Constructive core: existence-time conditions, the Duhamel bilinear operator,
-plain and Gevrey-weighted Picard iterations, the fourth-order exponential (ETDRK4)
-march with step-doubling error control, and checkpoint-based continuation.
+plain and Gevrey-weighted Picard iterations, constant calibration, the long-time
+march and checkpoint-based continuation.
 
 The fixed-point map is psi(theta) = L0 - B(theta, theta) on a uniform time grid,
 with L0 the semigroup trajectory of the initial data and B the Duhamel integral
@@ -12,18 +12,16 @@ iterates phi = -theta, whose kernels are those of theta (the nonlinearity is
 quadratic), so that recursion yields phi's next iterate, which overwrites the
 engine's one node stack node by node.
 
+The march is a stepper and a driver: `Etdrk4Stepper` holds the ETDRK4 scheme,
+its propagators, the step-doubling error control and the kernel count; `evolve`
+targets the steps, records the trace and its energy quadrature, and aborts.
+
 Layouts (see `grid`): the solver holds only the half layout, the columns
 k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate, every
 `Trajectory` stack, the march state, its propagators and every norm taken of them
 are half-layout arrays. The full layout is filled only where a field leaves the
 solver as a `SpectralField`: `Trajectory.field`, `on_checkpoint` and
 `EvolveResult.final`.
-
-Calibration of C1..C4 takes one parameter set or a sequence of sets that share
-s (a sweep's lattice) and is one pass over the random samples: each pair is
-drawn, normed and put through the kernel once, and streamed, so memory does not
-grow with the number of samples; each set's tables are bit-identical to those
-of its own call.
 """
 
 from __future__ import annotations
@@ -574,29 +572,110 @@ class EvolveResult:
         return self.aborted and self.abort_reason.startswith("interrupted")
 
 
+class Etdrk4Stepper:
+    """One march's ETDRK4 scheme (Cox & Matthews 2002) and its error control on
+    the half layout. It holds the multiplier `A`, the propagators of the last dt
+    (exp and the phi functions run once per build, on one stacked call),
+    `kernel_calls`, and `dt`, the next proposal, which fixed and linear steps keep.
+    An adaptive step is two half steps, kept, checked in H^s against one full step
+    by the 1/5-power controller: 10 kernel calls; a fixed step takes 3."""
+
+    def __init__(self, grid: GridSpec, p: DissipParams, dt: float, *, nonlinear: bool = True,
+                 adaptive: bool = True, rtol: float = 1e-8, atol: float = 1e-12,
+                 dt_min: float = 0.0):
+        self.grid, self.s, self.dt = grid, p.s, dt
+        self.A = dissipation_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
+        self.nonlinear, self.adaptive = nonlinear, nonlinear and adaptive
+        self.rtol, self.atol, self.dt_min = rtol, atol, dt_min  # a rejection at dt <= dt_min fails
+        self.kernel_calls = 0
+        self._built = (None, None, None)  # (dt, full-step, half-step coefficients)
+
+    def rhs(self, c: np.ndarray, with_max_u: bool = False):
+        """The kernel of c (None on the linear path) and, if asked, max |u|."""
+        # overflow here surfaces as a non-finite state and aborts the march
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not self.nonlinear:
+                return None, _velocity(c, self.grid, with_max_u)[2]
+            self.kernel_calls += 1
+            Nc, max_u = _nonlinear_raw(c, self.grid, with_max_u=with_max_u)
+            return -Nc, max_u
+
+    def _propagators(self, dt: float):
+        # a step of size h takes its weights from e^-x and phi_k(x) at x = h A and
+        # its stage factors from x / 2, so dt A and dt A / 2 serve the step, and
+        # dt A / 4 the half steps
+        if self._built[0] != dt:
+            x = np.multiply.outer([f * dt for f in (1.0, 0.5, 0.25)[:3 if self.adaptive else 2]],
+                                  self.A)
+            built = list(zip(np.exp(-x), *phi_functions(x)))
+
+            def coefficients(h, at_h, at_half):
+                E, p1, p2, p3 = at_h
+                return (E, at_half[0], 0.5 * h * at_half[1], h * (p1 - 3.0 * p2 + 4.0 * p3),
+                        2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
+
+            self._built = (dt, coefficients(dt, *built[:2]),
+                           coefficients(0.5 * dt, *built[1:]) if self.adaptive else None)
+        return self._built[1:]
+
+    def _etdrk4(self, c, N_c, E, E2, Q, f1, f2, f3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            E2c = E2 * c
+            a = E2c + Q * N_c
+            N_a = self.rhs(a)[0]
+            N_b = self.rhs(E2c + Q * N_a)[0]
+            N_d = self.rhs(E2 * a + Q * (2.0 * N_b - N_c))[0]
+            return E * c + f1 * N_c + f2 * (N_a + N_b) + f3 * N_d
+
+    def step(self, c: np.ndarray, N_c, dt: float):
+        """Step the state c, whose kernel is N_c, by dt: (new state, None) when
+        accepted, (None, None) when rejected, (None, cause) when the march must
+        end: "step size collapsed", "non-finite state" or "non-finite error norm"."""
+        if dt <= 0.0 or not math.isfinite(dt):
+            return None, "step size collapsed"
+        full, half = self._propagators(dt)
+        if not self.nonlinear:
+            c_new = full[0] * c
+        elif not self.adaptive:
+            c_new = self._etdrk4(c, N_c, *full)
+        else:  # two half steps, kept; the one step only checks them
+            mid = self._etdrk4(c, N_c, *half)
+            c_new = self._etdrk4(mid, self.rhs(mid)[0], *half)
+        if not np.all(np.isfinite(c_new.view(np.float64))):
+            return None, "non-finite state"
+        if self.adaptive:
+            err = float(_hs_norms(c_new - self._etdrk4(c, N_c, *full), self.grid, self.s))
+            if not math.isfinite(err):  # no step size can pass this test
+                return None, "non-finite error norm"
+            scale = self.atol + self.rtol * float(_hs_norms(c_new, self.grid, self.s))
+            factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
+            if err > scale:
+                if dt <= self.dt_min:
+                    return None, "step size collapsed"
+                self.dt = dt * max(0.2, factor)
+                return None, None
+            self.dt = dt * min(5.0, max(0.2, factor))
+        return c_new, None
+
+
 def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool = True,
            rtol: float = 1e-8, atol: float = 1e-12, dt_max: float | None = None,
            dt_fixed: float | None = None, trace_stride: int = 1, checkpoint_times=(),
            on_checkpoint=None, t_offset: float = 0.0) -> EvolveResult:
-    """March the flow to time T with ETDRK4 (Cox & Matthews 2002), exact in the
-    linear decay and fourth order in the dealiased nonlinearity. A step of size dt
-    is one ETDRK4 step; the adaptive march (dt_fixed not given) refines it into two
-    half steps, keeps them, and tests their difference from the one step in H^s.
-    Initial data is projected onto the dealiased band.
+    """March the flow to time T: the driver of one `Etdrk4Stepper`, adaptive
+    unless dt_fixed is given. Initial data is projected onto the dealiased band.
 
-    The error test alone sets an adaptive step, capped by dt_max; a step ends
-    exactly on the next checkpoint or T, and halves the way there rather than
-    leave a sliver. An adaptive step costs 11 nonlinear-kernel calls when
-    accepted and 10 when rejected, a fixed step 4; the result counts them in
-    `kernel_calls`, after one call for the initial state. The trace's
-    `diss_integral` sums the dissipation rate D = 2 sum A |c|^2 over each step by
-    the Hermite (end-corrected trapezoid) rule dt/2 (D0 + D1) + dt^2/12 (D0' - D1'),
-    fourth order, with D' = 4 Re sum A conj(c) (N(c) - A c) from the kernels the
-    march holds at the step's two ends. A non-finite state or
-    H^s error norm, or a failed step at dt <= 1e-13 max(T, 1), ends the march;
-    `abort_reason` then names the cause, and `aborted` is true exactly when it is set.
-    A KeyboardInterrupt in the loop (on_checkpoint's too) ends it as "interrupted
-    at t=...", with the last accepted state as `final` and its row ending the trace.
+    The stepper proposes each step, capped by dt_max; a step ends exactly on the
+    next checkpoint or T, and halves the way there rather than leave a sliver.
+    `kernel_calls` counts one call for the initial state and the stepper's. The
+    trace's `diss_integral` sums the dissipation rate D = 2 sum A |c|^2 over each
+    step by the Hermite (end-corrected trapezoid) rule dt/2 (D0 + D1) +
+    dt^2/12 (D0' - D1'), fourth order, with D' = 4 Re sum A conj(c) (N(c) - A c)
+    from the kernels at the step's two ends. A step the stepper fails ends the
+    march, and `abort_reason` names the cause; `aborted` is true exactly when it
+    is set. A KeyboardInterrupt in the loop (on_checkpoint's too) ends it as
+    "interrupted at t=...". An aborted march ends with the last accepted state
+    as `final` and its row ending the trace.
 
     Trace times are reported as t_offset + t; checkpoint_times are in the same
     offset clock and trigger on_checkpoint(t_global, SpectralField) exactly at
@@ -607,11 +686,15 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     if not theta0.is_mean_zero:
         raise ValueError("evolve requires mean-zero initial data")
     grid = theta0.grid
-    s = p.s
-    h = grid.n2 // 2 + 1  # the state c is on the half layout, columns k2 = 0 .. n2/2
-    A = dissipation_multiplier(grid, p)[:, :h]
+    dt_ceiling = dt_max if dt_max is not None else T
+    if dt_fixed is not None:
+        dt_first = dt_fixed
+    else:  # the linear factor is exact, so without a nonlinearity any step works
+        dt_first = dt_ceiling if not nonlinear else min(1e-3, dt_ceiling)
+    stepper = Etdrk4Stepper(grid, p, dt_first, nonlinear=nonlinear, adaptive=dt_fixed is None,
+                            rtol=rtol, atol=atol, dt_min=1e-13 * max(T, 1.0))
+    A = stepper.A
     A_counted = A * grid.multiplicity  # a half-layout sum against it is the full sum
-    adaptive = nonlinear and dt_fixed is None
 
     def diss_rates(c, N_c):
         # D = 2 sum A |c|^2 and D' = 4 Re sum A conj(c) (N_c - A c) of the state c
@@ -621,116 +704,36 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             dc = -A * c if N_c is None else N_c - A * c
             return 2.0 * float(np.sum(w * c).real), 4.0 * float(np.sum(w * dc).real)
 
-    def propagators(dt):
-        # a step of size h takes its weights from e^-x and phi_k(x) at x = h A and
-        # its stage factors from x / 2, so dt A and dt A / 2 serve the step, and
-        # dt A / 4 the adaptive march's half steps; all are written into one stack,
-        # so that exp and the phi functions run once, elementwise, on every factor
-        factors = (1.0, 0.5, 0.25) if adaptive else (1.0, 0.5)
-        x = np.multiply.outer([f * dt for f in factors], A)
-        built = list(zip(np.exp(-x), *phi_functions(x)))
-
-        def coefficients(h, at_h, at_half):
-            E, p1, p2, p3 = at_h
-            return (E, at_half[0], 0.5 * h * at_half[1], h * (p1 - 3.0 * p2 + 4.0 * p3),
-                    2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
-
-        step = coefficients(dt, *built[:2])
-        return step, coefficients(0.5 * dt, *built[1:]) if adaptive else None
-
-    kernel_calls = 0
-
-    def rhs(c, with_max_u=False):
-        # the kernel of c (None on the linear path) and, at the initial and each
-        # accepted state, whose row the trace may record, max |u|; the ETDRK4
-        # stages do not ask for it
-        nonlocal kernel_calls
-        # overflow here surfaces as a non-finite state and triggers the abort path
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not nonlinear:
-                return None, _velocity(c, grid, with_max_u)[2]
-            kernel_calls += 1
-            Nc, max_u = _nonlinear_raw(c, grid, with_max_u=with_max_u)
-            return -Nc, max_u
-
-    def etdrk4(c, N_c, E, E2, Q, f1, f2, f3):
-        with np.errstate(over="ignore", invalid="ignore"):
-            E2c = E2 * c
-            a = E2c + Q * N_c
-            N_a = rhs(a)[0]
-            N_b = rhs(E2c + Q * N_a)[0]
-            N_d = rhs(E2 * a + Q * (2.0 * N_b - N_c))[0]
-            return E * c + f1 * N_c + f2 * (N_a + N_b) + f3 * N_d
-
     trace = DiagnosticsTrace()
     cps = sorted(float(x) - t_offset for x in checkpoint_times)
     cps = [x for x in cps if 1e-14 < x <= T * (1.0 + 1e-12)]
 
-    c = np.where(grid.dealias_mask[:, :h], theta0.coeffs[:, :h], 0.0)
-    t = 0.0
-    N_c, max_u = rhs(c, with_max_u=True)
+    c = np.where(grid.dealias_mask[:, :A.shape[1]], theta0.coeffs[:, :A.shape[1]], 0.0)
+    t = diss_int = 0.0
+    N_c, max_u = stepper.rhs(c, with_max_u=True)
     rates = diss_rates(c, N_c)
-    diss_int = 0.0
-    dt_ceiling = dt_max if dt_max is not None else T
-    if dt_fixed is not None:
-        dt_prop = dt_fixed
-    else:
-        # the linear factor is exact, so without a nonlinearity any step works
-        dt_prop = dt_ceiling if not nonlinear else min(1e-3, dt_ceiling)
-    _record(trace, grid, p, t + t_offset, c, max_u, dt_prop, diss_int)
-
-    steps_since_trace = 0
+    dt_done = dt_first  # the step that reached the state c; the first proposal at t = 0
+    _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
+    steps_since_trace = accepted = rejected = 0
     reason = None
-    propagated_dt = None
-    accepted = rejected = 0
-
-    dt_done = dt_prop  # the step that reached the state c; dt_prop at t = 0
     try:
         while t < T * (1.0 - 1e-12):
             target = cps[0] if cps else T
-            dt = min(dt_prop, dt_ceiling)
+            dt = min(stepper.dt, dt_ceiling)
             if t + dt >= target * (1.0 - 1e-12):
                 dt = target - t
             elif dt_fixed is None and t + 2.0 * dt > target:
                 # split the way to the target evenly rather than leave a sliver
                 dt = 0.5 * (target - t)
-            if dt <= 0.0 or not math.isfinite(dt):
-                reason = f"step size collapsed (dt={dt})"
+            c_new, cause = stepper.step(c, N_c, dt)
+            if cause is not None:
+                reason = (f"{cause} (dt={dt})" if cause == "step size collapsed"
+                          else f"{cause} at t={t + t_offset:.6g}")
                 break
-
-            if propagated_dt != dt:
-                prop_full, prop_half = propagators(dt)
-                propagated_dt = dt
-
-            if not nonlinear:
-                c_new = prop_full[0] * c
-            elif not adaptive:
-                c_new = etdrk4(c, N_c, *prop_full)
-            else:  # two half steps, kept; the one step only checks them
-                half = etdrk4(c, N_c, *prop_half)
-                c_new = etdrk4(half, rhs(half)[0], *prop_half)
-
-            if not np.all(np.isfinite(c_new.view(np.float64))):
-                reason = f"non-finite state at t={t + t_offset:.6g}"
-                break
-
-            if adaptive:
-                err = float(_hs_norms(c_new - etdrk4(c, N_c, *prop_full), grid, s))
-                if not math.isfinite(err):  # no step size can pass this test
-                    reason = f"non-finite error norm at t={t + t_offset:.6g}"
-                    break
-                scale = atol + rtol * float(_hs_norms(c_new, grid, s))
-                factor = 0.9 * (scale / max(err, 1e-300)) ** (1.0 / 5.0)
-                if err > scale:
-                    if dt <= 1e-13 * max(T, 1.0):
-                        reason = f"step size collapsed (dt={dt})"
-                        break
-                    dt_prop = dt * max(0.2, factor)
-                    rejected += 1
-                    continue
-                dt_prop = dt * min(5.0, max(0.2, factor))
-
-            N_next, max_u_next = rhs(c_new, with_max_u=True)
+            if c_new is None:
+                rejected += 1
+                continue
+            N_next, max_u_next = stepper.rhs(c_new, with_max_u=True)
             rates_next = diss_rates(c_new, N_next)
             step_int = (0.5 * dt * (rates[0] + rates_next[0])
                         + dt * dt / 12.0 * (rates[1] - rates_next[1]))
@@ -748,22 +751,16 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             if steps_since_trace >= trace_stride or done or at_cp:
                 _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
                 steps_since_trace = 0
-    except KeyboardInterrupt:  # an abort at the last accepted state, whose row ends the trace
+    except KeyboardInterrupt:
         reason = f"interrupted at t={t + t_offset:.6g}"
-        complete = min(map(len, vars(trace).values()))  # a row cut short while recorded goes
-        for column in vars(trace).values():
-            del column[complete:]
-        if trace.t[-1] != float(t + t_offset):
-            _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
-
+    # every march ends with the row of its last accepted state; a row cut short goes
+    complete = min(map(len, vars(trace).values()))
+    for column in vars(trace).values():
+        del column[complete:]
+    if trace.t[-1] != float(t + t_offset):
+        _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
     return EvolveResult(trace, SpectralField(grid, full_spectrum(c, grid)), t + t_offset, reason,
-                        rejected, accepted, kernel_calls)
-
-
-def _counted_power(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|c|^2 of a half-layout array, each column times its multiplicity, so
-    that a weighted sum of it is the full-layout sum."""
-    return grid.multiplicity * np.abs(c) ** 2
+                        rejected, accepted, stepper.kernel_calls)
 
 
 def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
@@ -771,7 +768,7 @@ def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
     """Append the diagnostics of the half-layout state c to the trace."""
     h = grid.n2 // 2 + 1
     d1, d2 = symbol_multipliers(grid, p)[:2]
-    mod2 = _counted_power(c, grid)
+    mod2 = grid.multiplicity * np.abs(c) ** 2  # a weighted sum of it is the full sum
     trace.t.append(float(t))
     trace.l2.append(float(np.sqrt(np.sum(mod2))))
     for column, w in ((trace.hs, sobolev_weight(grid, p.s)), (trace.h2, sobolev_weight(grid, 2.0)),

@@ -14,7 +14,7 @@ from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
                               dissipation_symbol, gevrey_multiplier, nonlinear_term)
-from aqgsim.solver import (LOG_3_2, ConstantsTable, PicardConfig, Trajectory,
+from aqgsim.solver import (LOG_3_2, ConstantsTable, Etdrk4Stepper, PicardConfig, Trajectory,
                            calibrate_constants, constant_trajectory, duhamel_bilinear,
                            evolve, existence_time, glue_continue, phi_functions, picard_solve,
                            semigroup_trajectory, solve_time_condition, time_grid,
@@ -917,11 +917,15 @@ def test_evolve_checkpoint_hook_called_exactly(grid32, params_sym):
 
 
 def test_evolve_aborts_on_overflow(grid32, params_sym):
+    """The march ends at its last finite state, whose row ends the trace even
+    when the stride would not have recorded it."""
     theta0 = unit_random_field(grid32, 14, 0.0) * 1e9
-    res = evolve(theta0, 50.0, params_sym, dt_fixed=1.0)
-    assert res.aborted
-    assert "non-finite" in res.abort_reason
-    assert np.all(np.isfinite(res.final.coeffs.view(np.float64)))
+    for trace_stride in (1, 5):
+        res = evolve(theta0, 50.0, params_sym, dt_fixed=1.0, trace_stride=trace_stride)
+        assert res.aborted
+        assert "non-finite" in res.abort_reason
+        assert np.all(np.isfinite(res.final.coeffs.view(np.float64)))
+        assert res.t_final > 0.0 and res.trace.t[-1] == res.t_final
 
 
 def test_evolve_aborts_on_non_finite_error_norm(grid32):
@@ -1053,6 +1057,60 @@ def test_evolve_kernel_calls_per_step(grid32, params, kernel_calls):
     assert res.accepted_steps == len(res.trace.t) - 1 == 10
     assert res.rejected_steps == 0
     assert res.kernel_calls == len(kernel_calls) == 1 + 4 * 10
+    kernel_calls.clear()
+    res = evolve(theta0, 0.02, params, nonlinear=False, dt_max=0.002)
+    assert res.accepted_steps == len(res.trace.t) - 1 == 10
+    assert res.rejected_steps == 0
+    assert res.kernel_calls == len(kernel_calls) == 0
+
+
+@pytest.mark.parametrize("march", [{"dt_fixed": 0.01}, {"rtol": 1e-8}], ids=["fixed", "adaptive"])
+def test_one_stepper_step_from_a_checkpoint_matches_evolve(grid32, params, march, tmp_path,
+                                                           monkeypatch):
+    """From a state that a march wrote as a checkpoint, one `Etdrk4Stepper.step`
+    at the march's next dt gives the march's next state bit for bit. With the
+    kernel of the new state, the step costs what the march charges for it: 4
+    kernel calls fixed, 11 adaptive; a step that a tighter tolerance rejects
+    costs 10 and proposes a shorter one."""
+    import aqgsim.solver as solver
+    from aqgsim.checkpoint import read_checkpoint, write_checkpoint
+
+    states, record = [], solver._record
+
+    def keeping(trace, grid, p, t, c, *args):
+        states.append(c.copy())
+        record(trace, grid, p, t, c, *args)
+
+    monkeypatch.setattr(solver, "_record", keeping)
+    path = tmp_path / "cp.aqgs"
+    res = evolve(unit_random_field(grid32, 3, params.s), 0.1, params, checkpoint_times=[0.05],
+                 on_checkpoint=lambda t, f: write_checkpoint(path, f, params, t), **march)
+    cp = read_checkpoint(path)
+    k = res.trace.t.index(cp.t)
+    dt = res.trace.dt[k + 1]
+    c = cp.field.coeffs[:, :grid32.n2 // 2 + 1]
+    assert np.array_equal(c, states[k])  # equal up to the sign of zero
+    adaptive = "dt_fixed" not in march
+    stepper = Etdrk4Stepper(grid32, params, dt, adaptive=adaptive)
+    c_new, cause = stepper.step(c, stepper.rhs(c)[0], dt)
+    stepper.rhs(c_new)
+    assert cause is None and c_new.tobytes() == states[k + 1].tobytes()
+    assert stepper.kernel_calls == 1 + (11 if adaptive else 4)
+    if not adaptive:
+        assert stepper.dt == dt
+    else:
+        tight = Etdrk4Stepper(grid32, params, dt, rtol=1e-12, atol=0.0)
+        assert tight.step(c, tight.rhs(c)[0], dt) == (None, None)
+        assert tight.kernel_calls == 1 + 10 and tight.dt < dt
+
+
+def test_a_linear_step_checks_the_state_too(grid32, params):
+    """The linear path has no kernel, yet a non-finite state still fails the step."""
+    stepper = Etdrk4Stepper(grid32, params, 0.01, nonlinear=False)
+    c = np.zeros(grid32.half_shape, dtype=np.complex128)
+    c[1, 1] = math.nan
+    assert stepper.step(c, None, 0.01) == (None, "non-finite state")
+    assert stepper.kernel_calls == 0
 
 
 def test_evolve_no_sliver_steps(grid32, params):
