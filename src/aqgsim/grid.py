@@ -11,17 +11,18 @@ and what checkpoints store. The half layout is the rfft2 half spectrum, the
 solver `Trajectory` stores: the k2 < 0 half of a real field is an exact conjugate
 copy of it. A half-layout sum counts each column with its `multiplicity` (1 on the
 self-conjugate columns k2 = 0 and n2/2, 2 elsewhere), so it equals the full sum.
+Multipliers and weights are half-layout, built once from `k1` and `half_k2`; the
+full layout lives only in `SpectralField`, its operations and checkpoints.
 
 This module is the package's spectral workspace. `from_physical` and
 `to_physical` transform full-layout fields; `half_from_physical` (rfft2, scaled,
 then `self_conjugate_columns`) and `half_to_physical` (irfft2 of the columns
 k2 = 0 .. n2/2) are the half-layout pair that the nonlinear kernel in `operators`
-and the oversampled product in `lemmas` use. `full_spectrum`, the one Hermitian
-fill, turns a half array or stack into the full layout; `from_physical` is
-`half_from_physical` followed by it. `sobolev_weight` and `half_sobolev_weight`
-(multiplicity folded in), each cached read-only per (grid, s, homogeneous), are
-the only builders of the (1+|k|^2)^s and |k|^{2s} weights (the dissipation and
-Gevrey symbols are cached in `operators.symbol_multipliers`).
+and the lemma suite use. `full_spectrum`, the one Hermitian fill, turns a half
+array or stack into the full layout; `from_physical` is `half_from_physical`
+followed by it. `half_sobolev_weight`, cached read-only per (grid, s,
+homogeneous), is the one builder of the (1+|k|^2)^s and |k|^{2s} weights (the
+symbols are cached in `operators.symbol_multipliers`).
 `self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2 of a half array
 their own reflection and the four self-conjugate modes real; it is idempotent.
 Multipliers even in k keep that symmetry exact, so no caller repairs it after an
@@ -61,18 +62,21 @@ class GridSpec:
         return (np.fft.fftfreq(self.n2) * self.n2).reshape(1, self.n2)
 
     @cached_property
-    def k_sq(self) -> np.ndarray:
-        return self.k1**2 + self.k2**2
+    def half_k2(self) -> np.ndarray:
+        """k2 of the half-layout columns, (1, n2/2 + 1): 0 .. n2/2 - 1, then -n2/2."""
+        return self.k2[:, :self.n2 // 2 + 1]
+
+    @cached_property
+    def half_k_sq(self) -> np.ndarray:
+        """|k|^2 on the half layout."""
+        return self.k1**2 + self.half_k2**2
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep |k1| <= n1//3 and |k2| <= n2//3."""
-        return (np.abs(self.k1) <= self.n1 // 3) & (np.abs(self.k2) <= self.n2 // 3)
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True at self-conjugate (Nyquist) rows/columns."""
-        return (self.k1 == -(self.n1 // 2)) | (self.k2 == -(self.n2 // 2))
+        """Read-only 2/3-rule mask on the half layout: keep |k1| <= n1//3 and |k2| <= n2//3."""
+        mask = (np.abs(self.k1) <= self.n1 // 3) & (np.abs(self.half_k2) <= self.n2 // 3)
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
@@ -143,42 +147,22 @@ def to_physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.ifft2(coeffs, norm="forward").real
 
 
-def sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:
-    """Read-only (1+|k|^2)^s, or |k|^{2s} with the k=0 entry zero when homogeneous."""
-    return _sobolev_weight(grid, float(s), bool(homogeneous))
-
-
-@lru_cache(maxsize=64)
-def _sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
-    w = _weight_of(grid.k_sq, s, homogeneous)
-    w.flags.writeable = False
-    return w
-
-
 def half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:
-    """Read-only `sobolev_weight` on the half layout times the column
-    multiplicity, so that a sum against it over columns k2 = 0 .. n2/2 of a
-    Hermitian field's power is the full-layout sum."""
+    """Read-only (1+|k|^2)^s, or |k|^{2s} with the k=0 entry zero when homogeneous,
+    on the half layout and times the column multiplicity, so that a sum against
+    it over columns k2 = 0 .. n2/2 of a Hermitian field's power is the
+    full-layout sum."""
     return _half_sobolev_weight(grid, float(s), bool(homogeneous))
 
 
 @lru_cache(maxsize=64)
 def _half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndarray:
-    w = _weight_of(grid.k_sq[:, :grid.n2 // 2 + 1], s, homogeneous)
+    with np.errstate(divide="ignore"):  # 0 ** s at k = 0, a term |k|^{2s} omits
+        w = (grid.half_k_sq if homogeneous else 1.0 + grid.half_k_sq) ** s
+    if homogeneous:
+        w[0, 0] = 0.0
     w *= grid.multiplicity
     w.flags.writeable = False
-    return w
-
-
-def _weight_of(k_sq: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
-    """(1+|k|^2)^s, or |k|^{2s} with the k=0 entry (the first) zero when homogeneous."""
-    if homogeneous:
-        ksq = k_sq.copy()
-        ksq[0, 0] = 1.0  # dummy; the k=0 term is excluded below
-        w = ksq**s
-        w[0, 0] = 0.0
-    else:
-        w = (1.0 + k_sq) ** s
     return w
 
 
@@ -255,7 +239,8 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
     def dealiased(self) -> "SpectralField":
-        return SpectralField(self.grid, np.where(self.grid.dealias_mask, self.coeffs, 0.0))
+        half = np.where(self.grid.dealias_mask, self.coeffs[:, :self.grid.n2 // 2 + 1], 0.0)
+        return SpectralField(self.grid, full_spectrum(half, self.grid))
 
 
 # -- constructors -------------------------------------------------------------

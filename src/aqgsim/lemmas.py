@@ -18,9 +18,12 @@ reports are those of a whole-array scan.
 Each ensemble sample is evaluated in one pass: every field's power |c|^2 and
 grid values are formed once, and each field's norms are taken together, its
 H^s norms in one stacked reduction and its Lp norms from one scaling by its max.
-These are the reductions of `norms`, so the reports are bit-identical to those
-of the per-call norms. The oversampled product fg is formed on the half layout:
-irfft2 of each padded factor's columns k2 >= 0, rfft2 of the product back.
+These are the reductions of `norms`, so the H^s reports are bit-identical to
+those of the per-call norms. Like the solver, the suite works on the half layout
+(the full one lives only in `SpectralField`): its |grad|^a and directional
+multipliers are half-layout; |f| and |u| are irfft2 of half arrays, within
+rounding of the complex transform of `lp_norm`; and the oversampled product fg
+is irfft2 of each padded factor's columns k2 >= 0, rfft2 of the product back.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (GridSpec, SpectralField, full_spectrum, half_from_physical,
-                   half_to_physical, sobolev_weight, to_physical)
+from .grid import GridSpec, SpectralField, full_spectrum, half_from_physical, half_to_physical
 from .norms import _hs_table, _lp_table
-from .operators import DissipParams, gevrey_symbol, riesz_multipliers
+from .operators import DissipParams, _velocity, gevrey_symbol
 
 REL_SLACK = 1e-12  # rounding slack for exact (constant-free) inequalities
 GAP_SLACK = 1e-9  # rounding slack of the weight-gap identity and of its floor -2
@@ -375,10 +377,11 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     Each sample pair (f, g) is evaluated in one pass. The power |c|^2 of each
     field the checks read (f, g, fg, |grad|^a f and each directional power of f)
     is formed once, on the half layout that the norm sums read, and so are the
-    grid values |f| and |u| = |R^perp f|. Each field's norms are then taken in one
-    go, the H^s ones by `_hs_table` and the Lp ones by `_lp_table`, which give the
-    bits of `norms`, so each ratio is bit-identical to the one the public
-    per-call norms give.
+    grid values |f| and |u| = |R^perp f|, by irfft2 of half-layout arrays. Each
+    field's norms are then taken in one go, the H^s ones by `_hs_table` and the
+    Lp ones by `_lp_table`, which give the bits of `norms`: each H^s ratio is
+    bit-identical to the one the public per-call norms give, and each Lp ratio
+    to the one `_lp` gives of the same grid values.
     """
     reps = {r.inequality: r for r in (
         InequalityReport("interpolation_homogeneous",
@@ -400,14 +403,13 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     )}
     a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
     grid = spec.grid
-    m1, m2 = riesz_multipliers(grid)
     fine = GridSpec(2 * grid.n1, 2 * grid.n2)  # the grid of the product fg
     h = grid.n2 // 2 + 1
-    grad_a = sobolev_weight(grid, a / 2.0, True)[:, :h]
+    grad_a = grid.half_k_sq ** (a / 2.0)  # |k|^a, 0 at k = 0
     # |k1| and |k2|, with the axes swapped when alpha > beta
-    k_ax1, k_ax2 = (np.abs(grid.k2), np.abs(grid.k1)) if p.alpha > p.beta else \
-        (np.abs(grid.k1), np.abs(grid.k2))
-    d1a, d2a, d2b = (m[:, :h] for m in (k_ax1**a, k_ax2**a, k_ax2**b))
+    k_ax1, k_ax2 = (np.abs(grid.half_k2), np.abs(grid.k1)) if p.alpha > p.beta else \
+        (np.abs(grid.k1), np.abs(grid.half_k2))
+    d1a, d2a, d2b = k_ax1**a, k_ax2**a, k_ax2**b
     f_orders, g_orders, fg_orders, dir_orders = _hs_orders(p)
     lp_f_exponents = tuple(dict.fromkeys(SOBOLEV_EXPONENTS + CZ_EXPONENTS))
 
@@ -416,9 +418,9 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
         g = random_band_limited_field(spec, 2 * i + 1).coeffs
         f_half = f[:, :h]
         nf = _hs_table(np.abs(f_half) ** 2, grid, f_orders)
-        lp_f = _lp_table(np.abs(to_physical(f, grid)), lp_f_exponents)
-        lp_u = _lp_table(np.sqrt(to_physical(m1 * f, grid) ** 2 + to_physical(m2 * f, grid) ** 2),
-                         CZ_EXPONENTS)
+        lp_f = _lp_table(np.abs(half_to_physical(f_half, grid)), lp_f_exponents)
+        u1, u2, _ = _velocity(f_half, grid)
+        lp_u = _lp_table(np.sqrt(u1**2 + u2**2), CZ_EXPONENTS)
         _interpolation_checks(reps, nf, i)
         _sobolev_injection_check(reps["sobolev_injection"], nf, lp_f, i)
         _product_law_checks(reps, nf, _hs_table(np.abs(g[:, :h]) ** 2, grid, g_orders),

@@ -6,8 +6,10 @@ The coefficient sums (`_hs_norms`, `_hs_from_power`, `_hs_table`, `_gevrey_norm`
 read only the half layout, the columns k2 = 0 .. n2/2 of their input, and sum
 them against `grid.half_sobolev_weight`, which counts each column with its
 multiplicity; so they accept a Hermitian field in either layout, and the solver
-passes its half working arrays. `_hs_table` and `_lp_table` take many norms of
-one field in one pass, with the bits of `_hs_from_power` and `_lp`.
+passes its half working arrays. Every weight they apply is half-layout; the full
+layout lives only in `SpectralField`, its operations and checkpoints.
+`_hs_table` and `_lp_table` take many norms of one field in one pass, with the
+bits of `_hs_from_power` and `_lp`.
 
 The Gevrey weight exp((t/2) B(D)) has one exponent, `_gevrey_exponents`, and
 one overflow policy: a saturated or non-finite norm reads as inf. Every
@@ -98,8 +100,8 @@ def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float)
     """Homogeneous H^s norm of |d_axis|^exponent f."""
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    k = f.grid.k1 if axis == 1 else f.grid.k2
-    return _hs_norm(np.abs(k) ** exponent * f.coeffs, f.grid, s, homogeneous=True)
+    k = f.grid.k1 if axis == 1 else f.grid.half_k2
+    return _hs_norm(np.abs(k) ** exponent * f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid, s, True)
 
 
 def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> float:
@@ -130,8 +132,7 @@ def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
 
 def _gevrey_exponents(grid: GridSpec, times, p: DissipParams) -> np.ndarray:
     """The weight exponents (t/2) B(k) on the half layout, one row per time."""
-    B = gevrey_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
-    return (0.5 * np.asarray(times, dtype=np.float64))[:, None, None] * B
+    return (0.5 * np.asarray(times, dtype=np.float64))[:, None, None] * gevrey_multiplier(grid, p)
 
 
 def _gevrey_weights(grid: GridSpec, times, p: DissipParams) -> np.ndarray:

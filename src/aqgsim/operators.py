@@ -6,11 +6,14 @@ term is div(theta u) computed pseudospectrally under the 2/3 rule on the half
 spectrum (columns k2 = 0 .. n2/2): theta and u come to the grid by irfft2 of
 those columns, and the mask is folded into derivative multipliers on the rfft2
 half spectrum of the fluxes. The kernel's result stays on that half layout
-(`_nonlinear_raw`, what the solver consumes); `nonlinear_term`, which returns a
-`SpectralField`, fills in the full layout. Grid multipliers are built once and cached
-read-only: `symbol_multipliers` per (grid, params), read by
-`dissipation_multiplier` and `gevrey_multiplier`, and `riesz_multipliers` and
-`_kernel_multipliers` per grid.
+(`_nonlinear_raw`, what the solver consumes).
+
+Multipliers are half-layout, built once on the columns k2 = 0 .. n2/2 and cached
+read-only (`symbol_multipliers` per (grid, params), read by
+`dissipation_multiplier` and `gevrey_multiplier`; `riesz_multipliers` and
+`_kernel_multipliers` per grid), and no caller slices one. The full layout lives
+only in `SpectralField`: `apply_semigroup`, `riesz_velocity` and
+`nonlinear_term` fill it from the half with `full_spectrum`.
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ def gevrey_symbol(k, p: DissipParams):
 
 @lru_cache(maxsize=8)
 def symbol_multipliers(grid: GridSpec, p: DissipParams) -> tuple[np.ndarray, ...]:
-    """Read-only (|k1|^{2 alpha} column, |k2|^{2 beta} row, A, B), built once per (grid, p)."""
-    d1, d2 = np.abs(grid.k1) ** (2.0 * p.alpha), np.abs(grid.k2) ** (2.0 * p.beta)
-    out = (d1, d2, p.mu * d1 + p.nu * d2, gevrey_symbol((grid.k1, grid.k2), p))
+    """Read-only (|k1|^{2 alpha} column, |k2|^{2 beta} row, A, B) on the half
+    layout, built once per (grid, p)."""
+    d1, d2 = np.abs(grid.k1) ** (2.0 * p.alpha), np.abs(grid.half_k2) ** (2.0 * p.beta)
+    out = (d1, d2, p.mu * d1 + p.nu * d2, gevrey_symbol((grid.k1, grid.half_k2), p))
     for m in out:
         m.flags.writeable = False
     return out
@@ -104,19 +108,20 @@ def gevrey_multiplier(grid: GridSpec, p: DissipParams) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def riesz_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only velocity multipliers (-i k2/|k|, i k1/|k|), built once per grid;
-    zero at k=0 and on Nyquist lines.
+    """Read-only velocity multipliers (-i k2/|k|, i k1/|k|) on the half layout,
+    built once per grid; zero at k=0 and on the Nyquist row and column.
 
     Nyquist rows/columns are self-conjugate, where an imaginary multiplier would
     break real-valuedness; dynamical fields live inside the dealiased band where
     this zeroing is vacuous.
     """
-    kmag = np.sqrt(grid.k_sq)
+    kmag = np.sqrt(grid.half_k_sq)
     kmag[0, 0] = 1.0  # avoid 0/0; the zero mode is zeroed explicitly below
-    m1 = -1j * grid.k2 / kmag
+    inside = (grid.k1 != -(grid.n1 // 2)) & (grid.half_k2 != -(grid.n2 // 2))
+    m1 = -1j * grid.half_k2 / kmag
     m2 = 1j * grid.k1 / kmag
     for m in (m1, m2):
-        m *= ~grid.nyquist_mask
+        m *= inside
         m[0, 0] = 0.0
         m.flags.writeable = False
     return m1, m2
@@ -127,12 +132,17 @@ def _require_mean_zero(theta: SpectralField, op: str) -> None:
         raise ValueError(f"{op} requires a mean-zero field (Riesz multiplier is singular at k=0)")
 
 
+def _apply(m: np.ndarray, f: SpectralField) -> SpectralField:
+    """m(D) f for a half-layout multiplier m of a real operator, m(-k) = conj(m(k)):
+    m times the columns k2 = 0 .. n2/2 of f, with the rest filled by `full_spectrum`."""
+    return SpectralField(f.grid, full_spectrum(m * f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid))
+
+
 def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """u = R^perp theta: divergence-free velocity from the scalar field."""
     _require_mean_zero(theta, "riesz_velocity")
     m1, m2 = riesz_multipliers(theta.grid)
-    return (SpectralField(theta.grid, m1 * theta.coeffs),
-            SpectralField(theta.grid, m2 * theta.coeffs))
+    return _apply(m1, theta), _apply(m2, theta)
 
 
 @lru_cache(maxsize=8)
@@ -141,15 +151,12 @@ def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     half spectrum (columns k2 = 0 .. n2/2) that irfft2 and rfft2 read and write:
     the Riesz multipliers and the dealiased derivatives d_j = i k_j / (n1 n2),
     zero outside the 2/3 band."""
-    h = grid.n2 // 2 + 1
-    m1, m2 = (np.ascontiguousarray(m[:, :h]) for m in riesz_multipliers(grid))
-    mask = grid.dealias_mask[:, :h]
-    d1, d2 = (np.zeros(mask.shape, dtype=np.complex128) for _ in range(2))
-    d1.imag, d2.imag = (np.where(mask, k / (grid.n1 * grid.n2), 0.0)
-                        for k in (grid.k1, grid.k2[:, :h]))
-    for m in (m1, m2, d1, d2):
+    d1, d2 = (np.zeros(grid.half_shape, dtype=np.complex128) for _ in range(2))
+    d1.imag, d2.imag = (np.where(grid.dealias_mask, k / (grid.n1 * grid.n2), 0.0)
+                        for k in (grid.k1, grid.half_k2))
+    for m in (d1, d2):
         m.flags.writeable = False
-    return m1, m2, d1, d2
+    return (*riesz_multipliers(grid), d1, d2)
 
 
 def _velocity(coeffs: np.ndarray, grid: GridSpec,
@@ -195,5 +202,4 @@ def apply_semigroup(f: SpectralField, t: float, p: DissipParams) -> SpectralFiel
     """exp(-t A(D)) f, the exact solution operator of the linear flow."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    decay = np.exp(-t * dissipation_multiplier(f.grid, p))
-    return SpectralField(f.grid, decay * f.coeffs)
+    return _apply(np.exp(-t * dissipation_multiplier(f.grid, p)), f)

@@ -19,9 +19,9 @@ targets the steps, records the trace and its energy quadrature, and aborts.
 Layouts (see `grid`): the solver holds only the half layout, the columns
 k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate, every
 `Trajectory` stack, the march state, its propagators and every norm taken of them
-are half-layout arrays. The full layout is filled only where a field leaves the
-solver as a `SpectralField`: `Trajectory.field`, `on_checkpoint` and
-`EvolveResult.final`.
+are half-layout arrays, as is every multiplier they read. The full layout is
+filled only where a field leaves the solver as a `SpectralField`:
+`Trajectory.field`, `on_checkpoint` and `EvolveResult.final`.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum, sobolev_weight
+from .grid import GridSpec, SpectralField, full_spectrum
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
 from .norms import (_gevrey_norm, _gevrey_norms, _gevrey_weights, _hs_norm, _hs_norms,
-                    _weighted_hs_norms, sobolev_norm)
+                    _hs_table, _weighted_hs_norms, sobolev_norm)
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
                         symbol_multipliers, _nonlinear_raw, _velocity)
 
@@ -221,7 +221,7 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
                          p: DissipParams) -> Trajectory:
     """L0: exact linear evolution of theta0 sampled on the time grid."""
     grid, times = theta0.grid, np.asarray(times, dtype=float)
-    A, half = (m[:, :grid.n2 // 2 + 1] for m in (dissipation_multiplier(grid, p), theta0.coeffs))
+    A, half = dissipation_multiplier(grid, p), theta0.coeffs[:, :grid.n2 // 2 + 1]
     stack = np.empty((times.size, *grid.half_shape), dtype=np.complex128)
     for j, t in enumerate(times):
         stack[j] = np.exp(-t * A) * half
@@ -241,7 +241,7 @@ def _duhamel_nodes(N, dt: float, grid: GridSpec, p: DissipParams, out0=None):
     updated in place by the next step, so a caller that keeps a node copies it.
     """
     acc = np.zeros(grid.half_shape, dtype=np.complex128) if out0 is None else out0
-    E = np.exp(-dt * dissipation_multiplier(grid, p)[:, :grid.n2 // 2 + 1])
+    E = np.exp(-dt * dissipation_multiplier(grid, p))
     N = iter(N)
     prev = next(N)
     tmp = np.empty_like(acc)
@@ -324,7 +324,8 @@ class PicardReport:
 
 
 def weight_domination_slack(p: DissipParams, T: float, grid: GridSpec) -> float:
-    """max over retained modes and times t in [0, T] of (t/2)B(k) - t A(k) - t.
+    """max over retained modes (the half layout: A, B are even in k2) and times
+    t in [0, T] of (t/2)B(k) - t A(k) - t.
 
     Nonpositive iff the weighted semigroup obeys exp((t/2)B - tA) <= e^t mode-wise
     (exact when mu = nu = 1, from A - B >= -2). It is t x, x = max(0.5 B - A - 1),
@@ -449,8 +450,8 @@ def calibrate_constants(p: DissipParams | Sequence[DissipParams], n_samples: int
     table of its own call. The calibration is one pass over the samples: each
     pair f, g is drawn, normed and put through the kernel once, and streamed, so
     memory does not grow with n_samples. Each parameter set builds its W and its
-    Gevrey weights for the four horizons once, as two (4, n1, n2/2 + 1) stacks
-    (about 0.2 MB), and takes each norm of a sample at every horizon in one
+    Gevrey weights for the four horizons once, as two real (4, n1, n2/2 + 1)
+    stacks (about 0.14 MB), and takes each norm of a sample at every horizon in one
     stacked reduction; the ratios are updated sample by sample, horizon by
     horizon, as one call per set would.
     """
@@ -463,9 +464,9 @@ def calibrate_constants(p: DissipParams | Sequence[DissipParams], n_samples: int
     spec = FieldEnsembleSpec(grid, seed=seed, count=2 * n_samples, kmax=_CALIBRATION_KMAX,
                              spectrum_slope=_CALIBRATION_SLOPE)
     s = params[0].s
-    # the recursion holds one half-layout node, so its last is W_T with no node stack
+    # W_T, the recursion's last node (no node stack), is real from all-ones kernels
     setups = [(np.stack([deque(_duhamel_nodes(itertools.repeat(1.0, n_nodes),
-                                              T / (n_nodes - 1), grid, q), maxlen=1)[0]
+                                              T / (n_nodes - 1), grid, q), maxlen=1)[0].real
                          for T in _CALIBRATION_HORIZONS]),
                _gevrey_weights(grid, _CALIBRATION_HORIZONS, q),
                [(_power_sum(T, _step1_exponents(q)), _power_sum(T, _step2_exponents(q)),
@@ -484,11 +485,12 @@ def calibrate_constants(p: DissipParams | Sequence[DissipParams], n_samples: int
                         for x in (B, f.coeffs, g.coeffs))
             norms = zip(_hs_norms(B, grid, s).tolist(), *weighted, gains)
             for lhs_plain, lhs_w, nfw, ngw, (g1, g2, eT) in norms:
-                r["C1"] = max(r["C1"], lhs_plain / (g1 * nf * ng))
+                # a power sum underflows to 0.0 (alpha or beta near 0): it bounds nothing
+                if g1 > 0.0:
+                    r["C1"] = max(r["C1"], lhs_plain / (g1 * nf * ng))
+                    r["C3"] = max(r["C3"], lhs_w / (eT * g1 * nfw * ngw))
                 if g2 > 0.0:
                     r["C2"] = max(r["C2"], lhs_plain / (g2 * nf * ng))
-                r["C3"] = max(r["C3"], lhs_w / (eT * g1 * nfw * ngw))
-                if g2 > 0.0:
                     r["C4"] = max(r["C4"], lhs_w / (eT * g2 * nfw * ngw))
     tables = [ConstantsTable(*(2.0 * max(r[k], 1e-12) for k in ("C1", "C2", "C3", "C4")))
               for r in ratios]
@@ -584,7 +586,7 @@ class Etdrk4Stepper:
                  adaptive: bool = True, rtol: float = 1e-8, atol: float = 1e-12,
                  dt_min: float = 0.0):
         self.grid, self.s, self.dt = grid, p.s, dt
-        self.A = dissipation_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
+        self.A = dissipation_multiplier(grid, p)
         self.nonlinear, self.adaptive = nonlinear, nonlinear and adaptive
         self.rtol, self.atol, self.dt_min = rtol, atol, dt_min  # a rejection at dt <= dt_min fails
         self.kernel_calls = 0
@@ -708,7 +710,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     cps = sorted(float(x) - t_offset for x in checkpoint_times)
     cps = [x for x in cps if 1e-14 < x <= T * (1.0 + 1e-12)]
 
-    c = np.where(grid.dealias_mask[:, :A.shape[1]], theta0.coeffs[:, :A.shape[1]], 0.0)
+    c = np.where(grid.dealias_mask, theta0.coeffs[:, :grid.n2 // 2 + 1], 0.0)
     t = diss_int = 0.0
     N_c, max_u = stepper.rhs(c, with_max_u=True)
     rates = diss_rates(c, N_c)
@@ -766,14 +768,15 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
 def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
             c: np.ndarray, max_u: float, dt: float, diss_int: float) -> None:
     """Append the diagnostics of the half-layout state c to the trace."""
-    h = grid.n2 // 2 + 1
     d1, d2 = symbol_multipliers(grid, p)[:2]
-    mod2 = grid.multiplicity * np.abs(c) ** 2  # a weighted sum of it is the full sum
+    power = np.abs(c) ** 2
+    norms = _hs_table(power, grid, ((0.0, False), (p.s, False), (2.0, False)))
+    mod2 = grid.multiplicity * power  # a weighted sum of it is the full sum
     trace.t.append(float(t))
-    trace.l2.append(float(np.sqrt(np.sum(mod2))))
-    for column, w in ((trace.hs, sobolev_weight(grid, p.s)), (trace.h2, sobolev_weight(grid, 2.0)),
-                      (trace.diss1, d1), (trace.diss2, d2)):
-        column.append(float(np.sqrt(np.sum(w[:, :h] * mod2))))
+    for column, s in ((trace.l2, 0.0), (trace.hs, p.s), (trace.h2, 2.0)):
+        column.append(norms[s, False])
+    for column, w in ((trace.diss1, d1), (trace.diss2, d2)):
+        column.append(float(np.sqrt(np.sum(w * mod2))))
     trace.gevrey_hs.append(_gevrey_norm(c, grid, max(t, 0.0), p.s, p))
     trace.max_u.append(float(max_u))
     trace.dt.append(float(dt))

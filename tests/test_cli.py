@@ -374,6 +374,24 @@ def test_overflowing_scalar_input_is_not_a_traceback(tmp_path, capsys, command, 
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("picard", {"params": {"alpha": 1e-9, "beta": 1e-9, "s": 1.0}}),
+    ("picard", {"params": {"alpha": 1e-6, "beta": 1e-6, "s": 0.5}}),
+    ("sweep", {"sweep": {"alphas": [1e-9], "betas": [1e-9]}}),
+], ids=["picard-1e-9", "picard-1e-6-s0.5", "sweep-1e-9"])
+def test_calibration_at_vanishing_exponents_exits_0(tmp_path, command, overrides):
+    """At alpha = beta near 0 the power sum sum_i T^{a_i} of the low-regularity
+    condition, with a_i near -1/(2 alpha), underflows to 0.0 at the calibration
+    horizons; there it bounds nothing, and the run ends with exit code 0."""
+    small = {"grid": {"n1": 16, "n2": 16}, "init": {"kmax": 5}, "lemmas": {"kmax": 5},
+             "constants": {"mode": "calibrate", "samples": 2}, "picard": {"n_nodes": 8},
+             **overrides}
+    cfg = write_config(tmp_path, small)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("s, mode, ok", [(146.0, "explicit", True), (147.0, "explicit", False),
                                          (93.0, "calibrate", True), (94.0, "calibrate", False)])
 def test_params_s_bounded_by_run_and_calibration_grids(s, mode, ok):

@@ -9,11 +9,11 @@ import pytest
 
 import aqgsim.lemmas as lemmas
 from aqgsim.grid import (GridSpec, SpectralField, field_from_values, from_physical,
-                         hermitian_defect, sine_field, sobolev_weight, to_physical)
+                         half_to_physical, hermitian_defect, sine_field, to_physical)
 from aqgsim.lemmas import (FieldEnsembleSpec, InequalityReport, oversampled_product,
                            random_band_limited_field, scalar_inequality_suite,
                            functional_inequality_suite, total_violations)
-from aqgsim.norms import _lp_table, directional_seminorm, lp_norm, sobolev_norm, vector_lp_norm
+from aqgsim.norms import _lp, _lp_table, directional_seminorm, lp_norm, sobolev_norm
 from aqgsim.operators import DissipParams, riesz_velocity
 
 from conftest import random_real_grid
@@ -125,7 +125,8 @@ def _complex_route_product(f, g, coarse):
         out = np.zeros(fine.shape, dtype=np.complex128)
         i1 = np.rint(coarse.k1[:, 0]).astype(int) % fine.n1
         i2 = np.rint(coarse.k2[0]).astype(int) % fine.n2
-        out[np.ix_(i1, i2)] = np.where(coarse.nyquist_mask, 0.0, c)
+        nyquist = (coarse.k1 == -(coarse.n1 // 2)) | (coarse.k2 == -(coarse.n2 // 2))
+        out[np.ix_(i1, i2)] = np.where(nyquist, 0.0, c)
         return out
 
     return from_physical(to_physical(pad(f), fine) * to_physical(pad(g), fine), fine)
@@ -358,10 +359,17 @@ def test_violation_reporting_machinery():
     assert len(rep.violation_examples) == 10
 
 
+def _real_values(f):
+    """Grid values of f by the inverse real transform of its columns k2 = 0 .. n2/2."""
+    return half_to_physical(f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid)
+
+
 def _per_call_suite(spec, p, blocks):
     """The functional suite with every norm taken by one call of the public
     per-call functions, on SpectralField intermediates: the reference for the
-    one-pass suite. `blocks` gives the names, bound kinds and notes."""
+    one-pass suite. Each Lp norm is `_lp` of the grid values by the inverse
+    real transform, which `lp_norm` takes by the complex one. `blocks` gives
+    the names, bound kinds and notes."""
     reps = {r.inequality: InequalityReport(r.inequality, exact_bound=r.exact_bound, note=r.note)
             for r in blocks}
     update = lemmas._ratio_update
@@ -381,7 +389,7 @@ def _per_call_suite(spec, p, blocks):
                 update(reps["interpolation_inhomogeneous"], sobolev_norm(f, s_mid),
                        n1i**t * n2i ** (1 - t), repro)
         for sigma in lemmas.SOBOLEV_SIGMAS:
-            update(reps["sobolev_injection"], lp_norm(f, 2.0 / (1.0 - sigma)),
+            update(reps["sobolev_injection"], _lp(np.abs(_real_values(f)), 2.0 / (1.0 - sigma)),
                    sobolev_norm(f, sigma, True), {"sample": i, "sigma": sigma})
         fg = oversampled_product(f, g)
         for s1, s2 in lemmas.PRODUCT_PAIRS:
@@ -397,16 +405,17 @@ def _per_call_suite(spec, p, blocks):
                 update(reps["product_law_asymmetric"], lhs, f1 * g2, repro)
             else:
                 reps["product_law_asymmetric"].skipped += 1
-        u1, u2 = riesz_velocity(f)
+        u1, u2 = map(_real_values, riesz_velocity(f))
         for q in lemmas.CZ_EXPONENTS:
-            lhs, rhs = vector_lp_norm(u1, u2, q), lp_norm(f, q)
+            lhs, rhs = _lp(np.sqrt(u1**2 + u2**2), q), _lp(np.abs(_real_values(f)), q)
             update(reps["calderon_zygmund"], lhs, rhs, {"sample": i, "p": q})
             if q == 2.0:
                 rep = reps["calderon_zygmund_p2"]
                 rep.samples += 1
                 rep.worst_ratio = max(rep.worst_ratio, abs(lhs / rhs - 1.0))
                 rep.empirical_constant = max(rep.empirical_constant, lhs / rhs)
-        grad_a = SpectralField(f.grid, sobolev_weight(f.grid, a / 2.0, True) * f.coeffs)
+        k_sq = f.grid.k1**2 + f.grid.k2**2  # on the full layout; 0 ** (a / 2) = 0 at k = 0
+        grad_a = SpectralField(f.grid, k_sq ** (a / 2.0) * f.coeffs)
         for s in (0.0, p.s, 1.0):
             norm_s, seminorm_b = sobolev_norm(f, s, True), directional_seminorm(f, ax2, b, s)
             rhs = norm_s + directional_seminorm(f, ax1, a, s) + seminorm_b
@@ -441,6 +450,11 @@ def test_one_pass_suite_equals_per_call_norms(alpha, beta, n1, n2, monkeypatch):
     for g, w in zip(got, want):
         assert g.samples > 0
         assert vars(g) == vars(w), g.inequality
+    # the real transform's Lp norms are those of `lp_norm` up to rounding
+    for i in range(2 * spec.count):
+        f = random_band_limited_field(spec, i)
+        for q in lemmas.CZ_EXPONENTS:
+            assert _lp(np.abs(_real_values(f)), q) == pytest.approx(lp_norm(f, q), rel=1e-15)
 
 
 def test_suite_forms_each_field_once_per_sample(grid64, params, monkeypatch):
@@ -462,9 +476,9 @@ def test_suite_forms_each_field_once_per_sample(grid64, params, monkeypatch):
     samples = 2
     spec = FieldEnsembleSpec(grid64, seed=3, count=samples, kmax=10, spectrum_slope=2.0)
     functional_inequality_suite(spec, params)
-    # |f| and |u| = |(u1, u2)| at n; the two padded half-layout factors and the
-    # product at 2n
-    assert transforms == {("ifft2", (64, 64)): 3 * samples, ("irfft2", (128, 65)): 2 * samples,
+    # |f| and |u| = |(u1, u2)| from the half layout at n; the two padded
+    # half-layout factors and the product at 2n
+    assert transforms == {("irfft2", (64, 33)): 3 * samples, ("irfft2", (128, 65)): 2 * samples,
                           ("rfft2", (128, 128)): samples}
     # the ensemble draws f and g; every intermediate is a bare coefficient array
     assert fields["built"] == 2 * samples

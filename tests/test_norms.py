@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                         from_physical, sine_field, sobolev_weight, zero_field)
+                         from_physical, sine_field, zero_field)
 from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _gevrey_weights, _hs_from_power,
                           _hs_norm, _hs_norms, _hs_table, _weighted_hs_norms, _lp, _lp_table, directional_seminorm,
                           gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
@@ -104,7 +104,12 @@ def test_half_layout_norm_equals_full_layout_sum(shape, s, homogeneous, seed):
     grid = GridSpec(*shape)
     rng = np.random.default_rng(seed)
     stack = np.stack([from_physical(rng.standard_normal(shape), grid) for _ in range(3)])
-    full = np.sqrt((sobolev_weight(grid, s, homogeneous) * np.abs(stack) ** 2).sum(axis=(1, 2)))
+    # the full-layout weight, built here from the wavenumbers of all n1 n2 modes
+    k_sq = grid.k1**2 + grid.k2**2
+    w = np.where(k_sq > 0, k_sq, 1.0) ** s if homogeneous else (1.0 + k_sq) ** s
+    if homogeneous:
+        w[0, 0] = 0.0  # the k = 0 term is omitted
+    full = np.sqrt((w * np.abs(stack) ** 2).sum(axis=(1, 2)))
     half = stack[..., :grid.n2 // 2 + 1]
     for got in (_hs_norms(stack, grid, s, homogeneous), _hs_norms(half, grid, s, homogeneous),
                 [_hs_norm(c, grid, s, homogeneous) for c in half]):

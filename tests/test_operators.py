@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                        from_physical, full_spectrum, half_to_physical, hermitian_defect,
-                        sine_field, to_physical)
+                        from_physical, full_spectrum, half_sobolev_weight, half_to_physical,
+                        hermitian_defect, sine_field, to_physical)
 from aqgsim.norms import sobolev_norm
 from aqgsim.operators import (DissipParams, _kernel_multipliers, _nonlinear_raw,
                               _velocity, apply_semigroup,
@@ -68,16 +68,49 @@ def test_symbol_multipliers_built_once_read_only_and_exact(shape):
     again = symbol_multipliers(GridSpec(*shape), DissipParams(0.6, 0.85, 0.7, 1.9, 1.3))
     assert all(x is y for x, y in zip(again, (d1, d2, A, B)))
     assert dissipation_multiplier(grid, p) is A and gevrey_multiplier(grid, p) is B
-    assert d1.shape == (grid.n1, 1) and d2.shape == (1, grid.n2)
+    h = grid.n2 // 2 + 1
+    assert d1.shape == (grid.n1, 1) and d2.shape == (1, h) and A.shape == B.shape == (grid.n1, h)
     for m in (d1, d2, A, B):
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
-    k = (grid.k1, grid.k2)
+    # the symbols at the wavenumbers of the half-layout columns k2 = 0 .. n2/2
+    k = (grid.k1, grid.k2[:, :h])
     assert A.tobytes() == dissipation_symbol(k, p).tobytes()
     assert B.tobytes() == gevrey_symbol(k, p).tobytes()
     assert d1.tobytes() == (np.abs(grid.k1) ** (2.0 * p.alpha)).tobytes()
-    assert d2.tobytes() == (np.abs(grid.k2) ** (2.0 * p.beta)).tobytes()
+    assert d2.tobytes() == (np.abs(k[1]) ** (2.0 * p.beta)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (32, 48), (96, 64)])
+@pytest.mark.parametrize("source", ["ensemble", "grid samples"])
+def test_multipliers_and_weights_hold_the_half_layout(shape, source):
+    """Every cached multiplier and weight has the n2/2 + 1 columns of the half
+    layout (or is an (n1, 1) column), is C-contiguous and read-only; the field
+    operations built on them equal their full-layout oracles on Hermitian
+    fields and return exactly Hermitian fields."""
+    grid, h = GridSpec(*shape), shape[1] // 2 + 1
+    p = DissipParams(0.6, 0.85, mu=0.7, nu=1.9, s=1.3)
+    cached = [grid.dealias_mask, *symbol_multipliers(grid, p), *riesz_multipliers(grid),
+              *_kernel_multipliers(grid),
+              *(half_sobolev_weight(grid, s, homogeneous)
+                for s in (-0.7, 0.0, 1.3, 2.0) for homogeneous in (False, True))]
+    for m in cached:
+        assert m.shape in {(grid.n1, h), (1, h), (grid.n1, 1)}
+        assert m.flags.c_contiguous and not m.flags.writeable
+    if source == "ensemble":
+        spec = FieldEnsembleSpec(grid, seed=21, count=1, kmax=min(shape) // 3, spectrum_slope=1.0)
+        f = random_band_limited_field(spec, 0)
+    else:  # every mode live, the Nyquist row and column too
+        values = random_real_grid(grid, 21)
+        f = field_from_values(grid, values - values.mean())
+    g = apply_semigroup(f, 0.3, p)
+    assert np.array_equal(g.coeffs, np.exp(-0.3 * dissipation_symbol((grid.k1, grid.k2), p))
+                          * f.coeffs)
+    assert hermitian_defect(g.coeffs) == 0.0
+    for u, m in zip(riesz_velocity(f), _full_riesz_multipliers(grid)):
+        assert np.array_equal(u.coeffs, m * f.coeffs)
+        assert hermitian_defect(u.coeffs) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
@@ -160,7 +193,7 @@ def test_nonlinear_term_matches_oversampled_oracle(grid64):
     idx = ((np.fft.fftfreq(64) * 64).astype(int)) % 256
     pad[np.ix_(idx, idx)] = theta.coeffs
     n = 256 * 256
-    kmag = np.sqrt(fine.k_sq)
+    kmag = np.sqrt(fine.k1**2 + fine.k2**2)
     kmag[0, 0] = 1.0
     m1 = -1j * fine.k2 / kmag
     m2 = 1j * fine.k1 / kmag
@@ -172,7 +205,7 @@ def test_nonlinear_term_matches_oversampled_oracle(grid64):
     oracle_fine = 1j * (fine.k1 * flux1 + fine.k2 * flux2)
     # compare on the coarse retained band
     oracle = oracle_fine[np.ix_(idx, idx)]
-    oracle = np.where(grid64.dealias_mask, oracle, 0.0)
+    oracle = np.where(_full_band(grid64), oracle, 0.0)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(out.coeffs - oracle)) < 1e-12 * scale
 
@@ -181,16 +214,35 @@ def _irfft2_values(coeffs, grid):
     return np.fft.irfft2(coeffs[:, :grid.n2 // 2 + 1], s=grid.shape, norm="forward")
 
 
+def _full_band(grid):
+    """Reference: the 2/3-rule mask on the full layout."""
+    return (np.abs(grid.k1) <= grid.n1 // 3) & (np.abs(grid.k2) <= grid.n2 // 3)
+
+
+def _full_riesz_multipliers(grid):
+    """Reference: the Riesz multipliers (-i k2/|k|, i k1/|k|) on the full
+    layout, built from the wavenumbers of all n1 n2 modes, zero at k = 0 and
+    on the Nyquist row and column."""
+    kmag = np.sqrt(grid.k1**2 + grid.k2**2)
+    kmag[0, 0] = 1.0
+    inside = (grid.k1 != -(grid.n1 // 2)) & (grid.k2 != -(grid.n2 // 2))
+    m1, m2 = -1j * grid.k2 / kmag, 1j * grid.k1 / kmag
+    for m in (m1, m2):
+        m *= inside
+        m[0, 0] = 0.0
+    return m1, m2
+
+
 def _former_kernel(coeffs, grid, velocity_coeffs=None, to_grid=_irfft2_values):
     """Reference: theta and u to the grid by `to_grid` (the kernel's irfft2
     inverses, or the complex ifft2 of `to_physical`), then both fluxes through
     the full forward transform and i(k1 f1 + k2 f2) under the 2/3 mask."""
     cv = coeffs if velocity_coeffs is None else velocity_coeffs
-    m1, m2 = riesz_multipliers(grid)
+    m1, m2 = _full_riesz_multipliers(grid)
     theta, u1, u2 = (to_grid(c, grid) for c in (coeffs, m1 * cv, m2 * cv))
     f1 = from_physical(theta * u1, grid)
     f2 = from_physical(theta * u2, grid)
-    out = np.where(grid.dealias_mask, 1j * (grid.k1 * f1 + grid.k2 * f2), 0.0)
+    out = np.where(_full_band(grid), 1j * (grid.k1 * f1 + grid.k2 * f2), 0.0)
     return out, float(np.max(np.sqrt(u1**2 + u2**2)))
 
 
@@ -213,7 +265,7 @@ def test_kernel_matches_former_formula(shape, bilinear):
     if shape == (64, 64):
         # k / (n1 n2) is exact on power-of-two grids: every bit agrees in the
         # band, and outside it both are zero (of either sign)
-        band = grid.dealias_mask
+        band = _full_band(grid)
         assert out[band].tobytes() == ref[band].tobytes()
         assert np.array_equal(out, ref)
     else:
@@ -377,6 +429,7 @@ def test_multiplier_equivalence_bounds(grid64):
     for a in (0.55, 0.75, 0.9):
         p = DissipParams(a, a)
         A = dissipation_symbol((grid64.k1, grid64.k2), p)
-        ratio = A[grid64.k_sq > 0] / grid64.k_sq[grid64.k_sq > 0] ** a
+        k_sq = grid64.k1**2 + grid64.k2**2
+        ratio = A[k_sq > 0] / k_sq[k_sq > 0] ** a
         assert np.all(ratio >= 1.0 - 1e-12)
         assert np.all(ratio <= 2.0 ** (1.0 - a) + 1e-12)

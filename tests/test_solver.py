@@ -621,7 +621,7 @@ def _former_gevrey_norm(coeffs, grid, t, s, p):
 
     h = grid.n2 // 2 + 1
     coeffs = coeffs[..., :h]
-    exponent = 0.5 * t * gevrey_multiplier(grid, p)[:, :h]
+    exponent = 0.5 * t * gevrey_multiplier(grid, p)
     if not exponent.max() <= WEIGHT_CAP:
         live = coeffs != 0.0
         if np.any(live & (exponent > WEIGHT_CAP)):
@@ -658,13 +658,15 @@ def _expression_calibration(p, n_samples, seed):
         for T, W_T, g1, g2, eT in horizons:
             B = W_T * Nfg
             lhs_plain = _hs_norm(B, grid, s)
-            ratios["C1"] = max(ratios["C1"], lhs_plain / (g1 * nf * ng))
+            if g1 > 0.0:
+                ratios["C1"] = max(ratios["C1"], lhs_plain / (g1 * nf * ng))
             if g2 > 0.0:
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             lhs_w = _former_gevrey_norm(B, grid, T, s, p)
             nfw = _former_gevrey_norm(f.coeffs, grid, T, s, p)
             ngw = _former_gevrey_norm(g.coeffs, grid, T, s, p)
-            ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
+            if g1 > 0.0:
+                ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
                 ratios["C4"] = max(ratios["C4"], lhs_w / (eT * g2 * nfw * ngw))
     return ConstantsTable(*(2.0 * max(ratios[k], 1e-12) for k in ("C1", "C2", "C3", "C4")))
@@ -750,7 +752,7 @@ def test_calibration_builds_its_gevrey_weights_once(p, monkeypatch):
 def _bare_product_sup(grid, times, coeffs, p, s):
     """The weighted sup of a half-layout stack as a plain product loop, with no
     overflow policy."""
-    B = gevrey_multiplier(grid, p)[:, :grid.n2 // 2 + 1]
+    B = gevrey_multiplier(grid, p)
     worst = 0.0
     for i, t in enumerate(times):
         worst = max(worst, float(_hs_norms(np.exp(0.5 * float(t) * B) * coeffs[i], grid, s)))
