@@ -2,7 +2,9 @@
 
 Little-endian layout: magic "AQGS", format version (u32), n1, n2 (u32),
 alpha, beta, mu, nu, s, t (f64), then n1*n2 complex coefficients as
-(real, imag) f64 pairs in k1-major transform ordering.
+(real, imag) f64 pairs in k1-major transform ordering: the full layout, which a
+writer reads from `SpectralField.coeffs`. A reader checks the whole body for
+Hermitian symmetry and keeps its half.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField
+from .grid import GridSpec, SpectralField, require_hermitian
 from .operators import DissipParams
 
 MAGIC = b"AQGS"
@@ -104,7 +106,8 @@ def read_checkpoint(path) -> Checkpoint:
     try:
         grid = GridSpec(int(n1), int(n2))
         params = DissipParams(*header[:5])
-        field = SpectralField(grid, coeffs.astype(np.complex128))
+        require_hermitian(coeffs)
+        field = SpectralField(grid, coeffs[:, :grid.n2 // 2 + 1])
     except ValueError as exc:  # a well-formed file holding an invalid grid, params or state
         raise CheckpointFormatError(f"corrupt checkpoint: {exc}") from exc
     return Checkpoint(params, float(header[5]), field)

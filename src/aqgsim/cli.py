@@ -83,7 +83,7 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         if not f.is_mean_zero:
             raise ConfigError("init.path", "checkpoint field has a nonzero mean")
     s, source = cfg.params["s"], _SOURCE_KEYS[init["kind"]]
-    _require_finite_norms(f.coeffs, grid, s, source)
+    _require_finite_norms(f.half, grid, s, source)
     if init["normalize"] is not None:
         n = sobolev_norm(f, s if init["normalize"] == "hs" else 0.0)
         if n > 0.0:
@@ -91,9 +91,9 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec) -> SpectralField:
     if init["amplitude"] == 1.0:
         return f
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = f.coeffs * float(init["amplitude"])
-    _require_finite_norms(coeffs, grid, s, "init.amplitude")
-    return SpectralField(grid, coeffs)
+        half = f.half * float(init["amplitude"])
+    _require_finite_norms(half, grid, s, "init.amplitude")
+    return SpectralField(grid, half)
 
 
 def resolve_constants(cfg: RunConfig, p: DissipParams | list[DissipParams]

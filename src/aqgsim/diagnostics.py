@@ -81,8 +81,8 @@ def analyticity_radius_fit(f_t: SpectralField, f_0: SpectralField,
         xs, ys = [], []
         for k in range(1, kmax + 1):
             idx = (k, 0) if axis == 1 else (0, k)
-            a0 = abs(f_0.coeffs[idx])
-            at = abs(f_t.coeffs[idx])
+            a0 = abs(f_0.half[idx])
+            at = abs(f_t.half[idx])
             if a0 > NOISE_FLOOR and at > NOISE_FLOOR:
                 xs.append(float(k) ** exponent)
                 ys.append(math.log(at) - math.log(a0))

@@ -2,31 +2,29 @@
 
 Convention: f(x) = sum_k c_k exp(i k.x) with c_{-k} = conj(c_k), and Parseval in
 the normalized measure dx/(4 pi^2), so every norm is a plain coefficient sum.
-Coefficients are stored as a complex (n1, n2) array in FFT ordering with k1 along
-axis 0 (relation to physical grid values: c = fft2(values) / (n1*n2)).
+Coefficients are indexed in FFT ordering with k1 along axis 0 (relation to
+physical grid values: c = fft2(values) / (n1*n2)).
 
-Two layouts. The full layout, all n1 x n2 modes, is what a `SpectralField` holds
-and what checkpoints store. The half layout is the rfft2 half spectrum, the
-(n1, n2/2 + 1) columns k2 = 0 .. n2/2, and is what the solver works on and what a
-solver `Trajectory` stores: the k2 < 0 half of a real field is an exact conjugate
-copy of it. A half-layout sum counts each column with its `multiplicity` (1 on the
-self-conjugate columns k2 = 0 and n2/2, 2 elsewhere), so it equals the full sum.
-Multipliers and weights are half-layout, built once from `k1` and `half_k2`; the
-full layout lives only in `SpectralField`, its operations and checkpoints.
+One layout. A real field is its rfft2 half spectrum, the (n1, n2/2 + 1) columns
+k2 = 0 .. n2/2: the k2 < 0 half is an exact conjugate copy of it. A
+`SpectralField`, every solver array and `Trajectory`, and every multiplier and
+weight (built once from `k1` and `half_k2`) hold that layout. A sum over it
+counts each column with its `multiplicity` (1 on the self-conjugate columns
+k2 = 0 and n2/2, 2 elsewhere), so it equals the sum over all n1 x n2 modes. The
+full (n1, n2) layout is only the read-only view `SpectralField.coeffs`, which
+checkpoints store and `values()` transforms; checkpoint input is checked whole
+by `require_hermitian` (with `hermitian_defect`) before its half is kept.
 
-This module is the package's spectral workspace. `from_physical` and
-`to_physical` transform full-layout fields; `half_from_physical` (rfft2, scaled,
-then `self_conjugate_columns`) and `half_to_physical` (irfft2 of the columns
-k2 = 0 .. n2/2) are the half-layout pair that the nonlinear kernel in `operators`
-and the lemma suite use. `full_spectrum`, the one Hermitian fill, turns a half
-array or stack into the full layout; `from_physical` is `half_from_physical`
-followed by it. `half_sobolev_weight`, cached read-only per (grid, s,
-homogeneous), is the one builder of the (1+|k|^2)^s and |k|^{2s} weights (the
-symbols are cached in `operators.symbol_multipliers`).
-`self_conjugate_columns` makes the columns k2 = 0 and k2 = -n2/2 of a half array
-their own reflection and the four self-conjugate modes real; it is idempotent.
-Multipliers even in k keep that symmetry exact, so no caller repairs it after an
-operation; `hermitian_defect` measures how far an array is from its own fill.
+`half_from_physical` (rfft2, scaled, then `self_conjugate_columns`) and
+`half_to_physical` (irfft2) are the transform pair; `full_spectrum`, the one
+Hermitian fill, turns a half array or stack into the full layout.
+`half_sobolev_weight`, cached read-only per (grid, s, homogeneous), is the one
+builder of the (1+|k|^2)^s and |k|^{2s} weights (the symbols are cached in
+`operators.symbol_multipliers`). `self_conjugate_columns` makes the columns
+k2 = 0 and -n2/2 of a half array their own reflection and the four
+self-conjugate modes real. Those columns are the only place a half array can
+break the symmetry: a `SpectralField` checks them and makes them exact, and
+multipliers even in k keep them so.
 """
 
 from __future__ import annotations
@@ -102,14 +100,9 @@ class GridSpec:
         return np.meshgrid(x1, x2, indexing="ij")
 
 
-def from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of real grid samples, Hermitian by construction."""
-    return full_spectrum(half_from_physical(values, grid), grid)
-
-
 def half_from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The half layout of `from_physical`: the rfft2 half spectrum of real grid
-    samples, scaled, with its columns k2 = 0 and n2/2 made self-conjugate."""
+    """The coefficients of real grid samples: their rfft2 half spectrum, scaled,
+    with its columns k2 = 0 and n2/2 made self-conjugate."""
     half = np.fft.rfft2(values) / (grid.n1 * grid.n2)
     self_conjugate_columns(half, grid)
     return half
@@ -142,11 +135,6 @@ def self_conjugate_columns(half: np.ndarray, grid: GridSpec) -> None:
     half[..., ::h1, ::h2].imag = 0.0
 
 
-def to_physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real grid samples of the field with these coefficients."""
-    return np.fft.ifft2(coeffs, norm="forward").real
-
-
 def half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool = False) -> np.ndarray:
     """Read-only (1+|k|^2)^s, or |k|^{2s} with the k=0 entry zero when homogeneous,
     on the half layout and times the column multiplicity, so that a sum against
@@ -176,45 +164,66 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(r)))
 
 
+def require_hermitian(c: np.ndarray, defect=hermitian_defect) -> float:
+    """`defect(c)`, the distance of the coefficients c from Hermitian symmetry;
+    a ValueError unless c is finite and it is within HERMITIAN_ATOL * max(1, max|c|)."""
+    if not np.all(np.isfinite(c.view(np.float64))):
+        raise ValueError("non-finite coefficients")
+    d = defect(c)
+    if d > HERMITIAN_ATOL * max(1.0, float(np.max(np.abs(c)))):
+        raise ValueError(f"coefficients are not Hermitian-symmetric (defect {d:.3e})")
+    return d
+
+
+def _self_conjugate_defect(half: np.ndarray) -> float:
+    """max |c(k) - conj(c(-k))| over the columns k2 = 0 and n2/2 of a half array,
+    the only columns that hold both k and -k."""
+    cols = half[:, ::half.shape[1] - 1]
+    return float(np.max(np.abs(cols - np.conj(np.roll(cols[::-1], 1, axis=0)))))
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable Fourier coefficients of a real scalar field.
-
-    Hermitian symmetry is validated at construction. A nonzero mean is allowed
-    (norm-only uses); operations that need the Riesz multiplier reject it.
-    """
+    """Immutable Fourier coefficients of a real scalar field, held as a private
+    copy of the half layout `half`, whose self-conjugate columns are checked
+    within HERMITIAN_ATOL and made exact. A nonzero mean is allowed (norm-only
+    uses); operations that need the Riesz multiplier reject it."""
 
     grid: GridSpec
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise ValueError("non-finite coefficients")
-        scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
-        defect = hermitian_defect(c)
-        if defect > HERMITIAN_ATOL * scale:
-            raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
-        c = c.copy()
+        h = np.array(self.half, dtype=np.complex128)  # a private copy
+        if h.shape != self.grid.half_shape:
+            raise ValueError(f"half-spectrum shape {h.shape} does not match grid "
+                             f"{self.grid.shape}: expected {self.grid.half_shape}")
+        if require_hermitian(h, _self_conjugate_defect):
+            self_conjugate_columns(h, self.grid)
+        h.flags.writeable = False
+        object.__setattr__(self, "half", h)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full (n1, n2) layout, filled from `half` by `full_spectrum` on each
+        call and read-only: what checkpoints store and `values()` transforms."""
+        c = full_spectrum(self.half, self.grid)
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        return c
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def mean(self) -> float:
-        return float(self.coeffs[0, 0].real)
+        return float(self.half[0, 0].real)
 
     @property
     def is_mean_zero(self) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        return abs(self.coeffs[0, 0]) <= HERMITIAN_ATOL * scale
+        scale = max(1.0, float(np.max(np.abs(self.half))))
+        return abs(self.half[0, 0]) <= HERMITIAN_ATOL * scale
 
     def values(self) -> np.ndarray:
         """Physical-space samples on the (n1, n2) grid."""
-        return to_physical(self.coeffs, self.grid)
+        return np.fft.ifft2(self.coeffs, norm="forward").real
 
     # -- arithmetic (grids must be equal) ------------------------------------
 
@@ -224,30 +233,29 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.half - other.half)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(scalar))
+        return SpectralField(self.grid, self.half * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return SpectralField(self.grid, -self.half)
 
     def dealiased(self) -> "SpectralField":
-        half = np.where(self.grid.dealias_mask, self.coeffs[:, :self.grid.n2 // 2 + 1], 0.0)
-        return SpectralField(self.grid, full_spectrum(half, self.grid))
+        return SpectralField(self.grid, np.where(self.grid.dealias_mask, self.half, 0.0))
 
 
 # -- constructors -------------------------------------------------------------
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.half_shape, dtype=np.complex128))
 
 
 def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
@@ -255,13 +263,14 @@ def field_from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-    return SpectralField(grid, from_physical(values, grid))
+    return SpectralField(grid, half_from_physical(values, grid))
 
 
 def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> SpectralField:
     """Build a field from {k: c_k}; the conjugate at -k is filled in automatically,
-    so naming both k and -k (or two aliases of one grid mode) is an error."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    so naming both k and -k (or two aliases of one grid mode) is an error. A
+    self-conjugate mode (k = -k on the grid) needs a real amplitude."""
+    half = np.zeros(grid.half_shape, dtype=np.complex128)
     owner = {}  # grid index -> the wavenumber whose entry or conjugate set it
     for (k1, k2), amp in modes.items():
         if abs(k1) > grid.n1 // 2 or abs(k2) > grid.n2 // 2:
@@ -270,10 +279,10 @@ def field_from_modes(grid: GridSpec, modes: dict[tuple[int, int], complex]) -> S
         if at in owner:
             raise ValueError(f"modes {owner[at]} and {(k1, k2)} set one conjugate pair")
         owner[at] = owner[conj_at] = (k1, k2)
-        coeffs[at] = amp
-        if (k1, k2) != (0, 0):
-            coeffs[conj_at] = np.conj(amp)
-    return SpectralField(grid, coeffs)
+        for (i1, i2), c in ((conj_at, np.conj(amp)), (at, amp)):  # at wins when at = conj_at
+            if i2 <= grid.n2 // 2:
+                half[i1, i2] = c
+    return SpectralField(grid, half)
 
 
 def sine_field(grid: GridSpec, k: tuple[int, int], amplitude: float = 1.0,
@@ -287,12 +296,13 @@ def sine_sum_field(grid: GridSpec, sines) -> SpectralField:
     built in one array: each term adds its coefficient at k and the conjugate at
     -k, in order, so the bits are those of a sum of one `sine_field` per term. Each
     k must be a retained wavenumber and not self-conjugate; k and -k may both occur."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    half = np.zeros(grid.half_shape, dtype=np.complex128)
     for (k1, k2), amplitude, phase in sines:
         c = _sine_coefficient(amplitude, phase)
-        coeffs[k1 % grid.n1, k2 % grid.n2] += c
-        coeffs[-k1 % grid.n1, -k2 % grid.n2] += np.conj(c)
-    return SpectralField(grid, coeffs)
+        for i1, i2, value in ((k1, k2, c), (-k1, -k2, np.conj(c))):
+            if i2 % grid.n2 <= grid.n2 // 2:  # the half layout holds this entry
+                half[i1 % grid.n1, i2 % grid.n2] += value
+    return SpectralField(grid, half)
 
 
 def _sine_coefficient(amplitude: float, phase: float) -> complex:

@@ -19,11 +19,11 @@ Each ensemble sample is evaluated in one pass: every field's power |c|^2 and
 grid values are formed once, and each field's norms are taken together, its
 H^s norms in one stacked reduction and its Lp norms from one scaling by its max.
 These are the reductions of `norms`, so the H^s reports are bit-identical to
-those of the per-call norms. Like the solver, the suite works on the half layout
-(the full one lives only in `SpectralField`): its |grad|^a and directional
-multipliers are half-layout; |f| and |u| are irfft2 of half arrays, within
-rounding of the complex transform of `lp_norm`; and the oversampled product fg
-is irfft2 of each padded factor's columns k2 >= 0, rfft2 of the product back.
+those of the per-call norms. Like the rest of the package, the suite works on
+the half layout, each field's `half`: its |grad|^a and directional multipliers
+are half-layout; |f| and |u| are irfft2 of half arrays, within rounding of the
+complex transform of `lp_norm`; and the oversampled product fg is irfft2 of each
+padded factor, rfft2 of the product back.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum, half_from_physical, half_to_physical
+from .grid import GridSpec, SpectralField, half_from_physical, half_to_physical
 from .norms import _hs_table, _lp_table
 from .operators import DissipParams, _velocity, gevrey_symbol
 
@@ -72,13 +72,16 @@ def _shell_representatives(m: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=16)
 def _band_layout(grid: GridSpec, kmax: int, spectrum_slope: float):
-    """Read-only index arrays of the shells 1..kmax in canonical order, of their
-    reflections -k, and the amplitudes |k|^-slope, on this grid."""
+    """Read-only arrays on this grid's half layout: the shells 1..kmax in
+    canonical order, the indices and shell positions of the representatives k
+    with k2 >= 0 and of the reflections -k with -k2 >= 0, and the amplitudes
+    |k|^-slope of all."""
     reps = [k for m in range(1, kmax + 1) for k in _shell_representatives(m)]
     k1 = np.array([k[0] for k in reps])
     k2 = np.array([k[1] for k in reps])
     r = np.array([float(np.hypot(a, b)) ** (-spectrum_slope) for a, b in reps])
-    layout = (k1 % grid.n1, k2 % grid.n2, -k1 % grid.n1, -k2 % grid.n2, r)
+    at, conj_at = np.flatnonzero(k2 >= 0), np.flatnonzero(k2 <= 0)
+    layout = (k1[at] % grid.n1, k2[at], at, -k1[conj_at] % grid.n1, -k2[conj_at], conj_at, r)
     for arr in layout:
         arr.flags.writeable = False
     return layout
@@ -94,12 +97,12 @@ def random_band_limited_field(spec: FieldEnsembleSpec, index: int) -> SpectralFi
     """
     rng = np.random.default_rng([spec.seed, index])
     grid = spec.grid
-    i1, i2, j1, j2, r = _band_layout(grid, spec.kmax, spec.spectrum_slope)
+    i1, i2, at, j1, j2, conj_at, r = _band_layout(grid, spec.kmax, spec.spectrum_slope)
     amp = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=r.size))
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[i1, i2] = amp
-    coeffs[j1, j2] = np.conj(amp)
-    return SpectralField(grid, coeffs)
+    half = np.zeros(grid.half_shape, dtype=np.complex128)
+    half[i1, i2] = amp[at]
+    half[j1, j2] = np.conj(amp[conj_at])
+    return SpectralField(grid, half)
 
 
 def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -107,15 +110,16 @@ def oversampled_product(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.grid != g.grid:
         raise ValueError("product factors must share a grid")
     fine = GridSpec(2 * f.grid.n1, 2 * f.grid.n2)
-    return SpectralField(fine, full_spectrum(_product_coeffs(f.coeffs, g.coeffs, f.grid), fine))
+    return SpectralField(fine, _product_coeffs(f.half, g.half, f.grid))
 
 
 def _product_coeffs(f: np.ndarray, g: np.ndarray, coarse: GridSpec) -> np.ndarray:
-    """Half layout of fg on the grid of twice the mode counts of `coarse`.
+    """Half layout of fg, for half arrays f and g on `coarse`, on the grid of
+    twice its mode counts.
 
-    Only the columns k2 = 0 .. n2/2 of f and g are read. Each is padded into the
-    fine half layout without its Nyquist row and column, both factors go to the
-    fine grid by irfft2, and their product comes back by rfft2."""
+    Each factor is padded into the fine half layout without its Nyquist row and
+    column, both go to the fine grid by irfft2, and their product comes back by
+    rfft2."""
     fine = GridSpec(2 * coarse.n1, 2 * coarse.n2)
     h1, h2 = coarse.n1 // 2, coarse.n2 // 2
 
@@ -404,7 +408,6 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     a, b = (p.alpha, p.beta) if p.alpha <= p.beta else (p.beta, p.alpha)
     grid = spec.grid
     fine = GridSpec(2 * grid.n1, 2 * grid.n2)  # the grid of the product fg
-    h = grid.n2 // 2 + 1
     grad_a = grid.half_k_sq ** (a / 2.0)  # |k|^a, 0 at k = 0
     # |k1| and |k2|, with the axes swapped when alpha > beta
     k_ax1, k_ax2 = (np.abs(grid.half_k2), np.abs(grid.k1)) if p.alpha > p.beta else \
@@ -414,19 +417,18 @@ def functional_inequality_suite(spec: FieldEnsembleSpec, p: DissipParams) -> lis
     lp_f_exponents = tuple(dict.fromkeys(SOBOLEV_EXPONENTS + CZ_EXPONENTS))
 
     for i in range(spec.count):
-        f = random_band_limited_field(spec, 2 * i).coeffs
-        g = random_band_limited_field(spec, 2 * i + 1).coeffs
-        f_half = f[:, :h]
-        nf = _hs_table(np.abs(f_half) ** 2, grid, f_orders)
-        lp_f = _lp_table(np.abs(half_to_physical(f_half, grid)), lp_f_exponents)
-        u1, u2, _ = _velocity(f_half, grid)
+        f = random_band_limited_field(spec, 2 * i).half
+        g = random_band_limited_field(spec, 2 * i + 1).half
+        nf = _hs_table(np.abs(f) ** 2, grid, f_orders)
+        lp_f = _lp_table(np.abs(half_to_physical(f, grid)), lp_f_exponents)
+        u1, u2, _ = _velocity(f, grid)
         lp_u = _lp_table(np.sqrt(u1**2 + u2**2), CZ_EXPONENTS)
         _interpolation_checks(reps, nf, i)
         _sobolev_injection_check(reps["sobolev_injection"], nf, lp_f, i)
-        _product_law_checks(reps, nf, _hs_table(np.abs(g[:, :h]) ** 2, grid, g_orders),
+        _product_law_checks(reps, nf, _hs_table(np.abs(g) ** 2, grid, g_orders),
                             _hs_table(np.abs(_product_coeffs(f, g, grid)) ** 2, fine, fg_orders), i)
         _calderon_zygmund_checks(reps, lp_f, lp_u, i)
-        _directional_checks(reps, nf, *(_hs_table(np.abs(m * f_half) ** 2, grid, dir_orders)
+        _directional_checks(reps, nf, *(_hs_table(np.abs(m * f) ** 2, grid, dir_orders)
                                         for m in (grad_a, d1a, d2a, d2b)), p, a, b, i)
     return list(reps.values())
 

@@ -3,11 +3,9 @@ grid quadratures (Lp, scaled by the largest value so that any finite p stays in
 range), in the normalized measure dx/(4 pi^2).
 
 The coefficient sums (`_hs_norms`, `_hs_from_power`, `_hs_table`, `_gevrey_norm`)
-read only the half layout, the columns k2 = 0 .. n2/2 of their input, and sum
-them against `grid.half_sobolev_weight`, which counts each column with its
-multiplicity; so they accept a Hermitian field in either layout, and the solver
-passes its half working arrays. Every weight they apply is half-layout; the full
-layout lives only in `SpectralField`, its operations and checkpoints.
+take half arrays, a field's `half` or the solver's working arrays, and sum them
+against `grid.half_sobolev_weight`, which counts each column with its
+multiplicity, so each equals the sum over all modes.
 `_hs_table` and `_lp_table` take many norms of one field in one pass, with the
 bits of `_hs_from_power` and `_lp`.
 
@@ -33,7 +31,7 @@ WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the norm saturat
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
     """H^s norm with weight (1+|k|^2)^s, or the homogeneous |k|^{2s} sum (k=0 omitted)."""
-    return _hs_norm(f.coeffs, f.grid, s, homogeneous)
+    return _hs_norm(f.half, f.grid, s, homogeneous)
 
 
 def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = False) -> float:
@@ -42,16 +40,16 @@ def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = F
 
 def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
               homogeneous: bool = False) -> np.ndarray:
-    """H^s norms over the last two axes: of one field, or of each node of a stack."""
-    return _hs_from_power(np.abs(coeffs[..., :grid.n2 // 2 + 1]) ** 2, grid, s, homogeneous)
+    """H^s norms over the last two axes: of one half array, or of each node of a stack."""
+    return _hs_from_power(np.abs(coeffs) ** 2, grid, s, homogeneous)
 
 
 def _hs_from_power(power: np.ndarray, grid: GridSpec, s: float,
                    homogeneous: bool = False) -> np.ndarray:
     """_hs_norms from the power |c|^2, so that a caller taking many norms of one
-    field forms it once; only its columns k2 = 0 .. n2/2 are read."""
+    field forms it once."""
     w = half_sobolev_weight(grid, s, homogeneous)
-    return np.sqrt((w * power[..., :grid.n2 // 2 + 1]).sum(axis=(-2, -1)))
+    return np.sqrt((w * power).sum(axis=(-2, -1)))
 
 
 def _hs_table(power: np.ndarray, grid: GridSpec, orders) -> dict:
@@ -59,7 +57,6 @@ def _hs_table(power: np.ndarray, grid: GridSpec, orders) -> dict:
     power at each of `orders`, bit for bit, from one reduction: each weighted
     power is written into one row of a (len(orders), n1, n2/2 + 1) stack, and
     the rows are summed at once."""
-    power = power[:, :grid.n2 // 2 + 1]
     weights = [half_sobolev_weight(grid, s, homogeneous) for s, homogeneous in orders]
     stack = np.empty((len(weights), *power.shape))
     for row, w in zip(stack, weights):
@@ -101,12 +98,12 @@ def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float)
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     k = f.grid.k1 if axis == 1 else f.grid.half_k2
-    return _hs_norm(np.abs(k) ** exponent * f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid, s, True)
+    return _hs_norm(np.abs(k) ** exponent * f.half, f.grid, s, True)
 
 
 def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> float:
     """H^s norm of exp((t/2) B(D)) f; inf (not clipped) on weight overflow."""
-    return _gevrey_norm(f.coeffs, f.grid, t, s, p)
+    return _gevrey_norm(f.half, f.grid, t, s, p)
 
 
 def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
@@ -115,12 +112,10 @@ def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
 
     A weight exponent above WEIGHT_CAP on a nonzero mode, or a non-finite
     result, saturates the norm: it reads as inf. Zero modes carry no weight, so
-    the live mask is built only when some exponent exceeds the cap. Only the
-    columns k2 = 0 .. n2/2 are read.
+    the live mask is built only when some exponent exceeds the cap.
     """
     if t < 0:
         raise ValueError(f"weight time must be nonnegative, got {t}")
-    coeffs = coeffs[..., :grid.n2 // 2 + 1]
     exponent = _gevrey_exponents(grid, (t,), p)[0]
     if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
         live = coeffs != 0.0
@@ -150,9 +145,9 @@ def _weighted_hs_norms(weights: np.ndarray, coeffs: np.ndarray, grid: GridSpec,
                        s: float) -> np.ndarray:
     """H^s norms of weights * coeffs over the last two axes, with every weight
     row applied to the field (or the matching node of a stack) `coeffs`; a
-    non-finite norm reads as inf. Only the columns k2 = 0 .. n2/2 are read."""
+    non-finite norm reads as inf."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
-        values = _hs_norms(weights * coeffs[..., :grid.n2 // 2 + 1], grid, s)
+        values = _hs_norms(weights * coeffs, grid, s)
     return np.where(np.isfinite(values), values, math.inf)
 
 

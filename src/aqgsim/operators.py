@@ -5,15 +5,15 @@ the velocity is the perpendicular Riesz transform of the scalar; the nonlinear
 term is div(theta u) computed pseudospectrally under the 2/3 rule on the half
 spectrum (columns k2 = 0 .. n2/2): theta and u come to the grid by irfft2 of
 those columns, and the mask is folded into derivative multipliers on the rfft2
-half spectrum of the fluxes. The kernel's result stays on that half layout
-(`_nonlinear_raw`, what the solver consumes).
+half spectrum of the fluxes. The kernel (`_nonlinear_raw`, what the solver
+consumes) reads and returns half arrays.
 
 Multipliers are half-layout, built once on the columns k2 = 0 .. n2/2 and cached
 read-only (`symbol_multipliers` per (grid, params), read by
 `dissipation_multiplier` and `gevrey_multiplier`; `riesz_multipliers` and
-`_kernel_multipliers` per grid), and no caller slices one. The full layout lives
-only in `SpectralField`: `apply_semigroup`, `riesz_velocity` and
-`nonlinear_term` fill it from the half with `full_spectrum`.
+`_kernel_multipliers` per grid), and no caller slices one. An operation on a
+`SpectralField` (`apply_semigroup`, `riesz_velocity`, `nonlinear_term`) is its
+multiplier or kernel applied to `half`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (GridSpec, SpectralField, full_spectrum, half_to_physical,
-                   self_conjugate_columns)
+from .grid import GridSpec, SpectralField, half_to_physical, self_conjugate_columns
 
 
 class RegimeWarning(UserWarning):
@@ -132,17 +131,10 @@ def _require_mean_zero(theta: SpectralField, op: str) -> None:
         raise ValueError(f"{op} requires a mean-zero field (Riesz multiplier is singular at k=0)")
 
 
-def _apply(m: np.ndarray, f: SpectralField) -> SpectralField:
-    """m(D) f for a half-layout multiplier m of a real operator, m(-k) = conj(m(k)):
-    m times the columns k2 = 0 .. n2/2 of f, with the rest filled by `full_spectrum`."""
-    return SpectralField(f.grid, full_spectrum(m * f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid))
-
-
 def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """u = R^perp theta: divergence-free velocity from the scalar field."""
     _require_mean_zero(theta, "riesz_velocity")
-    m1, m2 = riesz_multipliers(theta.grid)
-    return _apply(m1, theta), _apply(m2, theta)
+    return tuple(SpectralField(theta.grid, m * theta.half) for m in riesz_multipliers(theta.grid))
 
 
 @lru_cache(maxsize=8)
@@ -159,30 +151,28 @@ def _kernel_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return (*riesz_multipliers(grid), d1, d2)
 
 
-def _velocity(coeffs: np.ndarray, grid: GridSpec,
+def _velocity(half: np.ndarray, grid: GridSpec,
               with_max_u: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Grid samples of the velocity u = R^perp theta, plus max |u| when asked
-    for (else None); reads only the columns k2 = 0 .. n2/2 of `coeffs`."""
-    half = coeffs[:, :grid.n2 // 2 + 1]
+    """Grid samples of the velocity u = R^perp theta of the half array `half`,
+    plus max |u| when asked for (else None)."""
     u1, u2 = (half_to_physical(m * half, grid) for m in _kernel_multipliers(grid)[:2])
     return u1, u2, math.sqrt(float(np.max(u1 * u1 + u2 * u2))) if with_max_u else None
 
 
 def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec, velocity_coeffs: np.ndarray | None = None,
                    with_max_u: bool = False) -> tuple[np.ndarray, float | None]:
-    """div(theta u) coefficients (dealiased) on the half layout, columns
-    k2 = 0 .. n2/2, plus max |u| on the grid when asked for (else None).
+    """div(theta u) coefficients (dealiased) of the half array `coeffs`, on the
+    half layout, plus max |u| on the grid when asked for (else None).
 
-    The velocity derives from `velocity_coeffs` when given (bilinear form),
-    else from `coeffs` itself. Only the columns k2 = 0 .. n2/2 of either input
-    are read, so either layout may be passed. The columns k2 = 0 and n2/2 of the
-    result are exactly self-conjugate, so its `full_spectrum` is Hermitian.
+    The velocity derives from the half array `velocity_coeffs` when given
+    (bilinear form), else from `coeffs` itself. The columns k2 = 0 and n2/2 of
+    the result are exactly self-conjugate.
     max |u| is a pass over the grid that no kernel output depends on, so it is
     formed only for a caller that reads it: the march, at its initial and
     accepted states.
     """
     d1, d2 = _kernel_multipliers(grid)[2:]
-    theta_phys = half_to_physical(coeffs[:, :grid.n2 // 2 + 1], grid)
+    theta_phys = half_to_physical(coeffs, grid)
     u1_phys, u2_phys, max_u = _velocity(coeffs if velocity_coeffs is None
                                         else velocity_coeffs, grid, with_max_u)
     out = d1 * np.fft.rfft2(theta_phys * u1_phys)
@@ -194,12 +184,11 @@ def _nonlinear_raw(coeffs: np.ndarray, grid: GridSpec, velocity_coeffs: np.ndarr
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Dealiased div(theta u_theta); equals u.grad(theta) since div u = 0."""
     _require_mean_zero(theta, "nonlinear_term")
-    out, _ = _nonlinear_raw(theta.coeffs, theta.grid)
-    return SpectralField(theta.grid, full_spectrum(out, theta.grid))
+    return SpectralField(theta.grid, _nonlinear_raw(theta.half, theta.grid)[0])
 
 
 def apply_semigroup(f: SpectralField, t: float, p: DissipParams) -> SpectralField:
     """exp(-t A(D)) f, the exact solution operator of the linear flow."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return _apply(np.exp(-t * dissipation_multiplier(f.grid, p)), f)
+    return SpectralField(f.grid, np.exp(-t * dissipation_multiplier(f.grid, p)) * f.half)

@@ -19,9 +19,8 @@ targets the steps, records the trace and its energy quadrature, and aborts.
 Layouts (see `grid`): the solver holds only the half layout, the columns
 k2 = 0 .. n2/2. The kernels, the recursion, calibration, the Picard iterate, every
 `Trajectory` stack, the march state, its propagators and every norm taken of them
-are half-layout arrays, as is every multiplier they read. The full layout is
-filled only where a field leaves the solver as a `SpectralField`:
-`Trajectory.field`, `on_checkpoint` and `EvolveResult.final`.
+are half-layout arrays, as is every multiplier they read, and a field enters
+and leaves the solver as a `SpectralField` holding that layout (`half`).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, full_spectrum
+from .grid import GridSpec, SpectralField
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
 from .norms import (_gevrey_norm, _gevrey_norms, _gevrey_weights, _hs_norm, _hs_norms,
                     _hs_table, _weighted_hs_norms, sobolev_norm)
@@ -168,7 +167,7 @@ def admits_horizon(T: float, T_lo: float, T_hi: float) -> bool:
 @dataclass(frozen=True)
 class Trajectory:
     """Fields on a uniform time grid, stored as one half-layout
-    (n_nodes, n1, n2/2 + 1) stack; `field(i)` fills node i's full layout."""
+    (n_nodes, n1, n2/2 + 1) stack; `field(i)` is node i as a field."""
 
     grid: GridSpec
     times: np.ndarray
@@ -197,7 +196,7 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def field(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, full_spectrum(self.coeffs[i], self.grid))
+        return SpectralField(self.grid, self.coeffs[i])
 
     def fields(self) -> list[SpectralField]:
         return [self.field(i) for i in range(self.n_nodes)]
@@ -212,8 +211,7 @@ def time_grid(T: float, n_nodes: int) -> np.ndarray:
 
 
 def constant_trajectory(f: SpectralField, times: np.ndarray) -> Trajectory:
-    half = f.coeffs[:, :f.grid.n2 // 2 + 1]
-    stack = np.broadcast_to(half, (len(times), *half.shape)).copy()
+    stack = np.broadcast_to(f.half, (len(times), *f.half.shape)).copy()
     return Trajectory(f.grid, times, stack)
 
 
@@ -221,10 +219,10 @@ def semigroup_trajectory(theta0: SpectralField, times: np.ndarray,
                          p: DissipParams) -> Trajectory:
     """L0: exact linear evolution of theta0 sampled on the time grid."""
     grid, times = theta0.grid, np.asarray(times, dtype=float)
-    A, half = dissipation_multiplier(grid, p), theta0.coeffs[:, :grid.n2 // 2 + 1]
+    A = dissipation_multiplier(grid, p)
     stack = np.empty((times.size, *grid.half_shape), dtype=np.complex128)
     for j, t in enumerate(times):
-        stack[j] = np.exp(-t * A) * half
+        stack[j] = np.exp(-t * A) * theta0.half
     return Trajectory(grid, times, stack)
 
 
@@ -369,7 +367,7 @@ def _picard_engine(theta0: SpectralField, cfg: PicardConfig, p: DissipParams,
     norm0 = sobolev_norm(theta0, s)
     times = time_grid(cfg.T, cfg.n_nodes)
     dt = float(times[1] - times[0])
-    minus_theta0 = -theta0.coeffs[:, :grid.n2 // 2 + 1]
+    minus_theta0 = -theta0.half
     current = semigroup_trajectory(-theta0, times, p).coeffs  # phi = -theta, from -L0 on
     node_hs = np.array([_hs_norm(c, grid, s) for c in current])
     node_dist = np.empty_like(node_hs)
@@ -477,12 +475,12 @@ def calibrate_constants(p: DissipParams | Sequence[DissipParams], n_samples: int
         f = random_band_limited_field(spec, 2 * i)
         g = random_band_limited_field(spec, 2 * i + 1)
         nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
-        Nfg = _nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)[0]
+        Nfg = _nonlinear_raw(f.half, grid, velocity_coeffs=g.half)[0]
         for (W, G, gains), r in zip(setups, ratios):
             B = W * Nfg
             # weighted form: weight both the output and the input factors
             weighted = (_weighted_hs_norms(G, x, grid, s).tolist()
-                        for x in (B, f.coeffs, g.coeffs))
+                        for x in (B, f.half, g.half))
             norms = zip(_hs_norms(B, grid, s).tolist(), *weighted, gains)
             for lhs_plain, lhs_w, nfw, ngw, (g1, g2, eT) in norms:
                 # a power sum underflows to 0.0 (alpha or beta near 0): it bounds nothing
@@ -708,9 +706,9 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
 
     trace = DiagnosticsTrace()
     cps = sorted(float(x) - t_offset for x in checkpoint_times)
-    cps = [x for x in cps if 1e-14 < x <= T * (1.0 + 1e-12)]
+    cps = [x for x in cps if 0.0 < x <= T * (1.0 + 1e-12)]
 
-    c = np.where(grid.dealias_mask, theta0.coeffs[:, :grid.n2 // 2 + 1], 0.0)
+    c = np.where(grid.dealias_mask, theta0.half, 0.0)
     t = diss_int = 0.0
     N_c, max_u = stepper.rhs(c, with_max_u=True)
     rates = diss_rates(c, N_c)
@@ -748,7 +746,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             if at_cp:
                 cps.pop(0)
                 if on_checkpoint is not None:
-                    on_checkpoint(t + t_offset, SpectralField(grid, full_spectrum(c, grid)))
+                    on_checkpoint(t + t_offset, SpectralField(grid, c))
             done = t >= T * (1.0 - 1e-12)
             if steps_since_trace >= trace_stride or done or at_cp:
                 _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
@@ -761,7 +759,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
         del column[complete:]
     if trace.t[-1] != float(t + t_offset):
         _record(trace, grid, p, t + t_offset, c, max_u, dt_done, diss_int)
-    return EvolveResult(trace, SpectralField(grid, full_spectrum(c, grid)), t + t_offset, reason,
+    return EvolveResult(trace, SpectralField(grid, c), t + t_offset, reason,
                         rejected, accepted, stepper.kernel_calls)
 
 

@@ -1,5 +1,6 @@
 """Checkpoint binary format: round trips and corruption handling."""
 
+import json
 import os
 import struct
 from pathlib import Path
@@ -27,6 +28,24 @@ def test_round_trip_bitwise(state, params, tmp_path):
     assert cp.t == 0.375
     assert cp.params == params
     assert cp.grid == state.grid
+
+
+def test_simulate_checkpoints_rewrite_to_the_same_bytes(tmp_path):
+    """The v1 files of a 16^2 `simulate`, read back and written again, keep
+    every byte: a field holds the half spectrum, and its full layout refills
+    the body as the march wrote it."""
+    from aqgsim.cli import main
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": {"n1": 16, "n2": 16}, "lemmas": {"kmax": 5},
+                               "init": {"kind": "random", "seed": 2, "kmax": 5},
+                               "time": {"T": 0.02, "checkpoint_times": [0.01]}}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("state_0000.aqgs", "state_final.aqgs"):
+        cp = read_checkpoint(out / name)
+        write_checkpoint(tmp_path / name, cp.field, cp.params, cp.t)
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_header_layout(state, params, tmp_path):
@@ -93,9 +112,9 @@ def _raw_checkpoint(n1, n2, alpha=0.75, body=None):
     return HEADER.pack(b"AQGS", 1, n1, n2, alpha, 0.75, 1.0, 1.0, 1.0, 0.0) + body.tobytes()
 
 
-def _non_hermitian_body():
+def _non_hermitian_body(at=(1, 0), value=1.0):
     body = np.zeros((8, 8), dtype="<c16")
-    body[1, 0] = 1.0
+    body[at] = value
     return body
 
 
@@ -103,7 +122,10 @@ def _non_hermitian_body():
     (_raw_checkpoint(3, 8), "n1 must be even"),
     (_raw_checkpoint(8, 8, alpha=5.0), "alpha must lie in"),
     (_raw_checkpoint(8, 8, body=_non_hermitian_body()), "not Hermitian-symmetric"),
-], ids=["n1=3", "alpha=5", "non-Hermitian"])
+    # (1, -3): only the columns k2 < 0, which the field does not keep, show these
+    (_raw_checkpoint(8, 8, body=_non_hermitian_body((1, 5))), "not Hermitian-symmetric"),
+    (_raw_checkpoint(8, 8, body=_non_hermitian_body((1, 5), np.nan)), "non-finite coefficients"),
+], ids=["n1=3", "alpha=5", "non-Hermitian", "non-Hermitian k2 < 0", "non-finite k2 < 0"])
 def test_invalid_content_of_well_sized_file_rejected(tmp_path, raw, cause):
     path = tmp_path / "state.aqgs"
     path.write_bytes(raw)

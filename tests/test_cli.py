@@ -219,10 +219,10 @@ def test_init_mode_on_nyquist_row_runs(tmp_path, k):
 
 def test_init_modes_build_one_field_with_the_bits_of_the_per_mode_sum(monkeypatch):
     """300 modes, some named twice and some beside their conjugate -k, give the
-    bytes of a sum of one sine_field per mode, from a fixed number of field builds."""
+    bytes of a sum of one sine_field per mode, from a fixed number of
+    `SpectralField` constructions."""
     import aqgsim.cli as cli
-    import aqgsim.grid as grid_module
-    from aqgsim.grid import GridSpec, sine_field, zero_field
+    from aqgsim.grid import GridSpec, SpectralField, sine_field, zero_field
 
     rng = np.random.default_rng(5)
     ks = [k for k in rng.integers(-31, 32, size=(300, 2)).tolist() if k != [0, 0]][:296]
@@ -239,11 +239,11 @@ def test_init_modes_build_one_field_with_the_bits_of_the_per_mode_sum(monkeypatc
         expected = expected + sine_field(grid, tuple(m["k"]), m.get("amplitude", 1.0),
                                          m.get("phase", 0.0))
     calls = []
-    defect = grid_module.hermitian_defect
-    monkeypatch.setattr(grid_module, "hermitian_defect", lambda c: calls.append(1) or defect(c))
+    post_init = SpectralField.__post_init__
+    monkeypatch.setattr(SpectralField, "__post_init__", lambda f: calls.append(1) or post_init(f))
     f = cli.build_initial_field(cfg, grid)
     assert len(calls) <= 2
-    assert f.coeffs.tobytes() == expected.coeffs.tobytes()
+    assert f.half.tobytes() == expected.half.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,19 @@ def test_simulate_writes_outputs(tmp_path):
     assert (out / "state_0000.aqgs").exists()
     assert (out / "state_final.aqgs").exists()
     assert json.loads((out / "config.json").read_text())["grid"]["n1"] == 32
+
+
+def test_simulate_writes_every_requested_checkpoint(tmp_path):
+    """A checkpoint time just above 0 is hit like any other: each requested time
+    gets its own state file, stamped with that time, in order."""
+    from aqgsim.checkpoint import read_checkpoint
+
+    cfg = write_config(tmp_path, {"time": {"T": 0.01, "checkpoint_times": [1e-15, 0.005]}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    states = sorted(p.name for p in out.glob("state_*.aqgs"))
+    assert states == ["state_0000.aqgs", "state_0001.aqgs", "state_final.aqgs"]
+    assert [read_checkpoint(out / name).t for name in states] == [1e-15, 0.005, 0.01]
 
 
 @pytest.mark.parametrize("command", ["simulate", "picard", "lemmas", "sweep", "gevrey"])
@@ -425,10 +438,10 @@ def test_nonzero_mean_checkpoint_names_init_path(tmp_path, capsys, command, outp
     from aqgsim.grid import GridSpec, SpectralField, sine_field
     from aqgsim.operators import DissipParams
 
-    coeffs = sine_field(GridSpec(16, 16), (1, 0)).coeffs.copy()
-    coeffs[0, 0] = 0.3
+    half = sine_field(GridSpec(16, 16), (1, 0)).half.copy()
+    half[0, 0] = 0.3
     state = tmp_path / "mean.aqgs"
-    write_checkpoint(state, SpectralField(GridSpec(16, 16), coeffs), DissipParams(0.75, 0.75), 0.0)
+    write_checkpoint(state, SpectralField(GridSpec(16, 16), half), DissipParams(0.75, 0.75), 0.0)
     cfg = write_config(tmp_path, {"grid": {"n1": 16, "n2": 16},
                                   "init": {"kind": "file", "path": str(state), "kmax": 5},
                                   "lemmas": {"kmax": 5}})

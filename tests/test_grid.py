@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                         from_physical, full_spectrum, half_from_physical, half_to_physical,
-                         hermitian_defect, sine_field, to_physical, zero_field)
-from aqgsim.lemmas import oversampled_product
-from aqgsim.operators import DissipParams, nonlinear_term
+from aqgsim.grid import (HERMITIAN_ATOL, GridSpec, SpectralField, _self_conjugate_defect,
+                         field_from_modes, field_from_values, full_spectrum, half_from_physical,
+                         half_to_physical, hermitian_defect, sine_field, zero_field)
+from aqgsim.lemmas import _product_coeffs, oversampled_product
+from aqgsim.operators import DissipParams, _nonlinear_raw, nonlinear_term
 from aqgsim.solver import evolve
 
 from conftest import random_real_grid
@@ -41,16 +41,18 @@ def test_transform_round_trip(grid64):
 
 @pytest.mark.parametrize("shape", [(64, 64), (32, 48), (96, 64)])
 def test_half_transforms_are_the_columns_of_the_full_ones(shape):
-    """`half_from_physical` is the half of `from_physical`, which keeps the bits
-    of rfft2 plus one Hermitian fill, and `half_to_physical` inverts it."""
+    """`half_from_physical` keeps the bits of the scaled rfft2, whose Hermitian
+    fill is a field's full layout `coeffs`; `half_to_physical` inverts it and
+    agrees with the complex transform of `values()`."""
     grid = GridSpec(*shape)
     v = random_real_grid(grid, 6)
-    full = from_physical(v, grid)
+    f = field_from_values(grid, v)
+    full = f.coeffs
     assert full.tobytes() == full_spectrum(np.fft.rfft2(v) / (grid.n1 * grid.n2), grid).tobytes()
     half = half_from_physical(v, grid)
-    assert half.tobytes() == full[:, :grid.n2 // 2 + 1].tobytes()
+    assert half.tobytes() == full[:, :grid.n2 // 2 + 1].tobytes() == f.half.tobytes()
     assert np.max(np.abs(half_to_physical(half, grid) - v)) < 1e-13
-    assert np.max(np.abs(half_to_physical(half, grid) - to_physical(full, grid))) < 1e-14
+    assert np.max(np.abs(half_to_physical(half, grid) - f.values())) < 1e-14
 
 
 @st.composite
@@ -72,10 +74,14 @@ def test_transform_round_trip_property(grid_values):
 
 @pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
 def test_hermitian_by_construction(shape):
-    """Every transform output and the march state are exactly Hermitian."""
+    """Every transform output and the march state are exactly Hermitian: the
+    raw half arrays too, before a `SpectralField` checks them."""
     grid = GridSpec(*shape)
     f = field_from_values(grid, random_real_grid(grid, 3)).dealiased()
     g = field_from_values(grid, random_real_grid(grid, 4)).dealiased()
+    for raw in (half_from_physical(random_real_grid(grid, 5), grid),
+                _nonlinear_raw(f.half, grid)[0], _product_coeffs(f.half, g.half, grid)):
+        assert _self_conjugate_defect(raw) == 0.0
     assert hermitian_defect(f.coeffs) == 0.0
     assert hermitian_defect(nonlinear_term(f).coeffs) == 0.0
     assert hermitian_defect(oversampled_product(f, g).coeffs) == 0.0
@@ -84,10 +90,36 @@ def test_hermitian_by_construction(shape):
 
 
 def test_hermitian_rejected(grid32):
-    c = np.zeros(grid32.shape, dtype=complex)
+    c = np.zeros(grid32.half_shape, dtype=complex)
     c[1, 0] = 1.0  # missing conjugate at (-1, 0)
     with pytest.raises(ValueError, match="Hermitian"):
         SpectralField(grid32, c)
+
+
+def test_self_conjugate_columns_are_checked_then_made_exact():
+    """The columns k2 = 0 and n2/2 are the only place a half array can break
+    the symmetry: a non-real amplitude at any of the four self-conjugate modes,
+    or a pair c(-k1, k2) != conj(c(k1, k2)) in either column, is rejected; a
+    defect within HERMITIAN_ATOL is projected away exactly."""
+    grid = GridSpec(16, 16)
+    for k in ((0, 0), (8, 0), (0, 8), (8, 8)):
+        with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+            field_from_modes(grid, {k: 1j})
+        with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+            field_from_modes(grid, {k: 2.0 + 1e-3j})
+        assert field_from_modes(grid, {k: 2.0}).half[k] == 2.0
+    for column in (0, 8):
+        c = np.zeros(grid.half_shape, dtype=complex)
+        c[1, column], c[-1, column] = 1.0 + 2.0j, 1.0 + 2.0j  # c(-1, k2) != conj(c(1, k2))
+        with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+            SpectralField(grid, c)
+        c[-1, column] = 1.0 - 2.0j + 0.1 * HERMITIAN_ATOL
+        c[0, column] = 3.0 + 0.1j * HERMITIAN_ATOL
+        f = SpectralField(grid, c)
+        assert f.half[-1, column] == 1.0 - 2.0j and f.half[0, column] == 3.0
+        assert hermitian_defect(f.coeffs) == 0.0
+    with pytest.raises(ValueError, match="shape"):
+        SpectralField(grid, np.zeros(grid.shape, dtype=complex))  # the full layout
 
 
 def reflected_copy_defect(c):
@@ -120,6 +152,8 @@ def test_immutability(grid32):
     f = sine_field(grid32, (1, 0))
     with pytest.raises(ValueError):
         f.coeffs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.half[0, 0] = 1.0
 
 
 def test_sine_field_matches_formula(grid32):

@@ -17,9 +17,9 @@ F16, F32 = sine_field(G16, (1, 0)), sine_field(G32, (1, 0))
 
 
 def _with_mean():
-    coeffs = F16.coeffs.copy()
-    coeffs[0, 0] = 1.0
-    return SpectralField(G16, coeffs)
+    half = F16.half.copy()
+    half[0, 0] = 1.0
+    return SpectralField(G16, half)
 
 
 def _stack(n):
@@ -27,7 +27,7 @@ def _stack(n):
 
 
 CASES = {
-    "field_non_finite": (lambda: SpectralField(G16, np.full(G16.shape, np.nan + 0j)),
+    "field_non_finite": (lambda: SpectralField(G16, np.full(G16.half_shape, np.nan + 0j)),
                          "non-finite coefficients"),
     "field_shape": (lambda: SpectralField(G16, np.zeros((16, 8), dtype=complex)),
                     "does not match grid"),

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import aqgsim.lemmas as lemmas
-from aqgsim.grid import (GridSpec, SpectralField, field_from_values, from_physical,
-                         half_to_physical, hermitian_defect, sine_field, to_physical)
+from aqgsim.grid import (GridSpec, SpectralField, field_from_values, full_spectrum,
+                         half_from_physical, half_to_physical, hermitian_defect, sine_field)
 from aqgsim.lemmas import (FieldEnsembleSpec, InequalityReport, oversampled_product,
                            random_band_limited_field, scalar_inequality_suite,
                            functional_inequality_suite, total_violations)
@@ -75,8 +75,8 @@ def test_ensemble_matches_shell_by_shell_fill(n1, n2, kmax, slope):
     spec = FieldEnsembleSpec(GridSpec(n1, n2), seed=7, count=4, kmax=kmax,
                              spectrum_slope=slope)
     for index in range(4):
-        got = random_band_limited_field(spec, index).coeffs
-        assert got.tobytes() == _shell_by_shell_field(spec, index).tobytes()
+        got = random_band_limited_field(spec, index).half
+        assert got.tobytes() == _shell_by_shell_field(spec, index)[:, :n2 // 2 + 1].tobytes()
 
 
 def test_ensemble_kmax_validation(grid32):
@@ -129,7 +129,10 @@ def _complex_route_product(f, g, coarse):
         out[np.ix_(i1, i2)] = np.where(nyquist, 0.0, c)
         return out
 
-    return from_physical(to_physical(pad(f), fine) * to_physical(pad(g), fine), fine)
+    def values(c):
+        return np.fft.ifft2(pad(c), norm="forward").real
+
+    return full_spectrum(half_from_physical(values(f) * values(g), fine), fine)
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (32, 48), (64, 64), (96, 64)])
@@ -148,7 +151,7 @@ def test_oversampled_product_matches_the_complex_route(shape):
         assert fg.grid == GridSpec(2 * grid.n1, 2 * grid.n2)
         assert np.max(np.abs(fg.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
         assert hermitian_defect(fg.coeffs) == 0.0
-        half = lemmas._product_coeffs(f.coeffs, g.coeffs, grid)
+        half = lemmas._product_coeffs(f.half, g.half, grid)
         assert half.shape == fg.grid.half_shape
         assert fg.coeffs[:, :grid.n2 + 1].tobytes() == half.tobytes()
 
@@ -361,7 +364,7 @@ def test_violation_reporting_machinery():
 
 def _real_values(f):
     """Grid values of f by the inverse real transform of its columns k2 = 0 .. n2/2."""
-    return half_to_physical(f.coeffs[:, :f.grid.n2 // 2 + 1], f.grid)
+    return half_to_physical(f.half, f.grid)
 
 
 def _per_call_suite(spec, p, blocks):
@@ -415,7 +418,7 @@ def _per_call_suite(spec, p, blocks):
                 rep.worst_ratio = max(rep.worst_ratio, abs(lhs / rhs - 1.0))
                 rep.empirical_constant = max(rep.empirical_constant, lhs / rhs)
         k_sq = f.grid.k1**2 + f.grid.k2**2  # on the full layout; 0 ** (a / 2) = 0 at k = 0
-        grad_a = SpectralField(f.grid, k_sq ** (a / 2.0) * f.coeffs)
+        grad_a = SpectralField(f.grid, (k_sq ** (a / 2.0) * f.coeffs)[:, :f.grid.n2 // 2 + 1])
         for s in (0.0, p.s, 1.0):
             norm_s, seminorm_b = sobolev_norm(f, s, True), directional_seminorm(f, ax2, b, s)
             rhs = norm_s + directional_seminorm(f, ax1, a, s) + seminorm_b

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                         from_physical, sine_field, zero_field)
+                         sine_field, zero_field)
 from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _gevrey_weights, _hs_from_power,
                           _hs_norm, _hs_norms, _hs_table, _weighted_hs_norms, _lp, _lp_table, directional_seminorm,
                           gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
@@ -34,7 +34,7 @@ def test_sobolev_norm_closed_forms(grid32):
 @pytest.mark.parametrize("s, homogeneous", [(0.0, False), (1.3, False), (0.4, True)])
 def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
     grid = GridSpec(*shape)
-    stack = np.stack([field_from_values(grid, random_real_grid(grid, 40 + i)).coeffs
+    stack = np.stack([field_from_values(grid, random_real_grid(grid, 40 + i)).half
                       for i in range(7)])
     norms = _hs_norms(stack, grid, s, homogeneous)
     assert norms.shape == (7,)
@@ -49,7 +49,7 @@ def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
 def test_hs_table_equals_per_order_norms_bitwise(fine):
     """One stacked reduction gives each (s, homogeneous) norm of one power with
     the bits of its own `_hs_from_power`, on the 64^2 grid of the lemma suite and
-    on the 128^2 grid of its product, from the half or the full layout."""
+    on the 128^2 grid of its product."""
     from aqgsim.lemmas import _hs_orders
 
     grid = GridSpec(128, 128) if fine else GridSpec(64, 64)
@@ -57,14 +57,13 @@ def test_hs_table_equals_per_order_norms_bitwise(fine):
     orders = fg_orders + ((-0.3, False), (1.7, False)) if fine else f_orders
     assert {h for _, h in orders} == {True, False}
     for seed in (1, 2):
-        c = field_from_values(grid, random_real_grid(grid, seed)).coeffs
-        power = np.abs(c[:, :grid.n2 // 2 + 1]) ** 2
-        for table in (_hs_table(power, grid, orders), _hs_table(np.abs(c) ** 2, grid, orders)):
-            assert list(table) == list(orders)
-            for (s, homogeneous), got in table.items():
-                want = _hs_from_power(power, grid, s, homogeneous)
-                assert type(got) is float
-                assert np.float64(got).tobytes() == want.tobytes(), (s, homogeneous)
+        power = np.abs(field_from_values(grid, random_real_grid(grid, seed)).half) ** 2
+        table = _hs_table(power, grid, orders)
+        assert list(table) == list(orders)
+        for (s, homogeneous), got in table.items():
+            want = _hs_from_power(power, grid, s, homogeneous)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), (s, homogeneous)
 
 
 def _lp_one_exponent(v, p):
@@ -100,18 +99,19 @@ def test_lp_table_equals_lp_bitwise(grid64):
 def test_half_layout_norm_equals_full_layout_sum(shape, s, homogeneous, seed):
     """The H^s sum over the columns k2 = 0 .. n2/2 against the half weight
     equals the explicit sum over all n1 n2 modes, sqrt(sum w |c|^2), on
-    Hermitian fields: a single field and a stack, in either layout."""
+    Hermitian fields: a single field and a stack."""
     grid = GridSpec(*shape)
     rng = np.random.default_rng(seed)
-    stack = np.stack([from_physical(rng.standard_normal(shape), grid) for _ in range(3)])
+    fields = [field_from_values(grid, rng.standard_normal(shape)) for _ in range(3)]
+    stack = np.stack([f.coeffs for f in fields])
     # the full-layout weight, built here from the wavenumbers of all n1 n2 modes
     k_sq = grid.k1**2 + grid.k2**2
     w = np.where(k_sq > 0, k_sq, 1.0) ** s if homogeneous else (1.0 + k_sq) ** s
     if homogeneous:
         w[0, 0] = 0.0  # the k = 0 term is omitted
     full = np.sqrt((w * np.abs(stack) ** 2).sum(axis=(1, 2)))
-    half = stack[..., :grid.n2 // 2 + 1]
-    for got in (_hs_norms(stack, grid, s, homogeneous), _hs_norms(half, grid, s, homogeneous),
+    half = np.stack([f.half for f in fields])
+    for got in (_hs_norms(half, grid, s, homogeneous),
                 [_hs_norm(c, grid, s, homogeneous) for c in half]):
         assert np.all(np.abs(np.asarray(got) - full) <= 1e-14 * full)
 
@@ -127,11 +127,10 @@ def test_gevrey_saturates_on_a_live_mode_of_a_self_conjugate_column(column):
     t = 2.1 * WEIGHT_CAP / gevrey_multiplier(grid, p)[-9, col]
     exponent = 0.5 * t * gevrey_multiplier(grid, p)
     assert exponent[-9, col] > WEIGHT_CAP and exponent[1, 0] <= WEIGHT_CAP
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    c = np.zeros(grid.half_shape, dtype=np.complex128)
     c[1, 0] = c[-1, 0] = 0.5
     c[-9, col] = 1e-300
     assert _gevrey_norm(c, grid, t, 0.0, p) == math.inf
-    assert _gevrey_norm(c[:, :grid.n2 // 2 + 1], grid, t, 0.0, p) == math.inf
     c[-9, col] = 0.0
     assert math.isfinite(_gevrey_norm(c, grid, t, 0.0, p))
 
@@ -252,16 +251,16 @@ def test_gevrey_weight_stack_gives_gevrey_norms_bitwise(grid64):
     times = [0.0, 0.25, 0.5, 1.0, 2.0]
     weights = _gevrey_weights(grid64, times, p)
     f = field_from_values(grid64, random_real_grid(grid64, 5))
-    stack = np.stack([(k + 1.0) * f.coeffs[:, :33] for k in range(len(times))])
+    stack = np.stack([(k + 1.0) * f.half for k in range(len(times))])
     for s in (0.4, 1.0, 90.0):  # at s = 90 the two largest times overflow
-        got = _weighted_hs_norms(weights, f.coeffs, grid64, s)
-        assert got.tolist() == [_gevrey_norm(f.coeffs, grid64, t, s, p) for t in times]
+        got = _weighted_hs_norms(weights, f.half, grid64, s)
+        assert got.tolist() == [_gevrey_norm(f.half, grid64, t, s, p) for t in times]
         got = _weighted_hs_norms(weights, stack, grid64, s)
         assert got.tolist() == [_gevrey_norm(c, grid64, t, s, p) for c, t in zip(stack, times)]
     assert got.tolist()[2] < math.inf == got.tolist()[3]
     # at s = 300 the Sobolev weight overflows on modes where a sine field is
     # zero, so the raw sum is NaN: it reads inf too
-    got = _weighted_hs_norms(weights, sine_field(grid64, (1, 0)).coeffs, grid64, 300.0)
+    got = _weighted_hs_norms(weights, sine_field(grid64, (1, 0)).half, grid64, 300.0)
     assert got.tolist() == [math.inf] * len(times)
     with pytest.raises(ValueError, match="WEIGHT_CAP"):
         _gevrey_weights(grid64, [1.0, 2.0 * WEIGHT_CAP], p)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
-                        from_physical, full_spectrum, half_sobolev_weight, half_to_physical,
-                        hermitian_defect, sine_field, to_physical)
+                        full_spectrum, half_from_physical, half_sobolev_weight,
+                        half_to_physical, hermitian_defect, sine_field)
 from aqgsim.norms import sobolev_norm
 from aqgsim.operators import (DissipParams, _kernel_multipliers, _nonlinear_raw,
                               _velocity, apply_semigroup,
@@ -118,7 +118,7 @@ def test_velocity_is_riesz_velocity_with_its_max_magnitude(shape):
     grid = GridSpec(*shape)
     spec = FieldEnsembleSpec(grid, seed=12, count=1, kmax=min(shape) // 3, spectrum_slope=1.0)
     theta = random_band_limited_field(spec, 0)
-    u1, u2, max_u = _velocity(theta.coeffs, grid, with_max_u=True)
+    u1, u2, max_u = _velocity(theta.half, grid, with_max_u=True)
     for u, v in zip((u1, u2), riesz_velocity(theta)):
         ref = v.values()
         assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -214,6 +214,10 @@ def _irfft2_values(coeffs, grid):
     return np.fft.irfft2(coeffs[:, :grid.n2 // 2 + 1], s=grid.shape, norm="forward")
 
 
+def _ifft2_values(coeffs, grid):
+    return np.fft.ifft2(coeffs, norm="forward").real
+
+
 def _full_band(grid):
     """Reference: the 2/3-rule mask on the full layout."""
     return (np.abs(grid.k1) <= grid.n1 // 3) & (np.abs(grid.k2) <= grid.n2 // 3)
@@ -234,14 +238,16 @@ def _full_riesz_multipliers(grid):
 
 
 def _former_kernel(coeffs, grid, velocity_coeffs=None, to_grid=_irfft2_values):
-    """Reference: theta and u to the grid by `to_grid` (the kernel's irfft2
-    inverses, or the complex ifft2 of `to_physical`), then both fluxes through
-    the full forward transform and i(k1 f1 + k2 f2) under the 2/3 mask."""
-    cv = coeffs if velocity_coeffs is None else velocity_coeffs
+    """Reference on the full layouts of the half arrays given: theta and u to
+    the grid by `to_grid` (the kernel's irfft2 inverses, or the complex ifft2 of
+    `SpectralField.values`), then both fluxes through the forward transform,
+    filled to the full layout, and i(k1 f1 + k2 f2) under the 2/3 mask."""
+    coeffs = full_spectrum(coeffs, grid)
+    cv = coeffs if velocity_coeffs is None else full_spectrum(velocity_coeffs, grid)
     m1, m2 = _full_riesz_multipliers(grid)
     theta, u1, u2 = (to_grid(c, grid) for c in (coeffs, m1 * cv, m2 * cv))
-    f1 = from_physical(theta * u1, grid)
-    f2 = from_physical(theta * u2, grid)
+    f1 = full_spectrum(half_from_physical(theta * u1, grid), grid)
+    f2 = full_spectrum(half_from_physical(theta * u2, grid), grid)
     out = np.where(_full_band(grid), 1j * (grid.k1 * f1 + grid.k2 * f2), 0.0)
     return out, float(np.max(np.sqrt(u1**2 + u2**2)))
 
@@ -249,7 +255,7 @@ def _former_kernel(coeffs, grid, velocity_coeffs=None, to_grid=_irfft2_values):
 def _kernel_inputs(shape, seed):
     grid = GridSpec(*shape)
     spec = FieldEnsembleSpec(grid, seed=seed, count=2, kmax=min(shape) // 3, spectrum_slope=1.0)
-    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    theta, other = (random_band_limited_field(spec, i).half for i in range(2))
     return grid, theta, other
 
 
@@ -279,7 +285,7 @@ def test_kernel_matches_complex_transform_oracle(shape, bilinear):
     cv = other if bilinear else None
     out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
     out = full_spectrum(out, grid)
-    ref, ref_max_u = _former_kernel(theta, grid, cv, to_grid=to_physical)
+    ref, ref_max_u = _former_kernel(theta, grid, cv, to_grid=_ifft2_values)
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert abs(max_u - ref_max_u) <= 1e-14 * ref_max_u
 
@@ -287,12 +293,15 @@ def test_kernel_matches_complex_transform_oracle(shape, bilinear):
 @pytest.mark.parametrize("shape", [(64, 64), (32, 48)])
 @pytest.mark.parametrize("bilinear", [False, True])
 def test_kernel_reads_only_the_half_spectrum(shape, bilinear):
+    """Given the columns k2 = 0 .. n2/2 of a full-layout array, a strided view
+    whose buffer holds NaN in the columns k2 < 0, the kernel and the velocity
+    give the bits they give on the contiguous half array."""
     grid, theta, other = _kernel_inputs(shape, 16)
 
     def spoiled(c):
-        c = c.copy()
-        c[:, grid.n2 // 2 + 1:] = np.nan  # the columns k2 < 0
-        return c
+        full = np.full(grid.shape, np.nan, dtype=np.complex128)  # the columns k2 < 0
+        full[:, :grid.n2 // 2 + 1] = c
+        return full[:, :grid.n2 // 2 + 1]
 
     cv = other if bilinear else None
     out, max_u = _nonlinear_raw(theta, grid, velocity_coeffs=cv, with_max_u=True)
@@ -314,7 +323,7 @@ def _full_layout_kernel(coeffs, grid, velocity_coeffs=None):
     half filled as conjugates and the self-conjugate columns repaired."""
     h1, h2 = grid.n1 // 2, grid.n2 // 2
     d1, d2 = _kernel_multipliers(grid)[2:]
-    theta = half_to_physical(coeffs[:, :h2 + 1], grid)
+    theta = half_to_physical(coeffs, grid)
     u1, u2, _ = _velocity(coeffs if velocity_coeffs is None else velocity_coeffs, grid)
     half = d1 * np.fft.rfft2(theta * u1)
     half += d2 * np.fft.rfft2(theta * u2)
@@ -363,13 +372,14 @@ def test_kernel_output_does_not_depend_on_forming_max_u(bilinear):
 
 def test_nonlinear_term_is_the_full_fill_of_the_kernel(grid64):
     theta = field_from_values(grid64, random_real_grid(grid64, 8)).dealiased()
-    out, _ = _nonlinear_raw(theta.coeffs, grid64)
+    out, _ = _nonlinear_raw(theta.half, grid64)
+    assert nonlinear_term(theta).half.tobytes() == out.tobytes()
     assert nonlinear_term(theta).coeffs.tobytes() == full_spectrum(out, grid64).tobytes()
 
 
 def test_kernel_makes_three_inverse_and_two_real_transforms(grid64, monkeypatch):
     spec = FieldEnsembleSpec(grid64, seed=14, count=2, kmax=12, spectrum_slope=1.0)
-    theta, other = (random_band_limited_field(spec, i).coeffs for i in range(2))
+    theta, other = (random_band_limited_field(spec, i).half for i in range(2))
     calls = Counter()
     for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn"):

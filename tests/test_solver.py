@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from aqgsim.diagnostics import weighted_norm_trace
-from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, full_spectrum,
-                         half_sobolev_weight, sine_field, zero_field)
+from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, half_sobolev_weight,
+                         sine_field, zero_field)
 from aqgsim.lemmas import FieldEnsembleSpec, random_band_limited_field
 from aqgsim.norms import _hs_norms, gevrey_weighted_norm, sobolev_norm
 from aqgsim.operators import (DissipParams, RegimeWarning, apply_semigroup,
@@ -428,8 +428,7 @@ def test_one_picard_iteration_is_the_recursion_from_minus_theta0(grid64, params_
     rep = solve(theta0, PicardConfig(T=0.3, n_nodes=17, max_iter=1), params_sym)
     L0 = semigroup_trajectory(theta0, rep.trajectory.times, params_sym)
     kernels = (solver._nonlinear_raw(c, grid64)[0] for c in L0.coeffs)
-    first = -recursion_stack(kernels, L0.dt, grid64, params_sym,
-                             -theta0.coeffs[:, :grid64.n2 // 2 + 1])
+    first = -recursion_stack(kernels, L0.dt, grid64, params_sym, -theta0.half)
     assert rep.trajectory.coeffs.tobytes() == first.tobytes()
     mild = L0.coeffs - duhamel_bilinear(L0, L0, params_sym).coeffs
     assert np.all(_hs_norms(first - mild, grid64, s) <= 1e-14 * _hs_norms(mild, grid64, s))
@@ -582,7 +581,7 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
         f = random_band_limited_field(spec, 2 * i)
         g = random_band_limited_field(spec, 2 * i + 1)
         nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
-        N = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)[0]
+        N = solver._nonlinear_raw(f.half, grid, velocity_coeffs=g.half)[0]
         for T in solver._CALIBRATION_HORIZONS:
             times = time_grid(T, n)
             W = recursion_stack(itertools.repeat(1.0, n), times[1], grid, p,
@@ -592,7 +591,7 @@ def test_calibration_weighted_input_sup_matches_full_loop(p):
                                         np.zeros(grid.half_shape, complex))
             assert np.all(np.abs(stack[-1] - reference[-1]) <= 1e-14 * np.abs(reference[-1]))
             plain = _hs_norms(stack, grid, s)
-            weighted = [gevrey_weighted_norm(SpectralField(grid, full_spectrum(c, grid)), t, s, p)
+            weighted = [gevrey_weighted_norm(SpectralField(grid, c), t, s, p)
                         for c, t in zip(stack, times)]
             assert np.max(plain) == plain[-1] and max(weighted) == weighted[-1]
             nfw, ngw = (max(gevrey_weighted_norm(h, t, s, p) for t in times)
@@ -619,8 +618,6 @@ def _former_gevrey_norm(coeffs, grid, t, s, p):
     with the cap check and the non-finite reading."""
     from aqgsim.norms import WEIGHT_CAP, _hs_norm
 
-    h = grid.n2 // 2 + 1
-    coeffs = coeffs[..., :h]
     exponent = 0.5 * t * gevrey_multiplier(grid, p)
     if not exponent.max() <= WEIGHT_CAP:
         live = coeffs != 0.0
@@ -654,7 +651,7 @@ def _expression_calibration(p, n_samples, seed):
         f = random_band_limited_field(spec, 2 * i)
         g = random_band_limited_field(spec, 2 * i + 1)
         nf, ng = sobolev_norm(f, s), sobolev_norm(g, s)
-        Nfg, _ = solver._nonlinear_raw(f.coeffs, grid, velocity_coeffs=g.coeffs)
+        Nfg, _ = solver._nonlinear_raw(f.half, grid, velocity_coeffs=g.half)
         for T, W_T, g1, g2, eT in horizons:
             B = W_T * Nfg
             lhs_plain = _hs_norm(B, grid, s)
@@ -663,8 +660,8 @@ def _expression_calibration(p, n_samples, seed):
             if g2 > 0.0:
                 ratios["C2"] = max(ratios["C2"], lhs_plain / (g2 * nf * ng))
             lhs_w = _former_gevrey_norm(B, grid, T, s, p)
-            nfw = _former_gevrey_norm(f.coeffs, grid, T, s, p)
-            ngw = _former_gevrey_norm(g.coeffs, grid, T, s, p)
+            nfw = _former_gevrey_norm(f.half, grid, T, s, p)
+            ngw = _former_gevrey_norm(g.half, grid, T, s, p)
             if g1 > 0.0:
                 ratios["C3"] = max(ratios["C3"], lhs_w / (eT * g1 * nfw * ngw))
             if g2 > 0.0:
@@ -781,7 +778,7 @@ def test_weighted_sup_of_saturated_node_is_inf():
     f = unit_random_field(grid, 0, 1.0, kmax=10)
     with np.errstate(over="ignore", invalid="ignore"):
         assert gevrey_weighted_norm(f, 0.25, p.s, p) == math.inf
-        assert solver._weighted_sup(grid, np.array([0.25]), f.coeffs[None], p, p.s) == math.inf
+        assert solver._weighted_sup(grid, np.array([0.25]), f.half[None], p, p.s) == math.inf
 
 
 def test_constants_table_validation():
@@ -1090,7 +1087,7 @@ def test_one_stepper_step_from_a_checkpoint_matches_evolve(grid32, params, march
     cp = read_checkpoint(path)
     k = res.trace.t.index(cp.t)
     dt = res.trace.dt[k + 1]
-    c = cp.field.coeffs[:, :grid32.n2 // 2 + 1]
+    c = cp.field.half
     assert np.array_equal(c, states[k])  # equal up to the sign of zero
     adaptive = "dt_fixed" not in march
     stepper = Etdrk4Stepper(grid32, params, dt, adaptive=adaptive)
