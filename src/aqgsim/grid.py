@@ -13,7 +13,9 @@ counts each column with its `multiplicity` (1 on the self-conjugate columns
 k2 = 0 and n2/2, 2 elsewhere), so it equals the sum over all n1 x n2 modes. The
 full (n1, n2) layout is only the read-only view `SpectralField.coeffs`, which
 checkpoints store and `values()` transforms; checkpoint input is checked whole
-by `require_hermitian` (with `hermitian_defect`) before its half is kept.
+by `require_hermitian` before its half is kept. `hermitian_defect` reads the
+defect of any array off its reflection k -> -k, with no fill: of a checkpoint
+body, or of the self-conjugate columns of a half array.
 
 `half_from_physical` (rfft2, scaled, then `self_conjugate_columns`) and
 `half_to_physical` (irfft2) are the transform pair; `full_spectrum`, the one
@@ -120,7 +122,7 @@ def full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     h2 = grid.n2 // 2
     c = np.empty((*half.shape[:-1], grid.n2), dtype=np.complex128)
     c[..., :h2 + 1] = half
-    self_conjugate_columns(c[..., :h2 + 1], grid)
+    self_conjugate_columns(c[..., :h2 + 1], grid)  # also the signs of zeros checkpoints keep
     np.conj(c[..., 0, h2 - 1:0:-1], out=c[..., 0, h2 + 1:])
     np.conj(c[..., :0:-1, h2 - 1:0:-1], out=c[..., 1:, h2 + 1:])
     return c
@@ -155,13 +157,11 @@ def _half_sobolev_weight(grid: GridSpec, s: float, homogeneous: bool) -> np.ndar
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
-    """max_k |c(k) - conj(c(-k))|, from the residual of the Hermitian fill of the
-    k2 >= 0 half. A pair k, -k has one residual of that size on the filled side;
-    a self-conjugate mode's residual is i Im c, half its defect, so it is doubled."""
-    grid = GridSpec(*coeffs.shape)
-    r = coeffs - full_spectrum(coeffs[:, :grid.n2 // 2 + 1], grid)
-    r[::grid.n1 // 2, ::grid.n2 // 2] *= 2.0
-    return float(np.max(np.abs(r)))
+    """max_k |c(k) - conj(c(-k))| of an array c in FFT ordering, read directly
+    off its reflection: `take` wraps index -k on each axis to (-k) mod n."""
+    n1, n2 = coeffs.shape
+    minus_k = coeffs.take(-np.arange(n1), 0).take(-np.arange(n2), 1)
+    return float(np.max(np.abs(coeffs - np.conj(minus_k))))
 
 
 def require_hermitian(c: np.ndarray, defect=hermitian_defect) -> float:
@@ -176,18 +176,18 @@ def require_hermitian(c: np.ndarray, defect=hermitian_defect) -> float:
 
 
 def _self_conjugate_defect(half: np.ndarray) -> float:
-    """max |c(k) - conj(c(-k))| over the columns k2 = 0 and n2/2 of a half array,
-    the only columns that hold both k and -k."""
-    cols = half[:, ::half.shape[1] - 1]
-    return float(np.max(np.abs(cols - np.conj(np.roll(cols[::-1], 1, axis=0)))))
+    """`hermitian_defect` of the columns k2 = 0 and n2/2 of a half array, the
+    only columns that hold both k and -k."""
+    return hermitian_defect(half[:, ::half.shape[1] - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable Fourier coefficients of a real scalar field, held as a private
     copy of the half layout `half`, whose self-conjugate columns are checked
     within HERMITIAN_ATOL and made exact. A nonzero mean is allowed (norm-only
-    uses); operations that need the Riesz multiplier reject it."""
+    uses); operations that need the Riesz multiplier reject it. A field is
+    equal to and hashed as itself only: values are compared through `half`."""
 
     grid: GridSpec
     half: np.ndarray

@@ -2,19 +2,20 @@
 grid quadratures (Lp, scaled by the largest value so that any finite p stays in
 range), in the normalized measure dx/(4 pi^2).
 
-The coefficient sums (`_hs_norms`, `_hs_from_power`, `_hs_table`, `_gevrey_norm`)
-take half arrays, a field's `half` or the solver's working arrays, and sum them
-against `grid.half_sobolev_weight`, which counts each column with its
-multiplicity, so each equals the sum over all modes.
-`_hs_table` and `_lp_table` take many norms of one field in one pass, with the
-bits of `_hs_from_power` and `_lp`.
+The coefficient sums (`_hs_norms`, `_hs_table`, `_weighted_hs_norms`) take half
+arrays, a field's `half` or the solver's working arrays, and sum them against
+`grid.half_sobolev_weight`, which counts each column with its multiplicity, so
+each equals the sum over all modes. `_hs_table` and `_lp_table` take many norms
+of one field in one pass, with the bits of `_hs_norms` and `_lp`.
 
-The Gevrey weight exp((t/2) B(D)) has one exponent, `_gevrey_exponents`, and
-one overflow policy: a saturated or non-finite norm reads as inf. Every
+The Gevrey weight exp((t/2) B(D)) has one builder, `_gevrey_weights`, where a
+mode whose exponent passes WEIGHT_CAP weighs inf, and one reduction,
+`_weighted_hs_norms`, with one rule: a zero mode weighs nothing, and a live
+mode of infinite weight, or an overflow, makes the norm read inf. Every
 weighted norm in the package (the march trace, the Picard sups, the gevrey
-report) goes through `_gevrey_norm`, and `_gevrey_norms` walks a node stack;
-calibration, whose exponents stay below the cap, builds its weights once with
-`_gevrey_weights` and applies them with `_weighted_hs_norms`, bit for bit.
+report) pairs the two through `_gevrey_norms`; calibration keeps one weight
+stack per parameter set for its horizons and applies it with
+`_weighted_hs_norms`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .grid import GridSpec, SpectralField, half_sobolev_weight
 from .operators import DissipParams, gevrey_multiplier
 
-WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it the norm saturates
+WEIGHT_CAP = 700.0  # keep exp() within double range; beyond it a mode weighs inf
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False) -> float:
@@ -41,22 +42,15 @@ def _hs_norm(coeffs: np.ndarray, grid: GridSpec, s: float, homogeneous: bool = F
 def _hs_norms(coeffs: np.ndarray, grid: GridSpec, s: float,
               homogeneous: bool = False) -> np.ndarray:
     """H^s norms over the last two axes: of one half array, or of each node of a stack."""
-    return _hs_from_power(np.abs(coeffs) ** 2, grid, s, homogeneous)
-
-
-def _hs_from_power(power: np.ndarray, grid: GridSpec, s: float,
-                   homogeneous: bool = False) -> np.ndarray:
-    """_hs_norms from the power |c|^2, so that a caller taking many norms of one
-    field forms it once."""
     w = half_sobolev_weight(grid, s, homogeneous)
-    return np.sqrt((w * power).sum(axis=(-2, -1)))
+    return np.sqrt((w * np.abs(coeffs) ** 2).sum(axis=(-2, -1)))
 
 
 def _hs_table(power: np.ndarray, grid: GridSpec, orders) -> dict:
-    """{(s, homogeneous): _hs_from_power(power, grid, s, homogeneous)} of one
-    power at each of `orders`, bit for bit, from one reduction: each weighted
-    power is written into one row of a (len(orders), n1, n2/2 + 1) stack, and
-    the rows are summed at once."""
+    """{(s, homogeneous): _hs_norms(c, grid, s, homogeneous)} at each of
+    `orders`, bit for bit, from the power |c|^2 of the coefficients c in one
+    reduction: each weighted power is written into one row of a
+    (len(orders), n1, n2/2 + 1) stack, and the rows are summed at once."""
     weights = [half_sobolev_weight(grid, s, homogeneous) for s, homogeneous in orders]
     stack = np.empty((len(weights), *power.shape))
     for row, w in zip(stack, weights):
@@ -103,55 +97,41 @@ def directional_seminorm(f: SpectralField, axis: int, exponent: float, s: float)
 
 def gevrey_weighted_norm(f: SpectralField, t: float, s: float, p: DissipParams) -> float:
     """H^s norm of exp((t/2) B(D)) f; inf (not clipped) on weight overflow."""
-    return _gevrey_norm(f.half, f.grid, t, s, p)
-
-
-def _gevrey_norm(coeffs: np.ndarray, grid: GridSpec, t: float, s: float,
-                 p: DissipParams) -> float:
-    """gevrey_weighted_norm on bare coefficients.
-
-    A weight exponent above WEIGHT_CAP on a nonzero mode, or a non-finite
-    result, saturates the norm: it reads as inf. Zero modes carry no weight, so
-    the live mask is built only when some exponent exceeds the cap.
-    """
-    if t < 0:
-        raise ValueError(f"weight time must be nonnegative, got {t}")
-    exponent = _gevrey_exponents(grid, (t,), p)[0]
-    if not exponent.max() <= WEIGHT_CAP:  # also true for a NaN time
-        live = coeffs != 0.0
-        if np.any(live & (exponent > WEIGHT_CAP)):
-            return math.inf
-        exponent = np.where(live, exponent, 0.0)
-    return float(_weighted_hs_norms(np.exp(exponent), coeffs, grid, s))
-
-
-def _gevrey_exponents(grid: GridSpec, times, p: DissipParams) -> np.ndarray:
-    """The weight exponents (t/2) B(k) on the half layout, one row per time."""
-    return (0.5 * np.asarray(times, dtype=np.float64))[:, None, None] * gevrey_multiplier(grid, p)
+    return float(_gevrey_norms(f.half, f.grid, (t,), s, p)[0])
 
 
 def _gevrey_weights(grid: GridSpec, times, p: DissipParams) -> np.ndarray:
-    """The weights exp((t/2) B(D)) that `_gevrey_norm` applies at each of
-    `times`, bit for bit, as one (len(times), n1, n2/2 + 1) stack. An exponent
-    above WEIGHT_CAP is a ValueError: there the norm's saturation depends on
-    which modes are live, so no weight serves every field."""
-    exponents = _gevrey_exponents(grid, times, p)
-    if not exponents.max() <= WEIGHT_CAP:
-        raise ValueError(f"a Gevrey weight exponent exceeds WEIGHT_CAP = {WEIGHT_CAP}")
+    """The weights exp((t/2) B(D)) at each of `times` >= 0, as one
+    (len(times), n1, n2/2 + 1) stack. A mode whose exponent passes WEIGHT_CAP
+    weighs inf; the capped exponent is formed only when some exponent does."""
+    if any(t < 0.0 for t in times):
+        raise ValueError(f"weight time must be nonnegative, got {min(times)}")
+    exponents = np.multiply.outer(np.multiply(0.5, times), gevrey_multiplier(grid, p))
+    if not exponents.max() <= WEIGHT_CAP:  # also true for a NaN time
+        exponents[exponents > WEIGHT_CAP] = math.inf
     return np.exp(exponents)
 
 
 def _weighted_hs_norms(weights: np.ndarray, coeffs: np.ndarray, grid: GridSpec,
                        s: float) -> np.ndarray:
     """H^s norms of weights * coeffs over the last two axes, with every weight
-    row applied to the field (or the matching node of a stack) `coeffs`; a
-    non-finite norm reads as inf."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
+    row applied to the field (or the matching node of a stack) `coeffs`. A zero
+    mode weighs nothing; a live mode of infinite weight, or an overflow, makes
+    the norm read inf. The zero modes are masked only when a norm comes out
+    non-finite, the one case where their weight can matter."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm reads as inf below
         values = _hs_norms(weights * coeffs, grid, s)
+        if np.isfinite(values).all():
+            return values
+        values = _hs_norms(np.where(coeffs != 0.0, weights * coeffs, 0.0), grid, s)
     return np.where(np.isfinite(values), values, math.inf)
 
 
-def _gevrey_norms(coeffs: np.ndarray, grid: GridSpec, times: np.ndarray, s: float,
+def _gevrey_norms(coeffs: np.ndarray, grid: GridSpec, times, s: float,
                   p: DissipParams) -> np.ndarray:
-    """_gevrey_norm of each node of a stack, with weight time = node time."""
-    return np.array([_gevrey_norm(c, grid, float(t), s, p) for c, t in zip(coeffs, times)])
+    """Gevrey-weighted H^s norms: of the half array `coeffs` at each of `times`,
+    or of each node of a stack at its own time. A stack is weighted node by
+    node, so no weight stack of its size is built."""
+    if coeffs.ndim == 2:
+        return _weighted_hs_norms(_gevrey_weights(grid, times, p), coeffs, grid, s)
+    return np.array([_gevrey_norms(c, grid, (t,), s, p)[0] for c, t in zip(coeffs, times)])

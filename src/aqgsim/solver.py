@@ -35,8 +35,8 @@ import numpy as np
 
 from .grid import GridSpec, SpectralField
 from .lemmas import FieldEnsembleSpec, random_band_limited_field
-from .norms import (_gevrey_norm, _gevrey_norms, _gevrey_weights, _hs_norm, _hs_norms,
-                    _hs_table, _weighted_hs_norms, sobolev_norm)
+from .norms import (_gevrey_norms, _gevrey_weights, _hs_norm, _hs_norms, _hs_table,
+                    _weighted_hs_norms, sobolev_norm)
 from .operators import (DissipParams, dissipation_multiplier, gevrey_multiplier,
                         symbol_multipliers, _nonlinear_raw, _velocity)
 
@@ -666,7 +666,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     unless dt_fixed is given. Initial data is projected onto the dealiased band.
 
     The stepper proposes each step, capped by dt_max; a step ends exactly on the
-    next checkpoint or T, and halves the way there rather than leave a sliver.
+    next checkpoint or T, and halves the way there rather than leave a sliver;
+    a step so shortened leaves its proposal standing for the next one.
     `kernel_calls` counts one call for the initial state and the stepper's. The
     trace's `diss_integral` sums the dissipation rate D = 2 sum A |c|^2 over each
     step by the Hermite (end-corrected trapezoid) rule dt/2 (D0 + D1) +
@@ -719,7 +720,7 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
     try:
         while t < T * (1.0 - 1e-12):
             target = cps[0] if cps else T
-            dt = min(stepper.dt, dt_ceiling)
+            dt = proposal = min(stepper.dt, dt_ceiling)
             if t + dt >= target * (1.0 - 1e-12):
                 dt = target - t
             elif dt_fixed is None and t + 2.0 * dt > target:
@@ -733,6 +734,8 @@ def evolve(theta0: SpectralField, T: float, p: DissipParams, *, nonlinear: bool 
             if c_new is None:
                 rejected += 1
                 continue
+            if dt < proposal:  # a step shortened to land on a target keeps its proposal
+                stepper.dt = max(stepper.dt, proposal)
             N_next, max_u_next = stepper.rhs(c_new, with_max_u=True)
             rates_next = diss_rates(c_new, N_next)
             step_int = (0.5 * dt * (rates[0] + rates_next[0])
@@ -775,7 +778,7 @@ def _record(trace: DiagnosticsTrace, grid: GridSpec, p: DissipParams, t: float,
         column.append(norms[s, False])
     for column, w in ((trace.diss1, d1), (trace.diss2, d2)):
         column.append(float(np.sqrt(np.sum(w * mod2))))
-    trace.gevrey_hs.append(_gevrey_norm(c, grid, max(t, 0.0), p.s, p))
+    trace.gevrey_hs.append(float(_gevrey_norms(c, grid, (max(t, 0.0),), p.s, p)[0]))
     trace.max_u.append(float(max_u))
     trace.dt.append(float(dt))
     trace.diss_integral.append(float(diss_int))

@@ -156,6 +156,15 @@ def test_immutability(grid32):
         f.half[0, 0] = 1.0
 
 
+def test_fields_compare_and_hash_by_identity(grid32):
+    """`==`, `in` and `hash` work on fields, by identity; equal values compare
+    through `half`."""
+    f, g = sine_field(grid32, (1, 0)), sine_field(grid32, (1, 0))
+    assert f == f and f != g and np.array_equal(f.half, g.half)
+    assert f in [g, f] and g not in [f]
+    assert hash(f) == hash(f) and len({f, g, f}) == 2
+
+
 def test_sine_field_matches_formula(grid32):
     x1, x2 = grid32.physical_points()
     f = sine_field(grid32, (2, 1), amplitude=0.7, phase=0.3)

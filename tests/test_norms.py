@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from aqgsim.grid import (GridSpec, SpectralField, field_from_modes, field_from_values,
                          sine_field, zero_field)
-from aqgsim.norms import (WEIGHT_CAP, _gevrey_norm, _gevrey_weights, _hs_from_power,
-                          _hs_norm, _hs_norms, _hs_table, _weighted_hs_norms, _lp, _lp_table, directional_seminorm,
+from aqgsim.norms import (WEIGHT_CAP, _gevrey_norms, _gevrey_weights, _hs_norm, _hs_norms,
+                          _hs_table, _weighted_hs_norms, _lp, _lp_table, directional_seminorm,
                           gevrey_weighted_norm, lp_norm, sobolev_norm, vector_lp_norm)
 from aqgsim.operators import DissipParams, gevrey_multiplier
 
@@ -48,7 +48,7 @@ def test_stack_norms_equal_per_field_norms_bitwise(shape, s, homogeneous):
 @pytest.mark.parametrize("fine", [False, True])
 def test_hs_table_equals_per_order_norms_bitwise(fine):
     """One stacked reduction gives each (s, homogeneous) norm of one power with
-    the bits of its own `_hs_from_power`, on the 64^2 grid of the lemma suite and
+    the bits of its own `_hs_norms`, on the 64^2 grid of the lemma suite and
     on the 128^2 grid of its product."""
     from aqgsim.lemmas import _hs_orders
 
@@ -57,11 +57,11 @@ def test_hs_table_equals_per_order_norms_bitwise(fine):
     orders = fg_orders + ((-0.3, False), (1.7, False)) if fine else f_orders
     assert {h for _, h in orders} == {True, False}
     for seed in (1, 2):
-        power = np.abs(field_from_values(grid, random_real_grid(grid, seed)).half) ** 2
-        table = _hs_table(power, grid, orders)
+        half = field_from_values(grid, random_real_grid(grid, seed)).half
+        table = _hs_table(np.abs(half) ** 2, grid, orders)
         assert list(table) == list(orders)
         for (s, homogeneous), got in table.items():
-            want = _hs_from_power(power, grid, s, homogeneous)
+            want = _hs_norms(half, grid, s, homogeneous)
             assert type(got) is float
             assert np.float64(got).tobytes() == want.tobytes(), (s, homogeneous)
 
@@ -130,9 +130,9 @@ def test_gevrey_saturates_on_a_live_mode_of_a_self_conjugate_column(column):
     c = np.zeros(grid.half_shape, dtype=np.complex128)
     c[1, 0] = c[-1, 0] = 0.5
     c[-9, col] = 1e-300
-    assert _gevrey_norm(c, grid, t, 0.0, p) == math.inf
+    assert _gevrey_norms(c, grid, (t,), 0.0, p).tolist() == [math.inf]
     c[-9, col] = 0.0
-    assert math.isfinite(_gevrey_norm(c, grid, t, 0.0, p))
+    assert math.isfinite(_gevrey_norms(c, grid, (t,), 0.0, p)[0])
 
 
 def test_homogeneous_norm_ignores_mean(grid32):
@@ -245,25 +245,40 @@ def test_gevrey_dead_modes_past_cap_stay_unweighted(grid32):
 
 def test_gevrey_weight_stack_gives_gevrey_norms_bitwise(grid64):
     """A stack of weights applied to a field, or to a matching stack, gives the
-    `_gevrey_norm` of each at its time, bit for bit, overflow reading inf; an
-    exponent past WEIGHT_CAP has no weight that serves every field."""
+    single-time `_gevrey_norms` of each at its time, bit for bit, overflow
+    reading inf. Past WEIGHT_CAP a mode weighs inf: a field live there reads
+    inf, a field zero there stays finite, and every other time keeps its bits."""
     p = DissipParams(0.6, 0.85, mu=0.7, nu=1.9)
+
+    def single(c, times, s):
+        return [_gevrey_norms(c, grid64, (t,), s, p)[0] for t in times]
+
     times = [0.0, 0.25, 0.5, 1.0, 2.0]
     weights = _gevrey_weights(grid64, times, p)
     f = field_from_values(grid64, random_real_grid(grid64, 5))
     stack = np.stack([(k + 1.0) * f.half for k in range(len(times))])
     for s in (0.4, 1.0, 90.0):  # at s = 90 the two largest times overflow
-        got = _weighted_hs_norms(weights, f.half, grid64, s)
-        assert got.tolist() == [_gevrey_norm(f.half, grid64, t, s, p) for t in times]
+        assert _weighted_hs_norms(weights, f.half, grid64, s).tolist() == single(f.half, times, s)
         got = _weighted_hs_norms(weights, stack, grid64, s)
-        assert got.tolist() == [_gevrey_norm(c, grid64, t, s, p) for c, t in zip(stack, times)]
+        assert got.tolist() == _gevrey_norms(stack, grid64, times, s, p).tolist()
+        assert got.tolist() == [single(c, (t,), s)[0] for c, t in zip(stack, times)]
     assert got.tolist()[2] < math.inf == got.tolist()[3]
     # at s = 300 the Sobolev weight overflows on modes where a sine field is
     # zero, so the raw sum is NaN: it reads inf too
     got = _weighted_hs_norms(weights, sine_field(grid64, (1, 0)).half, grid64, 300.0)
     assert got.tolist() == [math.inf] * len(times)
-    with pytest.raises(ValueError, match="WEIGHT_CAP"):
-        _gevrey_weights(grid64, [1.0, 2.0 * WEIGHT_CAP], p)
+    # the middle time puts the corner modes at twice the cap, (1, 0) far below it
+    B = gevrey_multiplier(grid64, p)
+    times = [0.5, 4.0 * WEIGHT_CAP / B.max(), 1.0]
+    weights = _gevrey_weights(grid64, times, p)
+    assert np.isinf(weights[1]).any() and np.all(np.isfinite(weights[[0, 2]]))
+    low = sine_field(grid64, (1, 0))
+    for c in (f.half, low.half):
+        got = _weighted_hs_norms(weights, c, grid64, 1.0).tolist()
+        assert got == single(c, times, 1.0)
+    assert _weighted_hs_norms(weights, f.half, grid64, 1.0)[1] == math.inf
+    assert got[1] == pytest.approx(math.exp(0.5 * times[1] * B[1, 0]) * sobolev_norm(low, 1.0),
+                                   rel=1e-13)
 
 
 def test_gevrey_matches_gevrey_sobolev_norm_on_axis(grid32):

@@ -500,23 +500,57 @@ def test_weighted_picard_random_data_ball(grid64, params_sym):
 
 
 def test_weighted_picard_forms_each_gevrey_norm_once(grid32, params_sym, monkeypatch):
-    """A weighted solve weighs every node of L0 and of each iterate once."""
+    """A weighted solve weighs every node of L0 and of each iterate once, one
+    node at a time."""
     import aqgsim.norms as norms
 
     calls = []
-    gevrey_norm = norms._gevrey_norm
+    build = norms._gevrey_weights
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return gevrey_norm(*args, **kwargs)
+    def counting(grid, times, p):
+        calls.append(len(times))
+        return build(grid, times, p)
 
-    monkeypatch.setattr(norms, "_gevrey_norm", counting)
+    monkeypatch.setattr(norms, "_gevrey_weights", counting)
     theta0 = unit_random_field(grid32, 4, params_sym.s)
     _, T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
     cfg = PicardConfig(T=T1, n_nodes=9, tol=1e-12)
     rep = weighted_picard_solve(theta0, cfg, params_sym)
     assert rep.converged and rep.iterations >= 2
-    assert len(calls) == cfg.n_nodes * (rep.iterations + 1)
+    assert calls == [1] * (cfg.n_nodes * (rep.iterations + 1))
+
+
+def test_every_gevrey_norm_takes_its_weight_from_one_builder(grid32, params_sym, monkeypatch):
+    """The march trace, the gevrey report, the Picard sups and calibration all
+    build their Gevrey weights with `_gevrey_weights`: one weight per trace row
+    and per report row at its time, one per Picard node at the node's time, and
+    one stack of the four horizons per calibrated parameter set."""
+    import aqgsim.norms as norms
+    import aqgsim.solver as solver
+    from aqgsim.diagnostics import build_gevrey_report
+
+    calls = []
+    build = norms._gevrey_weights
+
+    def counting(grid, times, p):
+        calls.append(tuple(np.asarray(times).tolist()))
+        return build(grid, times, p)
+
+    for module in (norms, solver):
+        monkeypatch.setattr(module, "_gevrey_weights", counting)
+    theta0 = unit_random_field(grid32, 4, params_sym.s)
+    res = evolve(theta0, 0.05, params_sym)
+    assert calls == [(t,) for t in res.trace.t]
+    calls.clear()
+    build_gevrey_report([0.0, res.t_final], [theta0, res.final], params_sym, params_sym.s)
+    assert calls == [(0.0,), (res.t_final,)]
+    calls.clear()
+    _, T1 = existence_time(1.0, params_sym, TABLE, weighted=True)
+    rep = weighted_picard_solve(theta0, PicardConfig(T=T1, n_nodes=9, tol=1e-12), params_sym)
+    assert sorted(set(calls)) == [(t,) for t in rep.trajectory.times.tolist()]
+    calls.clear()
+    calibrate_constants(params_sym, n_samples=1)
+    assert calls == [solver._CALIBRATION_HORIZONS]
 
 
 def test_weight_domination_scalar_scan():
@@ -1122,6 +1156,18 @@ def test_evolve_no_sliver_steps(grid32, params):
     assert res.t_final == pytest.approx(0.1, rel=1e-12)
     dt = np.array(res.trace.dt[1:])
     assert np.min(dt[1:] / dt[:-1]) >= 0.4
+
+
+def test_evolve_step_shortened_to_a_checkpoint_keeps_its_proposal(grid64, params_sym):
+    """A step cut to land on a checkpoint at t = 1e-15 does not leave the march
+    to regrow its step from that size: 27 accepted steps and 298 kernel calls
+    reach T = 0.2 (43 and 474 when the proposal was lost), within 1e-9
+    relative H^1 of an rtol = 1e-12 march."""
+    theta0 = unit_random_field(grid64, 1, 1.0, kmax=10)
+    res = evolve(theta0, 0.2, params_sym, checkpoint_times=[1e-15, 0.05])
+    ref = evolve(theta0, 0.2, params_sym, rtol=1e-12)
+    assert res.rejected_steps == 0 and res.kernel_calls <= 300
+    assert sobolev_norm(res.final - ref.final, 1.0) <= 1e-9 * sobolev_norm(ref.final, 1.0)
 
 
 def test_evolve_requires_mean_zero(grid32, params_sym):
